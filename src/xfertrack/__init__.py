@@ -5,17 +5,16 @@ __version__ = "0.1.0"
 
 from .systems import (EPS_GAIN, EPS_RELATIVE_DEGREE, IllDefinedRelativeDegree,
                       LtiSystem, NonlinearSystem, SimTrace, SimulationDiverged,
-                      lifted_gains, relative_degree, simulate, step, zeros_poles)
+                      simulate, step, zeros_poles)
 from .trajectory import (SampledTrajectory, SinusoidTrajectory,
                          ingest_csv_trajectory, make_test_trajectory,
                          training_references)
 from .inverse import (AnalyticInverse, InverseDataset, MlpInverseModel,
                       SingularInverse, TrainingConfig, TrainingDiverged,
-                      affine_lstsq_inverse, build_inverse_dataset,
-                      inverse_reference, train_mlp)
+                      affine_lstsq_inverse, build_inverse_dataset, train_mlp)
 from .gp import GpHyperparams, GpWindowModel, kernel
 from .control import (AffineErrorOracle, EstimatedGain, FixedGain, StepLog,
-                      StepRecord, TransferController, track_trajectory)
+                      TransferController, track_trajectory)
 from .stability import (AssumptionViolation, Lemma1Verdict, NotSchurStable,
                         SimilarityVector, StabilityBudget, UndefinedSimilarity,
                         assemble_budget, fit_prediction_budget, iss_gains,

@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .control import (EstimatedGain, FixedGain, StepLog, StepRecord,
-                      TransferController, track_trajectory)
+from .control import (EstimatedGain, FixedGain, StepLog, TransferController,
+                      track_trajectory)
 from .gp import GpHyperparams, GpWindowModel
 from .inverse import (AnalyticInverse, InverseDataset, TrainingConfig,
                       build_inverse_dataset, train_mlp)
@@ -264,15 +264,11 @@ def metrics(log: StepLog, r: int, exclude: str = "relative-degree",
 # -- strategies ----------------------------------------------------------------
 
 
-def _baseline_log(trace, yd, r) -> StepLog:
-    n = trace.states.shape[1]
-    log = StepLog(n)
-    for k in range(trace.inputs.shape[0]):
-        u = float(trace.inputs[k])
-        log.append(StepRecord(k=k, x=trace.states[k].copy(),
-                              y=float(trace.outputs[k]), y_d=float(yd[k]),
-                              u1=u, e_p=0.0, alpha=0.0, u2=0.0, u=u))
-    return log
+class _PassThrough:
+    """The baseline's inverse: the desired output r steps ahead is the input."""
+
+    def reference(self, x, y_d_future: float) -> float:
+        return y_d_future
 
 
 def make_inverse(cfg: BenchConfig, source: LtiSystem, seed=None):
@@ -328,35 +324,28 @@ def run_strategy(cfg: BenchConfig, strategy: str, inverse=None,
     x0 = None if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
     r = target.r
 
+    # every strategy is a controller; the baseline passes the reference
+    # through unguarded and has no error map to audit against
+    oracle_target = target
     if strategy == "baseline":
-        try:
-            trace = simulate(target, lambda k, x, ydf: ydf, traj, x0=x0)
-        except SimulationDiverged as err:
-            return StrategyResult(strategy, None, None, True, err.step,
-                                  traj.n_steps, err.partial_log)
-        yd = traj.values(traj.n_steps + r)
-        log = _baseline_log(trace, yd, r)
-        m = metrics(log, r)
-        return StrategyResult(strategy, m.rms_tracking, None, False, None,
-                              traj.n_steps, log)
-
-    if inverse is None:
-        inverse = make_inverse(cfg, source)
-    if strategy == "offline":
-        online = None
-        gain = None
-    elif strategy == "online":
-        online = cfg.gp.build(dim=target.n + 2)
-        gain = cfg.gain.build()
-        if alpha_override is not None:
-            gain = FixedGain(alpha=alpha_override)
+        ctrl = TransferController(_PassThrough(), r=r, u_max=math.inf)
+        oracle_target = None
+    elif strategy in ("offline", "online"):
+        if inverse is None:
+            inverse = make_inverse(cfg, source)
+        online = gain = None
+        if strategy == "online":
+            online = cfg.gp.build(dim=target.n + 2)
+            gain = cfg.gain.build()
+            if alpha_override is not None:
+                gain = FixedGain(alpha=alpha_override)
+        ctrl = TransferController(inverse, r=r, online=online, gain=gain,
+                                  u_max=cfg.u_max)
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    ctrl = TransferController(inverse, r=r, online=online, gain=gain,
-                              u_max=cfg.u_max)
     try:
-        trace, log = track_trajectory(target, ctrl, traj, x0=x0,
-                                      error_oracle_target=target)
+        _, log = track_trajectory(target, ctrl, traj, x0=x0,
+                                  error_oracle_target=oracle_target)
     except SimulationDiverged as err:
         return StrategyResult(strategy, None, None, True, err.step,
                               traj.n_steps, err.partial_log)
@@ -382,6 +371,8 @@ class RunReport:
     mlp_validation_rmse: float | None
     wall_time_s: float
     log_paths: dict
+    # in-memory step logs by strategy; not part of payload() or digest()
+    logs: dict = field(default_factory=dict, repr=False)
 
     def payload(self, include_volatile: bool = True) -> dict:
         body = {
@@ -408,8 +399,7 @@ class RunReport:
 
 
 def run_comparison(cfg: BenchConfig, out_dir=None,
-                   strategies=("baseline", "offline", "online"),
-                   keep_logs: bool = True) -> RunReport:
+                   strategies=("baseline", "offline", "online")) -> RunReport:
     """Run the configured strategies on the same trajectory and initial
     state. A divergence aborts only the strategy it occurred in."""
     t0 = time.perf_counter()
@@ -434,10 +424,10 @@ def run_comparison(cfg: BenchConfig, out_dir=None,
             log_paths[strat] = str(path)
     report = RunReport(config=cfg.to_dict(), seed=cfg.seed, strategies=results,
                        mlp_validation_rmse=val_rmse,
-                       wall_time_s=time.perf_counter() - t0, log_paths=log_paths)
+                       wall_time_s=time.perf_counter() - t0, log_paths=log_paths,
+                       logs=logs)
     if out_dir is not None:
         (Path(out_dir) / "report.json").write_text(report.to_json())
-    report._logs = logs  # in-memory logs for callers that want them
     return report
 
 

@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .systems import SimTrace, SimulationDiverged, step
+# `step` is re-exported so instrumentation can patch control.step
+from .systems import SimTrace, SimulationDiverged, simulate, step  # noqa: F401
 
 EPS_GAIN_DENOMINATOR = 1e-8
 
@@ -51,20 +52,6 @@ class ControlDecision:
     u: float
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    k: int
-    x: np.ndarray
-    y: float
-    y_d: float
-    u1: float
-    e_p: float
-    alpha: float
-    u2: float
-    u: float
-    e_p_star: float = math.nan
-
-
 class AffineErrorOracle:
     """Exact error predictor for a known linear target.
 
@@ -81,10 +68,12 @@ class AffineErrorOracle:
     def observe(self, xi, e):
         return self
 
+    def error(self, x, u1: float, y_d_future: float) -> float:
+        return float(y_d_future - self.target.lifted_A @ x - self.target.lifted_B * u1)
+
     def predict(self, xi):
         xi = np.asarray(xi, dtype=float)
-        x, u1, yd = xi[:self.n], xi[self.n], xi[self.n + 1]
-        return float(yd - self.target.lifted_A @ x - self.target.lifted_B * u1), 0.0
+        return self.error(xi[:self.n], xi[self.n], xi[self.n + 1]), 0.0
 
     def mean_derivative(self, xi, dim: int) -> float:
         if dim < self.n:
@@ -172,97 +161,85 @@ class TransferController:
         return ControlDecision(u1=u1, e_p=e_p, variance=var, alpha=alpha, u2=u2, u=u)
 
 
+# per-step columns of a StepLog after the states, in CSV order
+LOG_COLUMNS = ("y", "y_d", "u1", "e_p", "alpha", "u2", "u", "e_p_star")
+
+
+@dataclass(frozen=True, eq=False)
 class StepLog:
-    """Column-oriented record of a controlled run; serializes to CSV."""
+    """Column arrays of a run, one row per applied input u(k), k = 0..T-1.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.rows: list[StepRecord] = []
+    From a run, states, y and u are views of its SimTrace and y_d of the
+    trajectory samples; serializes to CSV.
+    """
 
-    def append(self, rec: StepRecord):
-        self.rows.append(rec)
+    states: np.ndarray  # (T, n)
+    y: np.ndarray
+    y_d: np.ndarray
+    u1: np.ndarray
+    e_p: np.ndarray
+    alpha: np.ndarray
+    u2: np.ndarray
+    u: np.ndarray
+    e_p_star: np.ndarray
 
     def __len__(self):
-        return len(self.rows)
+        return self.u.shape[0]
 
     def column(self, name: str) -> np.ndarray:
-        return np.asarray([getattr(r, name) for r in self.rows], dtype=float)
-
-    @property
-    def states(self) -> np.ndarray:
-        return np.vstack([r.x for r in self.rows]) if self.rows else np.zeros((0, self.n))
+        return np.arange(len(self), dtype=float) if name == "k" else getattr(self, name)
 
     def to_csv(self, path):
-        headers = (["k"] + [f"x{i}" for i in range(self.n)]
-                   + ["y", "y_d", "u1", "e_p", "alpha", "u2", "u", "e_p_star"])
+        n = self.states.shape[1]
+        data = np.column_stack([self.states] + [getattr(self, c) for c in LOG_COLUMNS])
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(headers)
-            for r in self.rows:
-                w.writerow([r.k] + [repr(float(v)) for v in r.x]
-                           + [repr(float(v)) for v in (r.y, r.y_d, r.u1, r.e_p,
-                                                       r.alpha, r.u2, r.u,
-                                                       r.e_p_star)])
+            w.writerow(["k"] + [f"x{i}" for i in range(n)] + list(LOG_COLUMNS))
+            w.writerows([k] + [repr(v) for v in row]
+                        for k, row in enumerate(data.tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "StepLog":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             headers = next(reader)
-            n = sum(1 for h in headers if h.startswith("x") and h[1:].isdigit())
-            log = cls(n)
-            for row in reader:
-                vals = [float(v) for v in row]
-                log.append(StepRecord(
-                    k=int(vals[0]), x=np.asarray(vals[1:1 + n]),
-                    y=vals[1 + n], y_d=vals[2 + n], u1=vals[3 + n],
-                    e_p=vals[4 + n], alpha=vals[5 + n], u2=vals[6 + n],
-                    u=vals[7 + n], e_p_star=vals[8 + n]))
-        return log
+            rows = [[float(v) for v in row] for row in reader]
+        n = len(headers) - 1 - len(LOG_COLUMNS)
+        data = np.array(rows, dtype=float).reshape(-1, len(headers))
+        return cls(data[:, 1:1 + n], *data[:, 1 + n:].T)
 
 
 def track_trajectory(system, controller: TransferController, trajectory,
                      x0=None, error_oracle_target=None):
-    """Run a controller against a plant along a trajectory.
+    """Run a controller against a plant along a trajectory via simulate.
 
     Returns (SimTrace, StepLog). When error_oracle_target (a linear system
     with lifted gains) is given, the analytic error map is evaluated at
-    each query and logged as e_p_star for prediction-accuracy audits.
-    On divergence the raised error carries the partial trace and log.
+    each query and logged as e_p_star for prediction-accuracy audits;
+    otherwise e_p_star is NaN. On divergence the raised error carries the
+    partial trace and a log with one row per input of that trace.
     """
-    r = controller.r
+    oracle = (None if error_oracle_target is None
+              else AffineErrorOracle(error_oracle_target))
     T = trajectory.n_steps
-    yd = trajectory.values(T + r)
-    x = np.zeros(system.n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    states = np.empty((T + 1, system.n))
-    inputs = np.empty(T)
-    outputs = np.empty(T + 1)
-    states[0] = x
-    log = StepLog(system.n)
-    k = 0
+    cols = np.full((T, 5), math.nan)  # u1, e_p, alpha, u2, e_p_star
+
+    def policy(k, x, y_d_future):
+        dec = controller.control_step(k, x, y_d_future, system.output(x))
+        e_star = math.nan if oracle is None else oracle.error(x, dec.u1, y_d_future)
+        cols[k] = dec.u1, dec.e_p, dec.alpha, dec.u2, e_star
+        return dec.u
+
+    yd = trajectory.values(T + system.r)  # as simulate samples it
     try:
-        for k in range(T):
-            y = system.output(x)
-            outputs[k] = y
-            dec = controller.control_step(k, x, yd[k + r], y)
-            if error_oracle_target is not None:
-                e_star = float(yd[k + r] - error_oracle_target.lifted_A @ x
-                               - error_oracle_target.lifted_B * dec.u1)
-            else:
-                e_star = math.nan
-            log.append(StepRecord(k=k, x=x.copy(), y=y, y_d=yd[k], u1=dec.u1,
-                                  e_p=dec.e_p, alpha=dec.alpha, u2=dec.u2,
-                                  u=dec.u, e_p_star=e_star))
-            inputs[k] = dec.u
-            x = step(system, x, dec.u, k)
-            states[k + 1] = x
+        trace = simulate(system, policy, trajectory, x0=x0)
     except SimulationDiverged as err:
-        # outputs[k] is assigned before either raise point in the loop body
-        err.partial_trace = SimTrace(states=states[:k + 1].copy(),
-                                     inputs=inputs[:k].copy(),
-                                     outputs=outputs[:k + 1].copy(), dt=trajectory.dt)
-        err.partial_log = log
+        err.partial_log = _step_log(err.partial_trace, yd, cols)
         raise
-    outputs[T] = system.output(x)
-    return SimTrace(states=states, inputs=inputs, outputs=outputs,
-                    dt=trajectory.dt), log
+    return trace, _step_log(trace, yd, cols)
+
+
+def _step_log(trace: SimTrace, yd, cols) -> StepLog:
+    T = trace.inputs.shape[0]
+    return StepLog(trace.states[:T], trace.outputs[:T], yd[:T], *cols[:T, :4].T,
+                   trace.inputs, cols[:T, 4])

@@ -330,7 +330,7 @@ class GpWindowModel:
         starting point) are kept, so the reported likelihood never
         degrades. A shared scalar length scale is fitted.
         """
-        if self.size < max(2, 1):
+        if self.size < 2:
             self._refresh()
             return self.hyper
         lb = [math.log(self.length_scale_bounds[0]),

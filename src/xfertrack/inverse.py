@@ -302,11 +302,6 @@ def train_mlp(dataset: InverseDataset, config: TrainingConfig | None = None,
     return model
 
 
-def inverse_reference(model, x, y_d_future: float) -> float:
-    """Dispatch to whichever inverse module is supplied."""
-    return model.reference(x, y_d_future)
-
-
 def affine_lstsq_inverse(dataset: InverseDataset):
     """Closed-form least-squares inverse on the same features as the MLP.
 

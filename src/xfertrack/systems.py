@@ -196,21 +196,6 @@ class SimTrace:
         return self.states.shape[0]
 
 
-def relative_degree(system) -> int:
-    """Relative degree of a system; recomputed for LTI, stored for nonlinear."""
-    if isinstance(system, LtiSystem):
-        return _relative_degree_lti(system.A, system.B, system.C)
-    return system.r
-
-
-def lifted_gains(system: LtiSystem):
-    """(C A^r, C A^(r-1) B) of an LTI system."""
-    r = system.r
-    return system.C @ matrix_power(system.A, r), float(
-        system.C @ matrix_power(system.A, r - 1) @ system.B
-    )
-
-
 def zeros_poles(system: LtiSystem):
     """Poles (eigenvalues of A) and transmission zeros of an LTI system.
 
@@ -244,7 +229,8 @@ def simulate(system, policy, trajectory, x0=None) -> SimTrace:
 
     The policy sees the current step index, the state, and the desired
     output r steps ahead. Deterministic: identical arguments produce a
-    bit-identical trace.
+    bit-identical trace. When the policy or the plant raises
+    SimulationDiverged at step k, the error carries the trace up to x(k).
     """
     r = system.r
     T = trajectory.n_steps
@@ -257,23 +243,19 @@ def simulate(system, policy, trajectory, x0=None) -> SimTrace:
     outputs = np.empty(T + 1)
     states[0] = x
     outputs[0] = system.output(x)
-    for k in range(T):
-        u = float(policy(k, x, yd[k + r]))
-        if not np.isfinite(u):
-            raise SimulationDiverged(
-                "policy produced a non-finite input", k,
-                partial_trace=_partial(states, inputs, outputs, k, trajectory.dt))
-        inputs[k] = u
-        try:
+    k = 0
+    try:
+        for k in range(T):
+            u = float(policy(k, x, yd[k + r]))
+            if not np.isfinite(u):
+                raise SimulationDiverged("policy produced a non-finite input", k)
+            inputs[k] = u
             x = step(system, x, u, k)
-        except SimulationDiverged as err:
-            err.partial_trace = _partial(states, inputs, outputs, k, trajectory.dt)
-            raise
-        states[k + 1] = x
-        outputs[k + 1] = system.output(x)
+            states[k + 1] = x
+            outputs[k + 1] = system.output(x)
+    except SimulationDiverged as err:
+        err.partial_trace = SimTrace(states=states[:k + 1].copy(),
+                                     inputs=inputs[:k].copy(),
+                                     outputs=outputs[:k + 1].copy(), dt=trajectory.dt)
+        raise
     return SimTrace(states=states, inputs=inputs, outputs=outputs, dt=trajectory.dt)
-
-
-def _partial(states, inputs, outputs, k, dt):
-    return SimTrace(states=states[:k + 1].copy(), inputs=inputs[:k].copy(),
-                    outputs=outputs[:k + 1].copy(), dt=dt)

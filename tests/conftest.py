@@ -35,7 +35,7 @@ def bench_config():
 def bench_report(bench_config):
     """The three-strategy benchmark run with the bundled MLP config."""
     t0 = time.perf_counter()
-    report = run_comparison(bench_config, keep_logs=True)
+    report = run_comparison(bench_config)
     report.suite_wall_s = time.perf_counter() - t0
     return report
 

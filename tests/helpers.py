@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from xfertrack.control import StepLog, StepRecord
+from xfertrack.control import StepLog
 from xfertrack.systems import LtiSystem
 
 # the bundled benchmark pair, rebuilt directly so tests do not depend on
@@ -40,10 +40,9 @@ def random_stable_system(rng, n: int = 2) -> LtiSystem:
             return LtiSystem(A, B, C)
 
 
-def constant_error_log(n: int, steps: int, err: float, r: int = 1) -> StepLog:
-    """Log whose tracking error is exactly `err` on every step."""
-    log = StepLog(n)
-    for k in range(steps):
-        log.append(StepRecord(k=k, x=np.zeros(n), y=0.0, y_d=err,
-                              u1=0.0, e_p=0.0, alpha=0.0, u2=0.0, u=0.0))
-    return log
+def error_log(errors, n: int = 2) -> StepLog:
+    """Log whose tracking error y_d - y at step k is errors[k]."""
+    y_d = np.asarray(errors, dtype=float)
+    zero = np.zeros_like(y_d)
+    return StepLog(np.zeros((y_d.size, n)), y=zero, y_d=y_d, u1=zero, e_p=zero,
+                   alpha=zero, u2=zero, u=zero, e_p_star=np.full(y_d.size, np.nan))

@@ -124,7 +124,7 @@ def test_criterion_6_boundedness_condition(bench_config, bench_report):
     # sufficient condition over a gain grid; every certified gain must
     # yield a bounded 48 s run
     source, target = source_system(), target_system()
-    log = bench_report._logs["online"]
+    log = bench_report.logs["online"]
     r = target.r
     traj = bench_config.trajectory.build()
     yd = traj.values(traj.n_steps + r)

@@ -14,7 +14,7 @@ from xfertrack.bench import (BenchConfig, ConfigError, GainCfg, GpCfg, Metrics,
 from xfertrack.inverse import AnalyticInverse
 from xfertrack.trajectory import make_test_trajectory
 
-from helpers import constant_error_log, source_system
+from helpers import error_log, source_system
 
 
 def short_config(duration=3.0, **kwargs):
@@ -126,25 +126,20 @@ def test_default_trajectory_matches_reference_signal():
 
 
 def test_metrics_constant_error():
-    log = constant_error_log(2, steps=50, err=2.0)
+    log = error_log(np.full(50, 2.0))
     m = metrics(log, r=1)
     assert m.rms_tracking == 2.0
     assert m.rms_prediction is None
 
 
 def test_metrics_perfect_tracking():
-    log = constant_error_log(2, steps=50, err=0.0)
+    log = error_log(np.zeros(50))
     assert metrics(log, r=1).rms_tracking == 0.0
 
 
 def test_metrics_startup_exclusion_modes():
     # error 5 on k < 15, zero afterwards; the wider exclusion removes it
-    from xfertrack.control import StepRecord
-    log = constant_error_log(2, steps=0, err=0.0)
-    for k in range(60):
-        err = 5.0 if k < 15 else 0.0
-        log.append(StepRecord(k=k, x=np.zeros(2), y=0.0, y_d=err, u1=0.0,
-                              e_p=0.0, alpha=0.0, u2=0.0, u=0.0))
+    log = error_log(np.where(np.arange(60) < 15, 5.0, 0.0))
     narrow = metrics(log, r=1)
     wide = metrics(log, r=1, exclude="window-fill", window=15)
     assert narrow.rms_tracking == pytest.approx(math.sqrt(14 * 25.0 / 59))
@@ -155,19 +150,19 @@ def test_metrics_startup_exclusion_modes():
 
 
 def test_metrics_unknown_exclusion():
-    log = constant_error_log(2, steps=10, err=1.0)
+    log = error_log(np.ones(10))
     with pytest.raises(ValueError, match="exclusion"):
         metrics(log, r=1, exclude="all")
 
 
 def test_metrics_log_too_short():
-    log = constant_error_log(2, steps=3, err=1.0)
+    log = error_log(np.ones(3))
     with pytest.raises(ValueError, match="short"):
         metrics(log, r=5)
 
 
 def test_reported_rms_recomputable_from_log(bench_report):
-    res = bench_report._logs["online"]
+    res = bench_report.logs["online"]
     k = res.column("k")
     keep = k >= 1
     y, yd = res.column("y"), res.column("y_d")
@@ -230,6 +225,18 @@ def test_divergence_isolated_per_strategy():
         assert rep.strategies[name]["aborted"] is True
         assert rep.strategies[name]["abort_step"] == 0
         assert rep.strategies[name]["rms_tracking"] is None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_aborted_baseline_keeps_its_log():
+    # an unstable target overflows under the pass-through input; the abort
+    # is recorded with the log up to the failing step
+    unstable = SystemCfg(a=[[0.0, 1.0], [-0.24, 3.0]], b=[0.0, 1.0], c=[-0.1, 1.0])
+    res = run_strategy(short_config(duration=4.0, target=unstable), "baseline")
+    assert res.aborted and res.abort_step == 669
+    assert res.log is not None
+    assert len(res.log) == res.abort_step
+    assert np.isfinite(res.log.states).all()
 
 
 def test_x0_honored():

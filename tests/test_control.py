@@ -9,14 +9,13 @@ import pytest
 
 from xfertrack.bench import default_benchmark_config, run_strategy
 from xfertrack.control import (AffineErrorOracle, EstimatedGain, FixedGain,
-                               StepLog, StepRecord, TransferController,
-                               track_trajectory)
+                               StepLog, TransferController, track_trajectory)
 from xfertrack.gp import GpWindowModel
 from xfertrack.inverse import AnalyticInverse
-from xfertrack.systems import SimulationDiverged, simulate
+from xfertrack.systems import LtiSystem, SimulationDiverged, simulate
 from xfertrack.trajectory import SinusoidTrajectory, make_test_trajectory
 
-from helpers import source_system, target_system
+from helpers import error_log, source_system, target_system
 
 
 def short_trajectory(duration=0.3):
@@ -155,8 +154,8 @@ def test_cold_start_before_first_retirement():
     # one observation retires per step from k = r onward
     assert gp.observation_count == traj.n_steps - sys.r
     # empty window at k = 0: zero prediction, correction off
-    assert log.rows[0].e_p == 0.0
-    assert log.rows[0].u2 == 0.0
+    assert log.e_p[0] == 0.0
+    assert log.u2[0] == 0.0
     # the window fills at k = capacity (one retirement per step from k = r),
     # so the correction and gain stay off before that and engage exactly there
     alpha = log.column("alpha")
@@ -183,19 +182,35 @@ def test_exact_oracle_stack_tracks_to_machine_precision():
     assert err.max() <= 1e-10
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_input_guard_raises_with_partial_log():
+    # both raise points, the controller's input guard and plant divergence,
+    # leave a partial log with one row per input of the partial trace
     target = target_system()
-    ctrl = TransferController(AnalyticInverse(source_system()), r=target.r,
-                              online=None, u_max=1e-12)
+    guarded = TransferController(AnalyticInverse(source_system()), r=target.r,
+                                 online=None, u_max=1e-12)
+    # x(k+1) = 2 x + u under u = y_d - x / 2 overflows within ~50 steps
+    unstable = LtiSystem([[2.0]], [1.0], [1.0])
+    unguarded = TransferController(AnalyticInverse(LtiSystem([[0.5]], [1.0], [1.0])),
+                                   r=1, online=None, u_max=math.inf)
     traj = short_trajectory()
-    with pytest.raises(SimulationDiverged) as info:
-        track_trajectory(target, ctrl, traj)
-    err = info.value
-    assert isinstance(err.partial_log, StepLog)
-    assert err.partial_trace is not None
-    k = err.step
-    assert err.partial_trace.states.shape == (k + 1, 2)
-    assert err.partial_trace.inputs.shape == (k,)
+    for system, ctrl, x0, what in ((target, guarded, None, "input guard"),
+                                   (unstable, unguarded, [1e300], "non-finite")):
+        with pytest.raises(SimulationDiverged, match=what) as info:
+            track_trajectory(system, ctrl, traj, x0=x0)
+        err = info.value
+        k = err.step
+        assert k < traj.n_steps
+        assert err.partial_trace.states.shape == (k + 1, system.n)
+        assert err.partial_trace.inputs.shape == (k,)
+        assert isinstance(err.partial_log, StepLog)
+        assert len(err.partial_log) == k
+        np.testing.assert_array_equal(err.partial_log.u, err.partial_trace.inputs)
+        np.testing.assert_array_equal(err.partial_log.states,
+                                      err.partial_trace.states[:k])
+    # a wrong-shape initial state is rejected up front, as simulate does
+    with pytest.raises(ValueError, match=r"x0 must have shape \(2,\)"):
+        track_trajectory(target, guarded, traj, x0=[0.0, 0.0, 0.0])
 
 
 def test_cold_start_on_offset_trajectory_stays_bounded():
@@ -276,10 +291,33 @@ def test_step_log_roundtrip_is_bitwise(tmp_path):
 
 
 def test_step_log_columns_and_states_shape():
-    log = StepLog(2)
+    log = error_log([], n=2)
+    assert len(log) == 0
     assert log.states.shape == (0, 2)
-    log.append(StepRecord(k=0, x=np.array([1.0, 2.0]), y=0.1, y_d=0.2, u1=0.3,
-                          e_p=0.4, alpha=0.5, u2=0.2, u=0.5))
-    assert math.isnan(log.rows[0].e_p_star)
-    np.testing.assert_array_equal(log.column("u1"), [0.3])
-    assert log.states.shape == (1, 2)
+    log = error_log([0.2, 0.4], n=2)
+    np.testing.assert_array_equal(log.column("k"), [0.0, 1.0])
+    np.testing.assert_array_equal(log.column("y_d"), [0.2, 0.4])
+    assert np.isnan(log.column("e_p_star")).all()
+    assert log.states.shape == (2, 2)
+
+
+def test_step_log_csv_bytes(tmp_path):
+    # excel dialect: \r\n line ends, integer k, repr floats (nan and -0.0
+    # spelled out); the header names the state columns x0..x{n-1}
+    col = np.array
+    log = StepLog(states=col([[1.0, -0.0], [1e-300, 2.5e10]]),
+                  y=col([0.1, 1.0 / 3.0]), y_d=col([0.2, -1.5]),
+                  u1=col([0.3, 0.0]), e_p=col([0.0, -0.0]), alpha=col([1.0, 20.0]),
+                  u2=col([0.0, 1e-17]), u=col([0.3, 123456789.125]),
+                  e_p_star=col([np.nan, -2.0]))
+    path = tmp_path / "steps.csv"
+    log.to_csv(path)
+    assert path.read_bytes() == (
+        b"k,x0,x1,y,y_d,u1,e_p,alpha,u2,u,e_p_star\r\n"
+        b"0,1.0,-0.0,0.1,0.2,0.3,0.0,1.0,0.0,0.3,nan\r\n"
+        b"1,1e-300,25000000000.0,0.3333333333333333,-1.5,0.0,-0.0,20.0,1e-17,"
+        b"123456789.125,-2.0\r\n")
+    back = StepLog.from_csv(path)
+    np.testing.assert_array_equal(back.states, log.states)
+    assert math.copysign(1.0, back.e_p[1]) == -1.0
+    assert np.isnan(back.e_p_star[0])

@@ -8,8 +8,7 @@ from xfertrack.bench import default_benchmark_config, run_strategy
 from xfertrack.inverse import (AnalyticInverse, InverseDataset, MlpInverseModel,
                                SingularInverse, TrainingConfig,
                                TrainingDiverged, affine_lstsq_inverse,
-                               build_inverse_dataset, inverse_reference,
-                               train_mlp)
+                               build_inverse_dataset, train_mlp)
 from xfertrack.systems import NonlinearSystem, SimTrace, simulate
 from xfertrack.trajectory import SinusoidTrajectory
 
@@ -219,16 +218,6 @@ def test_load_rejects_foreign_files(tmp_path):
     np.savez(path, format="something-else")
     with pytest.raises(ValueError, match="format"):
         MlpInverseModel.load(path)
-
-
-def test_inverse_reference_dispatch():
-    sys = source_system()
-    analytic = AnalyticInverse(sys)
-    x = np.array([0.5, -0.5])
-    assert inverse_reference(analytic, x, 1.0) == analytic.reference(x, 1.0)
-    model = train_mlp(small_dataset(), TrainingConfig(hidden=(4,), epochs=2),
-                      seed=0)
-    assert inverse_reference(model, x, 1.0) == model.reference(x, 1.0)
 
 
 def test_affine_lstsq_recovers_exact_coefficients():

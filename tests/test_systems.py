@@ -4,11 +4,10 @@ simulation plumbing."""
 import numpy as np
 import pytest
 
-from helpers import random_stable_system, source_system, target_system
+from helpers import source_system, target_system
 from xfertrack.systems import (IllDefinedRelativeDegree, LtiSystem,
                                NonlinearSystem, SimTrace, SimulationDiverged,
-                               lifted_gains, relative_degree, simulate, step,
-                               zeros_poles)
+                               simulate, step, zeros_poles)
 from xfertrack.trajectory import SinusoidTrajectory
 
 
@@ -63,7 +62,6 @@ def test_linearity_of_step():
 def test_relative_degree_benchmark_pair():
     assert source_system().r == 1
     assert target_system().r == 1
-    assert relative_degree(source_system()) == 1
 
 
 def test_relative_degree_delay_chain():
@@ -88,27 +86,16 @@ def test_bad_matrix_shapes_rejected():
 
 def test_lifted_gains_benchmark_pair():
     # source: [-0.2, 1] @ A_s = [-0.15, 0.6], gain 1; target analogously
-    A_s, B_s = lifted_gains(source_system())
-    np.testing.assert_allclose(A_s, [-0.15, 0.6], atol=1e-15)
-    assert B_s == 1.0
-    A_t, B_t = lifted_gains(target_system())
-    np.testing.assert_allclose(A_t, [-0.24, 0.9], atol=1e-15)
-    assert B_t == 1.0
+    source, target = source_system(), target_system()
+    np.testing.assert_allclose(source.lifted_A, [-0.15, 0.6], atol=1e-15)
+    assert source.lifted_B == 1.0
+    np.testing.assert_allclose(target.lifted_A, [-0.24, 0.9], atol=1e-15)
+    assert target.lifted_B == 1.0
 
 
 def test_lifted_gains_zero_dynamics():
     sys_ = LtiSystem([[0.0, 0.0], [0.0, 0.0]], [1.0, 0.0], [1.0, 0.0])
-    A_l, _ = lifted_gains(sys_)
-    np.testing.assert_array_equal(A_l, [0.0, 0.0])
-
-
-def test_lifted_gains_match_stored():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        sys_ = random_stable_system(rng)
-        A_l, B_l = lifted_gains(sys_)
-        np.testing.assert_array_equal(A_l, sys_.lifted_A)
-        assert B_l == sys_.lifted_B
+    np.testing.assert_array_equal(sys_.lifted_A, [0.0, 0.0])
 
 
 def test_lifted_identity_on_random_inputs():
