@@ -165,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_sweep_alpha)
 
-    p = sub.add_parser("similarity", help="similarity and stability report for the pair")
+    p = sub.add_parser("similarity", help="similarity and stability report for the pair "
+                       "(stability budget with betas = (0, 0, 0))")
     common(p)
     p.set_defaults(fn=cmd_similarity)
 

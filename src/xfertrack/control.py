@@ -131,29 +131,25 @@ class TransferController:
                 xi = np.concatenate([x0, [u0], [yd_k]])
                 self.online.observe(xi, yd_k - y_now)
         u1 = float(self.inverse.reference(x, y_d_future))
-        if self.online is None:
-            e_p, var, alpha, u2, u = 0.0, math.inf, 0.0, 0.0, u1
-        elif not getattr(self.online, "full", True):
+        e_p, var, alpha, u2, u = 0.0, math.inf, 0.0, 0.0, u1
+        if self.online is not None:
+            xi_query = np.concatenate([x, [u1], [y_d_future]])
+            e_p, var = self.online.predict(xi_query)
             # warm-up: the prediction is logged but the correction stays
             # off until the model's window is full. A part-filled window
             # gives derivative (hence gain) estimates of arbitrary sign,
             # and alpha * e_p with a wrong-sign gain can kick the plant
             # hard enough to poison the window it is learning from.
-            xi_query = np.concatenate([x, [u1], [y_d_future]])
-            e_p, var = self.online.predict(xi_query)
-            alpha, u2, u = 0.0, 0.0, u1
-            if (isinstance(self.gain, EstimatedGain)
+            if getattr(self.online, "full", True):
+                alpha = self.select_gain(xi_query, u1_dim=x.shape[0])
+                self._last_alpha = alpha
+                u2 = alpha * e_p
+                u = u1 + u2
+            elif (isinstance(self.gain, EstimatedGain)
                     and self.gain.smoothing is not None):
                 # seed the smoother so the first live gain starts at the
                 # floor instead of jumping straight to the raw estimate
                 self._last_alpha = self.gain.floor
-        else:
-            xi_query = np.concatenate([x, [u1], [y_d_future]])
-            e_p, var = self.online.predict(xi_query)
-            alpha = self.select_gain(xi_query, u1_dim=x.shape[0])
-            self._last_alpha = alpha
-            u2 = alpha * e_p
-            u = u1 + u2
         if not np.isfinite(u) or abs(u) > self.u_max:
             raise SimulationDiverged(
                 f"input guard tripped: |u|={abs(u):.3e} exceeds {self.u_max:.3e}", k)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
+from scipy.optimize import minimize
 
 logger = logging.getLogger(__name__)
 
@@ -67,13 +68,18 @@ def kernel(xi, xj, hyper: GpHyperparams) -> float:
     return float(hyper.signal_variance * np.exp(-0.5 * np.dot(d, d)))
 
 
-def _kernel_matrix(X, Z, hyper: GpHyperparams) -> np.ndarray:
-    ls = hyper.scales(X.shape[1])
+def _scaled_sq_dist(X, Z, ls) -> np.ndarray:
+    """Squared distances between the rows of X / ls and Z / ls."""
     Xs = X / ls
     Zs = Z / ls
     sq = (np.sum(Xs ** 2, axis=1)[:, None] + np.sum(Zs ** 2, axis=1)[None, :]
           - 2.0 * Xs @ Zs.T)
     np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def _kernel_matrix(X, Z, hyper: GpHyperparams) -> np.ndarray:
+    sq = _scaled_sq_dist(X, Z, hyper.scales(X.shape[1]))
     return hyper.signal_variance * np.exp(-0.5 * sq)
 
 
@@ -243,13 +249,6 @@ class GpWindowModel:
         }
 
     @property
-    def beta(self) -> np.ndarray:
-        """Current basis coefficients (empty when basis is 'none')."""
-        if self._cache is None:
-            return np.zeros(0)
-        return self._cache["beta"].copy()
-
-    @property
     def factor(self) -> np.ndarray | None:
         """Lower Cholesky factor of K + (sigma_2^2 + jitter) I."""
         return None if self._cache is None else self._cache["L"].copy()
@@ -302,13 +301,22 @@ class GpWindowModel:
 
     # -- hyperparameter fitting ----------------------------------------------
 
-    def log_marginal_likelihood(self, hyper: GpHyperparams | None = None) -> float:
-        """Marginal log-likelihood of the window with beta integrated out."""
+    def log_marginal_likelihood(self, hyper: GpHyperparams | None = None,
+                                grad: bool = False):
+        """Marginal log-likelihood of the window with beta integrated out.
+
+        With grad=True, returns (value, gradient), the gradient taken with
+        respect to (log l, log sigma_1^2, log sigma_2^2), where a common
+        factor l scales every length scale (GPML eq. 5.9). A covariance
+        that cannot be factorized gives -inf (and a zero gradient).
+        """
         if self.size == 0:
             raise ValueError("empty window")
         hyper = hyper or self.hyper
         X, y = self._X, self._y
-        C = _kernel_matrix(X, X, hyper) + hyper.noise_variance * np.eye(self.size)
+        sq = _scaled_sq_dist(X, X, hyper.scales(self.dim))
+        K = hyper.signal_variance * np.exp(-0.5 * sq)
+        C = K + hyper.noise_variance * np.eye(self.size)
         H = basis_features(X, hyper.basis)
         if H.shape[1]:
             C = C + self.basis_prior_variance * (H @ H.T)
@@ -317,18 +325,27 @@ class GpWindowModel:
         try:
             L, _ = _chol_with_jitter(C)
         except LinAlgError:
-            return -math.inf
+            return (-math.inf, np.zeros(3)) if grad else -math.inf
         a = cho_solve((L, True), y)
-        return float(-0.5 * y @ a - np.sum(np.log(np.diag(L)))
-                     - 0.5 * self.size * math.log(2.0 * math.pi))
+        val = float(-0.5 * y @ a - np.sum(np.log(np.diag(L)))
+                    - 0.5 * self.size * math.log(2.0 * math.pi))
+        if not grad:
+            return val
+        # d val / d theta = 1/2 tr(Q dC/d theta) with Q = a a' - C^-1 and
+        # dC/d theta = K * sq, K, sigma_2^2 I (elementwise products)
+        Q = np.outer(a, a) - cho_solve((L, True), np.eye(self.size))
+        QK = Q * K
+        return val, 0.5 * np.array([np.sum(QK * sq), np.sum(QK),
+                                    hyper.noise_variance * np.trace(Q)])
 
     def fit_hyperparams(self) -> GpHyperparams:
         """Maximize the marginal likelihood over (l, sigma_1^2[, sigma_2^2]).
 
-        Bounded derivative-free simplex search over log-parameters with a
-        capped evaluation budget. The best parameters seen (including the
-        starting point) are kept, so the reported likelihood never
-        degrades. A shared scalar length scale is fitted.
+        Bounded L-BFGS-B over log-parameters on the analytic likelihood
+        gradient. max_fit_evals is scipy's maxfun, which is checked between
+        iterations, so one fit may overshoot it by a line search. The
+        better of the start and the optimizer's result is kept, so the
+        likelihood never degrades. A shared scalar length scale is fitted.
         """
         if self.size < 2:
             self._refresh()
@@ -345,8 +362,6 @@ class GpWindowModel:
             nv0 = min(max(self.hyper.noise_variance, self.noise_variance_bounds[0]),
                       self.noise_variance_bounds[1])
             theta0.append(math.log(nv0))
-        lb = np.asarray(lb)
-        ub = np.asarray(ub)
         theta0 = np.clip(np.asarray(theta0), lb, ub)
 
         def hyper_of(theta):
@@ -357,104 +372,22 @@ class GpWindowModel:
                            signal_variance=sv, noise_variance=nv)
 
         def objective(theta):
-            theta = np.clip(theta, lb, ub)
-            val = self.log_marginal_likelihood(hyper_of(theta))
-            return -val if np.isfinite(val) else 1e30
+            val, g = self.log_marginal_likelihood(hyper_of(theta), grad=True)
+            if not np.isfinite(val):
+                return 1e30, np.zeros(theta.size)
+            return -val, -g[:theta.size]
 
-        best_theta, best_f = _nelder_mead(objective, theta0, lb, ub,
-                                          max_evals=self.max_fit_evals)
-        f0 = objective(theta0)
+        res = minimize(objective, theta0, jac=True, method="L-BFGS-B",
+                       bounds=list(zip(lb, ub)),
+                       options={"maxfun": self.max_fit_evals})
+        best_theta, best_f = res.x, float(res.fun)
+        f0, _ = objective(theta0)
         if f0 < best_f:
             best_theta, best_f = theta0, f0
         if np.isfinite(best_f) and best_f < 1e30:
-            self.hyper = hyper_of(np.clip(best_theta, lb, ub))
+            self.hyper = hyper_of(best_theta)
         else:
             logger.warning("hyperparameter fit failed; keeping previous values")
         self._since_fit = 0
         self._refresh()
         return self.hyper
-
-    # -- window persistence ---------------------------------------------------
-
-    def dump_window(self, path):
-        """Write the window oldest-first as CSV rows: xi entries, then output."""
-        rows = np.hstack([self._X, self._y[:, None]])
-        with open(path, "w") as fh:
-            for row in rows:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    def restore_window(self, path):
-        """Replace the window contents from a dump_window file."""
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(v) for v in line.split(",")])
-        data = np.asarray(rows, dtype=float)
-        if data.size == 0:
-            self._X = np.zeros((0, self.dim))
-            self._y = np.zeros(0)
-        else:
-            if data.shape[1] != self.dim + 1:
-                raise ValueError(f"expected {self.dim + 1} columns, got {data.shape[1]}")
-            if data.shape[0] > self.capacity:
-                raise ValueError("more rows than capacity")
-            self._X = data[:, :-1].copy()
-            self._y = data[:, -1].copy()
-        self._beta_center = None  # restored fixtures fit from a fresh prior
-        self._refresh()
-        return self
-
-
-def _nelder_mead(fn, x0, lb, ub, max_evals=100, f_tol=1e-9, x_tol=1e-5):
-    """Minimal bounded Nelder-Mead working in clipped parameter space."""
-    n = x0.size
-    evals = 0
-
-    def f(x):
-        nonlocal evals
-        evals += 1
-        return fn(x)
-
-    # initial simplex: x0 plus per-coordinate nudges
-    pts = [np.clip(x0, lb, ub)]
-    for i in range(n):
-        p = pts[0].copy()
-        step = 0.25 * max(ub[i] - lb[i], 1.0) * 0.1
-        p[i] = p[i] + step if p[i] + step <= ub[i] else p[i] - step
-        pts.append(np.clip(p, lb, ub))
-    fs = [f(p) for p in pts]
-
-    while evals < max_evals:
-        order = np.argsort(fs)
-        pts = [pts[i] for i in order]
-        fs = [fs[i] for i in order]
-        if abs(fs[-1] - fs[0]) < f_tol or max(
-                np.max(np.abs(p - pts[0])) for p in pts[1:]) < x_tol:
-            break
-        centroid = np.mean(pts[:-1], axis=0)
-        xr = np.clip(centroid + (centroid - pts[-1]), lb, ub)
-        fr = f(xr)
-        if fr < fs[0]:
-            xe = np.clip(centroid + 2.0 * (centroid - pts[-1]), lb, ub)
-            fe = f(xe)
-            if fe < fr:
-                pts[-1], fs[-1] = xe, fe
-            else:
-                pts[-1], fs[-1] = xr, fr
-        elif fr < fs[-2]:
-            pts[-1], fs[-1] = xr, fr
-        else:
-            xc = np.clip(centroid + 0.5 * (pts[-1] - centroid), lb, ub)
-            fc = f(xc)
-            if fc < fs[-1]:
-                pts[-1], fs[-1] = xc, fc
-            else:
-                for i in range(1, len(pts)):
-                    pts[i] = np.clip(pts[0] + 0.5 * (pts[i] - pts[0]), lb, ub)
-                    fs[i] = f(pts[i])
-                    if evals >= max_evals:
-                        break
-    i_best = int(np.argmin(fs))
-    return pts[i_best], fs[i_best]

@@ -1,7 +1,8 @@
 """Sliding-window GP: kernel values, window bookkeeping, factorization,
-derivatives, hyperparameter fitting, persistence."""
+derivatives, hyperparameter fitting."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,6 +236,72 @@ def test_factorization_reconstructs_covariance():
 # -- hyperparameter fitting ----------------------------------------------------
 
 
+@pytest.mark.parametrize("fit_noise", [True, False])
+@pytest.mark.parametrize("basis", ["none", "constant", "linear", "quadratic"])
+def test_likelihood_gradient_matches_finite_differences(basis, fit_noise):
+    # the fit's parameters: log l, log sigma_1^2 and, with fit_noise,
+    # log sigma_2^2; noise >= 1e-4 keeps the windows well-conditioned and
+    # the jitter fixed across the perturbations
+    rng = np.random.default_rng(12)
+    n_params = 3 if fit_noise else 2
+    h = 1e-3  # the basis prior (tau^2 = 1e4) makes smaller steps round off
+    for _ in range(25):
+        d = int(rng.integers(1, 5))
+        hyper = GpHyperparams(
+            length_scales=np.array([float(rng.uniform(0.5, 3.0))]),
+            signal_variance=float(rng.uniform(0.3, 3.0)),
+            noise_variance=float(rng.uniform(1e-4, 1e-2)), basis=basis)
+        gp = GpWindowModel(dim=d, capacity=15, hyper=hyper, optimize=False,
+                           fit_noise=fit_noise)
+        for _ in range(int(rng.integers(3, 16))):
+            gp.observe(rng.standard_normal(d), float(rng.standard_normal()))
+        value, grad = gp.log_marginal_likelihood(grad=True)
+        assert value == gp.log_marginal_likelihood()
+        theta = np.log([hyper.length_scales[0], hyper.signal_variance,
+                        hyper.noise_variance])
+
+        def lml(t):
+            return gp.log_marginal_likelihood(replace(
+                hyper, length_scales=np.array([math.exp(t[0])]),
+                signal_variance=math.exp(t[1]), noise_variance=math.exp(t[2])))
+
+        fd = [(lml(theta + h * e) - lml(theta - h * e)) / (2 * h)
+              for e in np.eye(3)[:n_params]]
+        np.testing.assert_allclose(grad[:n_params], fd, rtol=1e-3, atol=1e-3)
+
+
+def test_fit_budget_stops_early_without_degrading(monkeypatch):
+    # max_fit_evals is checked between iterations: a budget of 5 ends the
+    # fit after at most one more line search, well before an uncapped fit
+    calls = []
+    lml = GpWindowModel.log_marginal_likelihood
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return lml(self, *args, **kwargs)
+
+    monkeypatch.setattr(GpWindowModel, "log_marginal_likelihood", counted)
+    for seed in range(4):
+        evals = {}
+        for budget in (5, 100):
+            rng = np.random.default_rng(seed)
+            gp = GpWindowModel(dim=2, capacity=15, optimize=False,
+                               max_fit_evals=budget,
+                               hyper=GpHyperparams(length_scales=np.array([1.0]),
+                                                   noise_variance=1e-4,
+                                                   basis="none"))
+            for _ in range(15):
+                xi = rng.uniform(-3, 3, size=2)
+                gp.observe(xi, float(np.cos(xi[0]) + 0.3 * xi[1]))
+            before = gp.log_marginal_likelihood()
+            calls.clear()
+            gp.fit_hyperparams()
+            evals[budget] = len(calls)
+            assert gp.log_marginal_likelihood() >= before - 1e-9
+        assert evals[5] < evals[100]
+        assert evals[5] <= 5 + 20 + 1  # budget, one line search, the start guard
+
+
 def test_optimizer_never_degrades_likelihood():
     # basis "none" keeps the objective independent of the coefficient
     # centering, so before/after values are directly comparable
@@ -309,39 +376,3 @@ def test_refit_stride_controls_schedule():
     # the per-step model has fitted; the strided one is still at its start
     assert float(strided.hyper.length_scales[0]) == 1.0
     assert float(per_step.hyper.length_scales[0]) != 1.0
-
-
-# -- persistence ---------------------------------------------------------------
-
-
-def test_window_dump_restore_roundtrip(tmp_path):
-    rng = np.random.default_rng(10)
-    gp = filled_model(rng, n=9)
-    path = tmp_path / "window.csv"
-    gp.dump_window(path)
-    fresh = GpWindowModel(dim=3, capacity=15, optimize=False)
-    fresh.restore_window(path)
-    np.testing.assert_array_equal(fresh.window_inputs, gp.window_inputs)
-    np.testing.assert_array_equal(fresh.window_outputs, gp.window_outputs)
-    # a second restore of the same file is bit-identical in its predictions
-    again = GpWindowModel(dim=3, capacity=15, optimize=False)
-    again.restore_window(path)
-    q = rng.standard_normal(3)
-    assert fresh.predict(q) == again.predict(q)
-
-
-def test_restore_validates_shape(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1.0,2.0\n")
-    gp = GpWindowModel(dim=3, capacity=15)
-    with pytest.raises(ValueError, match="columns"):
-        gp.restore_window(path)
-
-
-def test_restore_empty_file_clears_window(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("")
-    rng = np.random.default_rng(11)
-    gp = filled_model(rng, n=5)
-    gp.restore_window(path)
-    assert gp.size == 0
