@@ -20,7 +20,7 @@ from .stability import (AssumptionViolation, Lemma1Verdict, NotSchurStable,
                         assemble_budget, fit_prediction_budget, iss_gains,
                         lemma1_check, nonlinear_similarity, similarity,
                         stability_report)
-from .bench import (BenchConfig, ConfigError, GainCfg, GpCfg, Metrics, MlpCfg,
+from .bench import (BenchConfig, ConfigError, GainCfg, GpCfg, Metrics,
                     RunReport, StrategyResult, SystemCfg, TrajectoryCfg,
                     alpha_sweep, config_digest, default_benchmark_config,
                     metrics, run_comparison, run_strategy)

@@ -7,7 +7,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +94,7 @@ class GpCfg:
     def build(self, dim: int) -> GpWindowModel:
         if self.capacity < 1:
             raise ConfigError("gp capacity must be >= 1")
-        hyper = GpHyperparams(length_scales=np.array([self.length_scale0]),
+        hyper = GpHyperparams(length_scale=self.length_scale0,
                               signal_variance=self.signal_variance0,
                               noise_variance=self.noise_variance0,
                               basis=self.basis)
@@ -104,24 +104,6 @@ class GpCfg:
                              refit_stride=self.refit_stride,
                              min_fit_size=self.min_fit_size,
                              max_fit_evals=self.max_fit_evals)
-
-
-@dataclass
-class MlpCfg:
-    hidden: list = field(default_factory=lambda: [20, 20])
-    epochs: int = 2000
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    val_fraction: float = 0.1
-    patience: int = 50
-    train_duration_s: float = 40.0
-    subsample: int = 10
-
-    def training_config(self) -> TrainingConfig:
-        return TrainingConfig(hidden=tuple(self.hidden), epochs=self.epochs,
-                              batch_size=self.batch_size,
-                              learning_rate=self.learning_rate,
-                              val_fraction=self.val_fraction, patience=self.patience)
 
 
 @dataclass
@@ -147,7 +129,7 @@ class BenchConfig:
     target: SystemCfg
     trajectory: TrajectoryCfg = field(default_factory=TrajectoryCfg)
     gp: GpCfg = field(default_factory=GpCfg)
-    mlp: MlpCfg = field(default_factory=MlpCfg)
+    mlp: TrainingConfig = field(default_factory=TrainingConfig)
     gain: GainCfg = field(default_factory=GainCfg)
     inverse_mode: str = "mlp"   # "mlp" | "analytic"
     strategy: str = "online"    # for the single-run entry point
@@ -165,7 +147,7 @@ class BenchConfig:
             kwargs = dict(raw)
             for key, sub in (("source", SystemCfg), ("target", SystemCfg),
                              ("trajectory", TrajectoryCfg), ("gp", GpCfg),
-                             ("mlp", MlpCfg), ("gain", GainCfg)):
+                             ("mlp", TrainingConfig), ("gain", GainCfg)):
                 if key in kwargs and isinstance(kwargs[key], dict):
                     kwargs[key] = sub(**kwargs[key])
             cfg = cls(**kwargs)
@@ -201,28 +183,26 @@ def config_digest(cfg: BenchConfig) -> str:
     return hashlib.sha256(canonical_json(cfg.to_dict()).encode()).hexdigest()
 
 
-def default_benchmark_config(inverse_mode: str = "mlp",
-                             smoothing: float | None = 0.95,
-                             refit_stride: int = 25) -> BenchConfig:
+def default_benchmark_config(inverse_mode: str = "mlp") -> BenchConfig:
     """The bundled benchmark pair: second-order source and target with
     matched relative degree 1 and nearby zeros/poles.
 
-    The gain estimate is smoothed by default and GP hyperparameters are
-    refitted every 25 steps; both knobs are echoed in every report. The
-    simulation is noise-free, so the bundled config pins the GP noise
-    variance at its floor and fits only the length scale and signal
-    variance online; fitting the noise level too makes the refits jitter
-    the basis coefficients through the smoothed gain loop. Training seed
-    13 keeps the bundled MLP's closed-loop error near the analytic
-    inverse's; other seeds land anywhere in roughly a 2x band around it.
+    The gain estimate is smoothed with factor 0.95 and GP hyperparameters
+    are refitted every 25 steps. The simulation is noise-free, so the
+    bundled config pins the GP noise variance at its floor and fits only
+    the length scale and signal variance online; fitting the noise level
+    too makes the refits jitter the basis coefficients through the
+    smoothed gain loop. Training seed 13 keeps the bundled MLP's
+    closed-loop error near the analytic inverse's; other seeds land
+    anywhere in roughly a 2x band around it.
     """
     return BenchConfig(
         source=SystemCfg(a=[[0.0, 1.0], [-0.15, 0.8]], b=[0.0, 1.0], c=[-0.2, 1.0]),
         target=SystemCfg(a=[[0.0, 1.0], [-0.24, 1.0]], b=[0.0, 1.0], c=[-0.1, 1.0]),
         inverse_mode=inverse_mode,
         seed=13,
-        gain=GainCfg(mode="estimated", smoothing=smoothing),
-        gp=GpCfg(refit_stride=refit_stride, fit_noise=False, noise_variance0=1e-12),
+        gain=GainCfg(mode="estimated", smoothing=0.95),
+        gp=GpCfg(refit_stride=25, fit_noise=False, noise_variance0=1e-12),
     )
 
 
@@ -235,17 +215,9 @@ class Metrics:
     rms_prediction: float | None
 
 
-def metrics(log: StepLog, r: int, exclude: str = "relative-degree",
-            window: int | None = None) -> Metrics:
+def metrics(log: StepLog, k0: int) -> Metrics:
     """Tracking RMS of y_d - y and, when the log carries analytic error
-    values, prediction RMS of e_p - e_p_star. Startup steps k < r are
-    excluded ("window-fill" widens the exclusion to k < max(r, window))."""
-    if exclude == "relative-degree":
-        k0 = r
-    elif exclude == "window-fill":
-        k0 = max(r, window or 0)
-    else:
-        raise ValueError(f"unknown exclusion mode {exclude!r}")
+    values, prediction RMS of e_p - e_p_star, over the steps k >= k0."""
     y = log.column("y")
     yd = log.column("y_d")
     keep = log.column("k") >= k0
@@ -276,7 +248,7 @@ def make_inverse(cfg: BenchConfig, source: LtiSystem, seed=None):
     if cfg.inverse_mode == "analytic":
         return AnalyticInverse(source)
     dataset = build_training_dataset(cfg, source)
-    model = train_mlp(dataset, cfg.mlp.training_config(),
+    model = train_mlp(dataset, cfg.mlp,
                       seed=cfg.seed if seed is None else seed)
     return model
 
@@ -351,7 +323,7 @@ def run_strategy(cfg: BenchConfig, strategy: str, inverse=None,
                               traj.n_steps, err.partial_log)
     m = metrics(log, r)
     if strategy == "online":
-        mw = metrics(log, r, exclude="window-fill", window=cfg.gp.capacity)
+        mw = metrics(log, max(r, cfg.gp.capacity))
         return StrategyResult(strategy, m.rms_tracking, m.rms_prediction,
                               False, None, traj.n_steps, log,
                               rms_tracking_warm=mw.rms_tracking,
@@ -398,21 +370,17 @@ class RunReport:
             canonical_json(self.payload(include_volatile=False)).encode()).hexdigest()
 
 
-def run_comparison(cfg: BenchConfig, out_dir=None,
-                   strategies=("baseline", "offline", "online")) -> RunReport:
-    """Run the configured strategies on the same trajectory and initial
-    state. A divergence aborts only the strategy it occurred in."""
+def run_comparison(cfg: BenchConfig, out_dir=None) -> RunReport:
+    """Run the baseline, offline and online strategies on the same
+    trajectory and initial state. A divergence aborts only the strategy
+    it occurred in."""
     t0 = time.perf_counter()
-    source = cfg.source.build()
-    inverse = None
-    val_rmse = None
-    if any(s in strategies for s in ("offline", "online")):
-        inverse = make_inverse(cfg, source)
-        val_rmse = getattr(inverse, "validation_rmse", None)
+    inverse = make_inverse(cfg, cfg.source.build())
+    val_rmse = getattr(inverse, "validation_rmse", None)
     results = {}
     log_paths = {}
     logs = {}
-    for strat in strategies:
+    for strat in ("baseline", "offline", "online"):
         res = run_strategy(cfg, strat, inverse=inverse)
         results[strat] = res.summary()
         logs[strat] = res.log

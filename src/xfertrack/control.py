@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 # `step` is re-exported so instrumentation can patch control.step
 from .systems import SimTrace, SimulationDiverged, simulate, step  # noqa: F401
@@ -86,14 +87,12 @@ class AffineErrorOracle:
 class TransferController:
     """Combines an offline inverse with an optional online error predictor."""
 
-    def __init__(self, inverse, r: int, online=None, gain=None,
-                 u_max: float = 1e6, eps_denominator: float = EPS_GAIN_DENOMINATOR):
+    def __init__(self, inverse, r: int, online=None, gain=None, u_max: float = 1e6):
         self.inverse = inverse
         self.r = int(r)
         self.online = online
         self.gain = gain if gain is not None else EstimatedGain()
         self.u_max = float(u_max)
-        self.eps_denominator = float(eps_denominator)
         self._pending = deque()
         self._last_alpha = None
         if self.r < 1:
@@ -110,7 +109,7 @@ class TransferController:
         denom = 0.0
         if self.online is not None and getattr(self.online, "size", 0) > 0:
             denom = self.online.mean_derivative(xi_query, u1_dim)
-        if abs(denom) < self.eps_denominator:
+        if abs(denom) < EPS_GAIN_DENOMINATOR:
             # degenerate estimate: hold the last valid gain, else the floor
             return self._last_alpha if self._last_alpha is not None else g.floor
         alpha = -1.0 / denom
@@ -212,8 +211,9 @@ def track_trajectory(system, controller: TransferController, trajectory,
     Returns (SimTrace, StepLog). When error_oracle_target (a linear system
     with lifted gains) is given, the analytic error map is evaluated at
     each query and logged as e_p_star for prediction-accuracy audits;
-    otherwise e_p_star is NaN. On divergence the raised error carries the
-    partial trace and a log with one row per input of that trace.
+    otherwise e_p_star is NaN. On divergence, or when the online model's
+    factorization fails, the raised SimulationDiverged carries the partial
+    trace and a log with one row per input of that trace.
     """
     oracle = (None if error_oracle_target is None
               else AffineErrorOracle(error_oracle_target))
@@ -221,7 +221,11 @@ def track_trajectory(system, controller: TransferController, trajectory,
     cols = np.full((T, 5), math.nan)  # u1, e_p, alpha, u2, e_p_star
 
     def policy(k, x, y_d_future):
-        dec = controller.control_step(k, x, y_d_future, system.output(x))
+        try:
+            dec = controller.control_step(k, x, y_d_future, system.output(x))
+        except LinAlgError as err:
+            raise SimulationDiverged(f"online model factorization failed: {err}",
+                                     k) from err
         e_star = math.nan if oracle is None else oracle.error(x, dec.u1, y_d_future)
         cols[k] = dec.u1, dec.e_p, dec.alpha, dec.u2, e_star
         return dec.u

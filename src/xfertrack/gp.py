@@ -28,33 +28,28 @@ logger = logging.getLogger(__name__)
 DEFAULT_JITTER = 1e-10
 MAX_JITTER = 1e-6
 BASIS_KINDS = ("none", "constant", "linear", "quadratic")
+# box of the hyperparameter refit, applied in log space
+LENGTH_SCALE_BOUNDS = (1e-2, 1e3)
+SIGNAL_VARIANCE_BOUNDS = (1e-8, 1e4)
+NOISE_VARIANCE_BOUNDS = (1e-12, 1.0)
 
 
 @dataclass(frozen=True)
 class GpHyperparams:
-    """Kernel settings: per-dimension length scales and the two variances."""
+    """Kernel settings: one length scale shared by every input dimension
+    and the two variances."""
 
-    length_scales: np.ndarray  # (d,) or scalar, broadcast over dimensions
+    length_scale: float = 1.0      # l
     signal_variance: float = 1.0   # sigma_1^2
     noise_variance: float = 1e-6   # sigma_2^2
     basis: str = "quadratic"
 
     def __post_init__(self):
-        ls = np.atleast_1d(np.asarray(self.length_scales, dtype=float))
-        object.__setattr__(self, "length_scales", ls)
-        if np.any(ls <= 0) or self.signal_variance <= 0 or self.noise_variance < 0:
-            raise ValueError("length scales and signal variance must be positive, "
+        if self.length_scale <= 0 or self.signal_variance <= 0 or self.noise_variance < 0:
+            raise ValueError("length scale and signal variance must be positive, "
                              "noise variance nonnegative")
         if self.basis not in BASIS_KINDS:
             raise ValueError(f"basis must be one of {BASIS_KINDS}")
-
-    def scales(self, dim: int) -> np.ndarray:
-        ls = self.length_scales
-        if ls.size == 1:
-            return np.full(dim, ls[0])
-        if ls.size != dim:
-            raise ValueError(f"{ls.size} length scales for {dim}-dimensional inputs")
-        return ls
 
 
 def kernel(xi, xj, hyper: GpHyperparams) -> float:
@@ -63,12 +58,11 @@ def kernel(xi, xj, hyper: GpHyperparams) -> float:
     b = np.asarray(xj, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    ls = hyper.scales(a.shape[-1])
-    d = (a - b) / ls
+    d = (a - b) / hyper.length_scale
     return float(hyper.signal_variance * np.exp(-0.5 * np.dot(d, d)))
 
 
-def _scaled_sq_dist(X, Z, ls) -> np.ndarray:
+def _scaled_sq_dist(X, Z, ls: float) -> np.ndarray:
     """Squared distances between the rows of X / ls and Z / ls."""
     Xs = X / ls
     Zs = Z / ls
@@ -79,7 +73,7 @@ def _scaled_sq_dist(X, Z, ls) -> np.ndarray:
 
 
 def _kernel_matrix(X, Z, hyper: GpHyperparams) -> np.ndarray:
-    sq = _scaled_sq_dist(X, Z, hyper.scales(X.shape[1]))
+    sq = _scaled_sq_dist(X, Z, hyper.length_scale)
     return hyper.signal_variance * np.exp(-0.5 * sq)
 
 
@@ -131,23 +125,17 @@ class GpWindowModel:
                  basis_prior_variance: float = 1e4,
                  optimize: bool = True, fit_noise: bool = True,
                  refit_stride: int = 1, min_fit_size: int = 5,
-                 length_scale_bounds=(1e-2, 1e3),
-                 signal_variance_bounds=(1e-8, 1e4),
-                 noise_variance_bounds=(1e-12, 1.0),
                  max_fit_evals: int = 100):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.dim = int(dim)
         self.capacity = int(capacity)
-        self.hyper = hyper or GpHyperparams(length_scales=np.array([1.0]))
+        self.hyper = hyper or GpHyperparams()
         self.basis_prior_variance = float(basis_prior_variance)
         self.optimize = bool(optimize)
         self.fit_noise = bool(fit_noise)
         self.refit_stride = int(refit_stride)
         self.min_fit_size = int(min_fit_size)
-        self.length_scale_bounds = length_scale_bounds
-        self.signal_variance_bounds = signal_variance_bounds
-        self.noise_variance_bounds = noise_variance_bounds
         self.max_fit_evals = int(max_fit_evals)
 
         self._X = np.zeros((0, self.dim))
@@ -291,8 +279,7 @@ class GpWindowModel:
             return 0.0
         c = self._cache
         ks = _kernel_matrix(xi[None, :], self._X, self.hyper)[0]
-        ls = self.hyper.scales(self.dim)
-        dks = -((xi[dim] - self._X[:, dim]) / ls[dim] ** 2) * ks
+        dks = -((xi[dim] - self._X[:, dim]) / self.hyper.length_scale ** 2) * ks
         out = float(dks @ c["resid_alpha"])
         if c["beta"].size:
             dh = basis_derivative(xi, self.hyper.basis, dim)
@@ -306,15 +293,15 @@ class GpWindowModel:
         """Marginal log-likelihood of the window with beta integrated out.
 
         With grad=True, returns (value, gradient), the gradient taken with
-        respect to (log l, log sigma_1^2, log sigma_2^2), where a common
-        factor l scales every length scale (GPML eq. 5.9). A covariance
-        that cannot be factorized gives -inf (and a zero gradient).
+        respect to (log l, log sigma_1^2, log sigma_2^2) (GPML eq. 5.9). A
+        covariance that cannot be factorized gives -inf (and a zero
+        gradient).
         """
         if self.size == 0:
             raise ValueError("empty window")
         hyper = hyper or self.hyper
         X, y = self._X, self._y
-        sq = _scaled_sq_dist(X, X, hyper.scales(self.dim))
+        sq = _scaled_sq_dist(X, X, hyper.length_scale)
         K = hyper.signal_variance * np.exp(-0.5 * sq)
         C = K + hyper.noise_variance * np.eye(self.size)
         H = basis_features(X, hyper.basis)
@@ -345,31 +332,30 @@ class GpWindowModel:
         gradient. max_fit_evals is scipy's maxfun, which is checked between
         iterations, so one fit may overshoot it by a line search. The
         better of the start and the optimizer's result is kept, so the
-        likelihood never degrades. A shared scalar length scale is fitted.
+        likelihood never degrades. The box is LENGTH_SCALE_BOUNDS,
+        SIGNAL_VARIANCE_BOUNDS and NOISE_VARIANCE_BOUNDS.
         """
         if self.size < 2:
             self._refresh()
             return self.hyper
-        lb = [math.log(self.length_scale_bounds[0]),
-              math.log(self.signal_variance_bounds[0])]
-        ub = [math.log(self.length_scale_bounds[1]),
-              math.log(self.signal_variance_bounds[1])]
-        theta0 = [math.log(float(np.mean(self.hyper.scales(self.dim)))),
+        bounds = [LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS]
+        theta0 = [math.log(self.hyper.length_scale),
                   math.log(self.hyper.signal_variance)]
         if self.fit_noise:
-            lb.append(math.log(self.noise_variance_bounds[0]))
-            ub.append(math.log(self.noise_variance_bounds[1]))
-            nv0 = min(max(self.hyper.noise_variance, self.noise_variance_bounds[0]),
-                      self.noise_variance_bounds[1])
+            bounds.append(NOISE_VARIANCE_BOUNDS)
+            nv0 = min(max(self.hyper.noise_variance, NOISE_VARIANCE_BOUNDS[0]),
+                      NOISE_VARIANCE_BOUNDS[1])
             theta0.append(math.log(nv0))
+        lb = [math.log(lo) for lo, _ in bounds]
+        ub = [math.log(hi) for _, hi in bounds]
         theta0 = np.clip(np.asarray(theta0), lb, ub)
 
         def hyper_of(theta):
             ls = math.exp(theta[0])
             sv = math.exp(theta[1])
             nv = math.exp(theta[2]) if self.fit_noise else self.hyper.noise_variance
-            return replace(self.hyper, length_scales=np.array([ls]),
-                           signal_variance=sv, noise_variance=nv)
+            return replace(self.hyper, length_scale=ls, signal_variance=sv,
+                           noise_variance=nv)
 
         def objective(theta):
             val, g = self.log_marginal_likelihood(hyper_of(theta), grad=True)

@@ -16,6 +16,9 @@ from .systems import EPS_GAIN, SimTrace
 logger = logging.getLogger(__name__)
 
 SERIAL_FORMAT = "xfertrack-mlp-v1"
+# relative improvement of the best validation MSE below which an epoch
+# counts toward the early-stopping plateau
+MIN_REL_IMPROVEMENT = 1e-3
 
 
 class SingularInverse(ValueError):
@@ -194,15 +197,17 @@ class MlpInverseModel:
 
 @dataclass
 class TrainingConfig:
-    hidden: tuple = (20, 20)
+    """The MLP inverse recipe: network, optimizer and early stopping for
+    train_mlp, plus the excitation data build_training_dataset records."""
+
+    hidden: list = field(default_factory=lambda: [20, 20])
     epochs: int = 2000
     batch_size: int = 64
     learning_rate: float = 1e-3
     val_fraction: float = 0.1
     patience: int = 50
-    # relative improvement of best validation MSE below which an epoch
-    # counts toward the plateau
-    min_rel_improvement: float = 1e-3
+    train_duration_s: float = 40.0  # length of each excitation run
+    subsample: int = 10             # stride over each run's training pairs
 
 
 def init_mlp(layer_sizes, rng) -> tuple:
@@ -285,7 +290,7 @@ def train_mlp(dataset: InverseDataset, config: TrainingConfig | None = None,
         val_mse = float(np.mean((model.forward(Xn_va) - yn_va) ** 2))
         if not np.isfinite(val_mse):
             raise TrainingDiverged(epoch)
-        if val_mse < best_val * (1.0 - cfg.min_rel_improvement) or best_params is None:
+        if val_mse < best_val * (1.0 - MIN_REL_IMPROVEMENT) or best_params is None:
             wait = 0
         else:
             wait += 1

@@ -69,7 +69,7 @@ def iss_gains(system: LtiSystem, tol: float = DEFAULT_SERIES_TOL):
     the first m powers.
     """
     A, B = system.A, system.B
-    if np.max(np.abs(np.linalg.eigvals(A))) >= 1.0:
+    if not system.is_schur_stable:
         raise NotSchurStable("spectral radius >= 1")
     # smallest m with ||A^m||_2 < 1
     P = np.eye(A.shape[0])
@@ -167,10 +167,10 @@ class StabilityBudget:
         return self.beta4 / denom
 
 
-def assemble_budget(source: LtiSystem, target: LtiSystem, betas=(0.0, 0.0, 0.0),
-                    tol: float = DEFAULT_SERIES_TOL) -> StabilityBudget:
+def assemble_budget(source: LtiSystem, target: LtiSystem,
+                    betas=(0.0, 0.0, 0.0)) -> StabilityBudget:
     """Build a StabilityBudget from the pair and fitted betas."""
-    l1, l2 = iss_gains(target, tol=tol)
+    l1, l2 = iss_gains(target)
     S = similarity(source, target)
     ratio = np.linalg.norm(source.lifted_A / source.lifted_B)
     return StabilityBudget(l1=l1, l2=l2, beta1=float(betas[0]), beta2=float(betas[1]),

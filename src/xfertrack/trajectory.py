@@ -42,10 +42,6 @@ class SinusoidTrajectory:
             y += a * np.sin(w * t + p)
         return y
 
-    def bound(self) -> float:
-        """Analytic bound on |y_d|: sum of amplitude magnitudes plus |offset|."""
-        return float(sum(abs(a) for a in self.amplitudes) + abs(self.offset))
-
 
 @dataclass(frozen=True)
 class SampledTrajectory:
@@ -76,9 +72,6 @@ class SampledTrajectory:
         out[:self.samples.size] = self.samples
         out[self.samples.size:] = self.samples[-1]
         return out
-
-    def bound(self) -> float:
-        return float(np.max(np.abs(self.samples)))
 
 
 def make_test_trajectory(dt: float = 1.5e-3, duration: float = 48.0) -> SinusoidTrajectory:

@@ -186,7 +186,7 @@ def test_criterion_7_property_suites(bench_config):
                    gp.window_inputs[:, 0].tolist() == list(range(25, 40))))
 
     rng = np.random.default_rng(3)
-    hyper = GpHyperparams(length_scales=np.array([1.4]), signal_variance=0.9,
+    hyper = GpHyperparams(length_scale=1.4, signal_variance=0.9,
                           noise_variance=1e-5)
     gp = GpWindowModel(dim=3, capacity=15, hyper=hyper, optimize=False)
     for _ in range(15):
@@ -204,7 +204,7 @@ def test_criterion_7_property_suites(bench_config):
         d = int(rng.integers(2, 5))
         n = int(rng.integers(3, 16))
         hyper = GpHyperparams(
-            length_scales=np.array([float(rng.uniform(0.5, 3.0))]),
+            length_scale=float(rng.uniform(0.5, 3.0)),
             signal_variance=float(rng.uniform(0.3, 3.0)),
             noise_variance=float(rng.uniform(1e-6, 1e-3)))
         gp = GpWindowModel(dim=d, capacity=16, hyper=hyper, optimize=False)

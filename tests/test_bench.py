@@ -43,6 +43,15 @@ def test_config_digest_sensitivity():
     assert config_digest(c) != config_digest(a)
 
 
+def test_bundled_config_digests_pinned():
+    # every report's config section hashes to these; a renamed, added or
+    # dropped config field changes them
+    assert config_digest(default_benchmark_config()) == (
+        "3393b8152c89cd6ba6f586adf5d74b7ecfc6b8f99753fc41865970d1fc85baec")
+    assert config_digest(default_benchmark_config(inverse_mode="analytic")) == (
+        "218e301dad5140e038b0c36cd7b28c3ab837b8d3357e3dc3dc2f8a8efd8abb62")
+
+
 def test_bad_system_matrices():
     cfg = default_benchmark_config()
     broken = replace(cfg, source=SystemCfg(a=[[0.0, 1.0]], b=[0.0, 1.0],
@@ -127,38 +136,29 @@ def test_default_trajectory_matches_reference_signal():
 
 def test_metrics_constant_error():
     log = error_log(np.full(50, 2.0))
-    m = metrics(log, r=1)
+    m = metrics(log, 1)
     assert m.rms_tracking == 2.0
     assert m.rms_prediction is None
 
 
 def test_metrics_perfect_tracking():
     log = error_log(np.zeros(50))
-    assert metrics(log, r=1).rms_tracking == 0.0
+    assert metrics(log, 1).rms_tracking == 0.0
 
 
 def test_metrics_startup_exclusion_modes():
     # error 5 on k < 15, zero afterwards; the wider exclusion removes it
     log = error_log(np.where(np.arange(60) < 15, 5.0, 0.0))
-    narrow = metrics(log, r=1)
-    wide = metrics(log, r=1, exclude="window-fill", window=15)
+    narrow = metrics(log, 1)
+    wide = metrics(log, 15)
     assert narrow.rms_tracking == pytest.approx(math.sqrt(14 * 25.0 / 59))
     assert wide.rms_tracking == 0.0
-    # window smaller than r falls back to the r exclusion
-    same = metrics(log, r=1, exclude="window-fill", window=0)
-    assert same.rms_tracking == narrow.rms_tracking
-
-
-def test_metrics_unknown_exclusion():
-    log = error_log(np.ones(10))
-    with pytest.raises(ValueError, match="exclusion"):
-        metrics(log, r=1, exclude="all")
 
 
 def test_metrics_log_too_short():
     log = error_log(np.ones(3))
     with pytest.raises(ValueError, match="short"):
-        metrics(log, r=5)
+        metrics(log, 5)
 
 
 def test_reported_rms_recomputable_from_log(bench_report):
@@ -237,6 +237,16 @@ def test_aborted_baseline_keeps_its_log():
     assert res.log is not None
     assert len(res.log) == res.abort_step
     assert np.isfinite(res.log.states).all()
+
+
+def test_failed_factorization_is_a_recorded_abort():
+    # at signal variance 1e14 the window covariance fails Cholesky even at
+    # the largest jitter; the online run ends as an abort with its log
+    cfg = short_config(duration=0.2)
+    cfg = replace(cfg, gp=replace(cfg.gp, optimize=False, signal_variance0=1e14))
+    res = run_strategy(cfg, "online")
+    assert res.aborted and 0 < res.abort_step < res.steps
+    assert len(res.log) == res.abort_step
 
 
 def test_x0_honored():

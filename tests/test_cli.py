@@ -115,6 +115,20 @@ def test_compare_reports_divergence(tmp_path, capsys):
     assert code == EXIT_DIVERGED
 
 
+def test_compare_reports_failed_factorization_as_divergence(tmp_path, capsys):
+    # the online GP's covariance cannot be factorized at signal variance
+    # 1e14: the online run aborts, the other two strategies are reported
+    gp = replace(default_benchmark_config().gp, optimize=False, signal_variance0=1e14)
+    cfg = write_config(tmp_path, duration=0.2, gp=gp)
+    code, out = run_cli(capsys, "compare", "--config", str(cfg))
+    assert code == EXIT_DIVERGED
+    strategies = json.loads(out)["strategies"]
+    assert strategies["online"]["aborted"] is True
+    for name in ("baseline", "offline"):
+        assert strategies[name]["aborted"] is False
+        assert strategies[name]["rms_tracking"] > 0
+
+
 # -- sweep-alpha ---------------------------------------------------------------
 
 

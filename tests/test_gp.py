@@ -25,50 +25,41 @@ def filled_model(rng, dim=3, n=15, **kwargs):
 
 
 def test_kernel_at_zero_distance_is_signal_variance():
-    hyper = GpHyperparams(length_scales=np.array([2.0]), signal_variance=3.5)
+    hyper = GpHyperparams(length_scale=2.0, signal_variance=3.5)
     xi = np.array([0.3, -1.0])
     assert kernel(xi, xi, hyper) == pytest.approx(3.5)
 
 
 def test_kernel_known_value():
     # unit scales, squared distance 2 -> exp(-1)
-    hyper = GpHyperparams(length_scales=np.array([1.0]), signal_variance=1.0)
+    hyper = GpHyperparams(length_scale=1.0, signal_variance=1.0)
     val = kernel(np.array([1.0, 1.0]), np.array([0.0, 0.0]), hyper)
     assert val == pytest.approx(0.36787944117144233, rel=1e-12)
 
 
 def test_kernel_symmetry():
     rng = np.random.default_rng(0)
-    hyper = GpHyperparams(length_scales=np.array([0.7, 1.3, 2.0]),
-                          signal_variance=1.2)
+    hyper = GpHyperparams(length_scale=1.3, signal_variance=1.2)
     for _ in range(30):
         a, b = rng.standard_normal(3), rng.standard_normal(3)
         assert kernel(a, b, hyper) == kernel(b, a, hyper)
 
 
 def test_kernel_dimension_mismatch():
-    hyper = GpHyperparams(length_scales=np.array([1.0]))
+    hyper = GpHyperparams(length_scale=1.0)
     with pytest.raises(ValueError, match="mismatch"):
         kernel(np.zeros(2), np.zeros(3), hyper)
 
 
 def test_hyperparams_validation():
     with pytest.raises(ValueError):
-        GpHyperparams(length_scales=np.array([-1.0]))
+        GpHyperparams(length_scale=-1.0)
     with pytest.raises(ValueError):
-        GpHyperparams(length_scales=np.array([1.0]), signal_variance=0.0)
+        GpHyperparams(length_scale=1.0, signal_variance=0.0)
     with pytest.raises(ValueError):
-        GpHyperparams(length_scales=np.array([1.0]), noise_variance=-1e-9)
+        GpHyperparams(length_scale=1.0, noise_variance=-1e-9)
     with pytest.raises(ValueError):
-        GpHyperparams(length_scales=np.array([1.0]), basis="cubic")
-
-
-def test_scales_broadcast_and_mismatch():
-    hyper = GpHyperparams(length_scales=np.array([2.0]))
-    np.testing.assert_array_equal(hyper.scales(4), [2.0, 2.0, 2.0, 2.0])
-    multi = GpHyperparams(length_scales=np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        multi.scales(3)
+        GpHyperparams(length_scale=1.0, basis="cubic")
 
 
 def test_basis_feature_layout():
@@ -110,7 +101,7 @@ def test_observation_dimension_checked():
 
 def test_duplicate_inputs_still_factorize():
     gp = GpWindowModel(dim=2, capacity=8, optimize=False,
-                       hyper=GpHyperparams(length_scales=np.array([1.0]),
+                       hyper=GpHyperparams(length_scale=1.0,
                                            noise_variance=1e-6))
     for _ in range(6):
         gp.observe([1.0, 1.0], 0.5)
@@ -150,7 +141,7 @@ def test_empty_window_cold_start():
 
 def test_interpolation_limit_at_observed_inputs():
     rng = np.random.default_rng(0)
-    gp = filled_model(rng, hyper=GpHyperparams(length_scales=np.array([1.0]),
+    gp = filled_model(rng, hyper=GpHyperparams(length_scale=1.0,
                                                noise_variance=0.0))
     for xi, e in zip(gp.window_inputs, gp.window_outputs):
         mean, _ = gp.predict(xi)
@@ -159,7 +150,7 @@ def test_interpolation_limit_at_observed_inputs():
 
 def test_variance_nonnegative_and_small_at_data():
     rng = np.random.default_rng(1)
-    gp = filled_model(rng, hyper=GpHyperparams(length_scales=np.array([1.0]),
+    gp = filled_model(rng, hyper=GpHyperparams(length_scale=1.0,
                                                noise_variance=0.0))
     for xi in gp.window_inputs:
         _, var = gp.predict(xi)
@@ -176,7 +167,7 @@ def test_affine_window_recovered_through_basis():
     w = np.array([0.8, -0.4, 1.1])
     c = 0.25
     gp = GpWindowModel(dim=3, capacity=15, optimize=False,
-                       hyper=GpHyperparams(length_scales=np.array([1.0]),
+                       hyper=GpHyperparams(length_scale=1.0,
                                            noise_variance=1e-10))
     X = rng.uniform(-1, 1, size=(15, 3))
     for xi in X:
@@ -194,7 +185,7 @@ def test_mean_derivative_matches_finite_differences():
         d = int(rng.integers(2, 5))
         n = int(rng.integers(3, 16))
         hyper = GpHyperparams(
-            length_scales=np.array([float(rng.uniform(0.5, 3.0))]),
+            length_scale=float(rng.uniform(0.5, 3.0)),
             signal_variance=float(rng.uniform(0.3, 3.0)),
             noise_variance=float(rng.uniform(1e-6, 1e-3)))
         gp = GpWindowModel(dim=d, capacity=16, hyper=hyper, optimize=False)
@@ -222,7 +213,7 @@ def test_factorization_reconstructs_covariance():
     # L L' = K + (sigma_2^2 + jitter) I to 1e-10 relative Frobenius error,
     # with K rebuilt independently from the public kernel function
     rng = np.random.default_rng(3)
-    gp = filled_model(rng, hyper=GpHyperparams(length_scales=np.array([1.4]),
+    gp = filled_model(rng, hyper=GpHyperparams(length_scale=1.4,
                                                signal_variance=0.9,
                                                noise_variance=1e-5))
     X = gp.window_inputs
@@ -248,7 +239,7 @@ def test_likelihood_gradient_matches_finite_differences(basis, fit_noise):
     for _ in range(25):
         d = int(rng.integers(1, 5))
         hyper = GpHyperparams(
-            length_scales=np.array([float(rng.uniform(0.5, 3.0))]),
+            length_scale=float(rng.uniform(0.5, 3.0)),
             signal_variance=float(rng.uniform(0.3, 3.0)),
             noise_variance=float(rng.uniform(1e-4, 1e-2)), basis=basis)
         gp = GpWindowModel(dim=d, capacity=15, hyper=hyper, optimize=False,
@@ -257,13 +248,13 @@ def test_likelihood_gradient_matches_finite_differences(basis, fit_noise):
             gp.observe(rng.standard_normal(d), float(rng.standard_normal()))
         value, grad = gp.log_marginal_likelihood(grad=True)
         assert value == gp.log_marginal_likelihood()
-        theta = np.log([hyper.length_scales[0], hyper.signal_variance,
+        theta = np.log([hyper.length_scale, hyper.signal_variance,
                         hyper.noise_variance])
 
         def lml(t):
             return gp.log_marginal_likelihood(replace(
-                hyper, length_scales=np.array([math.exp(t[0])]),
-                signal_variance=math.exp(t[1]), noise_variance=math.exp(t[2])))
+                hyper, length_scale=math.exp(t[0]), signal_variance=math.exp(t[1]),
+                noise_variance=math.exp(t[2])))
 
         fd = [(lml(theta + h * e) - lml(theta - h * e)) / (2 * h)
               for e in np.eye(3)[:n_params]]
@@ -287,7 +278,7 @@ def test_fit_budget_stops_early_without_degrading(monkeypatch):
             rng = np.random.default_rng(seed)
             gp = GpWindowModel(dim=2, capacity=15, optimize=False,
                                max_fit_evals=budget,
-                               hyper=GpHyperparams(length_scales=np.array([1.0]),
+                               hyper=GpHyperparams(length_scale=1.0,
                                                    noise_variance=1e-4,
                                                    basis="none"))
             for _ in range(15):
@@ -308,7 +299,7 @@ def test_optimizer_never_degrades_likelihood():
     rng = np.random.default_rng(4)
     for trial in range(8):
         gp = GpWindowModel(dim=2, capacity=15, optimize=False, fit_noise=True,
-                           hyper=GpHyperparams(length_scales=np.array([1.0]),
+                           hyper=GpHyperparams(length_scale=1.0,
                                                noise_variance=1e-4,
                                                basis="none"))
         for _ in range(12):
@@ -323,7 +314,7 @@ def test_optimizer_never_degrades_likelihood():
 def test_length_scale_recovery_from_synthetic_data():
     # data drawn from a known SE prior with l = 2; small-window variance
     # makes this a wide-band check (within a factor of 1.5)
-    hyp_true = GpHyperparams(length_scales=np.array([2.0]), signal_variance=1.0,
+    hyp_true = GpHyperparams(length_scale=2.0, signal_variance=1.0,
                              noise_variance=1e-8, basis="none")
     for seed in (0, 2, 6, 9):
         rng = np.random.default_rng(seed)
@@ -331,19 +322,19 @@ def test_length_scale_recovery_from_synthetic_data():
         K = np.array([[kernel(a, b, hyp_true) for b in X] for a in X])
         y = rng.multivariate_normal(np.zeros(15), K + 1e-10 * np.eye(15))
         gp = GpWindowModel(dim=1, capacity=15, optimize=False, fit_noise=False,
-                           hyper=GpHyperparams(length_scales=np.array([1.0]),
+                           hyper=GpHyperparams(length_scale=1.0,
                                                noise_variance=1e-8,
                                                basis="none"))
         for xi, e in zip(X, y):
             gp.observe(xi, float(e))
         gp.fit_hyperparams()
-        assert 1.0 <= float(gp.hyper.length_scales[0]) <= 3.0
+        assert 1.0 <= gp.hyper.length_scale <= 3.0
 
 
 def test_zero_outputs_drive_signal_variance_to_floor():
     rng = np.random.default_rng(7)
     gp = GpWindowModel(dim=2, capacity=15, optimize=False, fit_noise=False,
-                       hyper=GpHyperparams(length_scales=np.array([1.0]),
+                       hyper=GpHyperparams(length_scale=1.0,
                                            noise_variance=1e-6, basis="none"))
     for _ in range(15):
         gp.observe(rng.standard_normal(2), 0.0)
@@ -352,13 +343,13 @@ def test_zero_outputs_drive_signal_variance_to_floor():
 
 
 def test_fixed_hyper_mode_skips_optimization():
-    hyper = GpHyperparams(length_scales=np.array([20.0]), signal_variance=1.0,
+    hyper = GpHyperparams(length_scale=20.0, signal_variance=1.0,
                           noise_variance=2e-5)
     gp = GpWindowModel(dim=2, capacity=40, hyper=hyper, optimize=False)
     rng = np.random.default_rng(8)
     for _ in range(40):
         gp.observe(rng.standard_normal(2), float(rng.standard_normal()))
-    assert float(gp.hyper.length_scales[0]) == 20.0
+    assert gp.hyper.length_scale == 20.0
     assert gp.hyper.signal_variance == 1.0
     assert gp.hyper.noise_variance == 2e-5
 
@@ -374,5 +365,5 @@ def test_refit_stride_controls_schedule():
         per_step.observe([float(x)], float(np.sin(x)))
         strided.observe([float(x)], float(np.sin(x)))
     # the per-step model has fitted; the strided one is still at its start
-    assert float(strided.hyper.length_scales[0]) == 1.0
-    assert float(per_step.hyper.length_scales[0]) != 1.0
+    assert strided.hyper.length_scale == 1.0
+    assert per_step.hyper.length_scale != 1.0

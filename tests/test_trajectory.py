@@ -50,10 +50,10 @@ def test_values_extend_past_horizon():
 
 
 def test_bound_never_exceeded():
+    # |y_d| <= |1| + |1| + |-1|: amplitudes plus offset
     traj = make_test_trajectory(dt=0.003, duration=64.0)
     y = traj.values(traj.n_steps + 1)
-    assert np.max(np.abs(y)) <= traj.bound() + 1e-9
-    assert traj.bound() == pytest.approx(3.0)
+    assert np.max(np.abs(y)) <= 3.0 + 1e-9
 
 
 def test_bound_attained_with_aligned_phase():
@@ -62,7 +62,7 @@ def test_bound_attained_with_aligned_phase():
                               phases=(math.pi / 2.0,), offset=0.0,
                               dt=0.1, duration=10.0)
     y = traj.values(traj.n_steps + 1)
-    assert np.max(np.abs(y)) == pytest.approx(traj.bound(), abs=1e-9)
+    assert np.max(np.abs(y)) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_component_tuples_must_align():
@@ -93,7 +93,6 @@ def test_training_grid_is_five_by_five():
     for r in refs:
         assert r.duration == 40.0
         assert r.offset == 0.0
-        assert r.bound() == pytest.approx(r.amplitudes[0])
 
 
 # -- sampled trajectories ------------------------------------------------------
