@@ -130,6 +130,9 @@ class TransferController:
                 xi = np.concatenate([x0, [u0], [yd_k]])
                 self.online.observe(xi, yd_k - y_now)
         u1 = float(self.inverse.reference(x, y_d_future))
+        if not math.isfinite(u1):
+            # a divergence; checked here because predict rejects the query
+            raise SimulationDiverged(f"inverse returned u1={u1}", k)
         e_p, var, alpha, u2, u = 0.0, math.inf, 0.0, 0.0, u1
         if self.online is not None:
             xi_query = np.concatenate([x, [u1], [y_d_future]])

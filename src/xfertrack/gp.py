@@ -5,12 +5,12 @@ The model keeps the latest N observations (xi, e) and fits
     e(xi) ~ h(xi)' beta + GP(0, k_se)
 
 where h collects polynomial basis functions {1, xi_i, xi_i^2} (no cross
-terms) and beta carries a zero-mean Gaussian prior with variance tau^2 per
-coefficient. beta is estimated by generalized least squares under the GP
-prior, which keeps the fit well-posed even when the window holds fewer
-samples than basis terms. Hyperparameters maximize the log marginal
-likelihood with the basis profiled out (equivalently: the basis block is
-folded into the covariance).
+terms) and beta has prior N(c, tau^2 I), which keeps the fit well-posed
+even when the window holds fewer samples than basis terms. With the basis
+folded into the covariance, C = K + sigma_2^2 I + tau^2 H H', one Cholesky
+factor of C per window change gives the log marginal likelihood and the
+posterior (GPML section 2.7 with B = tau^2 I, b = c): a = C^-1 (y - H c),
+beta = c + tau^2 H' a and mean(xi) = h(xi)' beta + k(xi)' a.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
@@ -117,6 +118,19 @@ def _chol_with_jitter(M: np.ndarray):
                 raise
 
 
+class _Factor(NamedTuple):
+    """One factorization of a window's covariance with the basis folded in."""
+
+    L: np.ndarray       # lower Cholesky factor of C + jitter I
+    jitter: float
+    a: np.ndarray       # C^-1 (y - H c)
+    y: np.ndarray       # y - H c: the outputs centered on the basis prior mean
+    center: np.ndarray  # c
+    H: np.ndarray
+    K: np.ndarray
+    sq: np.ndarray      # scaled squared distances, K = sigma_1^2 exp(-sq / 2)
+
+
 class GpWindowModel:
     """Online error predictor over a sliding window of recent observations."""
 
@@ -128,6 +142,8 @@ class GpWindowModel:
                  max_fit_evals: int = 100):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        if not basis_prior_variance > 0:
+            raise ValueError("basis prior variance must be positive")
         self.dim = int(dim)
         self.capacity = int(capacity)
         self.hyper = hyper or GpHyperparams()
@@ -143,13 +159,12 @@ class GpWindowModel:
         self.observation_count = 0
         self.rejected_count = 0
         self._since_fit = 0
-        self._cache = None  # refreshed on every window change
-        # Prior mean for the basis coefficients. None means zero (fresh
-        # model); after each fit it is re-centered on the latest estimate,
-        # so directions the current window cannot identify (collinear
-        # inputs on a converged trajectory) hold their last value instead
-        # of drifting toward zero.
-        self._beta_center = None
+        self._cache = None  # _Factor of the current window
+        # Latest basis coefficient estimate and the prior mean c of the next
+        # factorization (None: zero). Directions the window cannot identify
+        # (collinear inputs on a converged trajectory) so hold their last
+        # value instead of drifting toward zero.
+        self._beta = None
 
     # -- window bookkeeping -------------------------------------------------
 
@@ -202,48 +217,40 @@ class GpWindowModel:
 
     # -- factorization ------------------------------------------------------
 
+    def _factorize(self, hyper: GpHyperparams) -> _Factor:
+        """Factor C = K + sigma_2^2 I + tau^2 H H' for the current window,
+        with the outputs centered on the prior mean H c of the basis term.
+        Raises LinAlgError when C is not positive definite at MAX_JITTER."""
+        X, y = self._X, self._y
+        sq = _scaled_sq_dist(X, X, hyper.length_scale)
+        K = hyper.signal_variance * np.exp(-0.5 * sq)
+        C = K + hyper.noise_variance * np.eye(self.size)
+        H = basis_features(X, hyper.basis)
+        center = np.zeros(H.shape[1])
+        if H.shape[1]:
+            C = C + self.basis_prior_variance * (H @ H.T)
+            if self._beta is not None and self._beta.size == H.shape[1]:
+                center = self._beta
+                y = y - H @ center
+        L, jitter = _chol_with_jitter(C)
+        return _Factor(L, jitter, cho_solve((L, True), y), y, center, H, K, sq)
+
     def _refresh(self):
         """Rebuild the cached factorization for the current window."""
         if self.size == 0:
             self._cache = None
             return
-        X, y = self._X, self._y
-        K = _kernel_matrix(X, X, self.hyper)
-        Ky = K + self.hyper.noise_variance * np.eye(self.size)
-        L, jitter = _chol_with_jitter(Ky)
-        H = basis_features(X, self.hyper.basis)
-        m = H.shape[1]
-        W = solve_triangular(L, H, lower=True)
-        z = solve_triangular(L, y, lower=True)
-        if m:
-            tau = math.sqrt(self.basis_prior_variance)
-            center = self._beta_center
-            if center is None or center.size != m:
-                center = np.zeros(m)
-            aug_A = np.vstack([W, np.eye(m) / tau])
-            aug_b = np.concatenate([z, center / tau])
-            beta, *_ = np.linalg.lstsq(aug_A, aug_b, rcond=None)
-            A = np.eye(m) / self.basis_prior_variance + W.T @ W
-            La, _ = _chol_with_jitter(A)
-            self._beta_center = beta.copy()
-        else:
-            beta = np.zeros(0)
-            La = None
-        resid = y - H @ beta if m else y.copy()
-        resid_alpha = cho_solve((L, True), resid)
-        self._cache = {
-            "L": L, "jitter": jitter, "H": H, "W": W,
-            "beta": beta, "La": La, "resid_alpha": resid_alpha,
-        }
+        self._cache = f = self._factorize(self.hyper)
+        self._beta = f.center + self.basis_prior_variance * (f.H.T @ f.a)
 
     @property
     def factor(self) -> np.ndarray | None:
-        """Lower Cholesky factor of K + (sigma_2^2 + jitter) I."""
-        return None if self._cache is None else self._cache["L"].copy()
+        """Lower Cholesky factor of K + tau^2 H H' + (sigma_2^2 + jitter) I."""
+        return None if self._cache is None else self._cache.L.copy()
 
     @property
     def jitter(self) -> float | None:
-        return None if self._cache is None else self._cache["jitter"]
+        return None if self._cache is None else self._cache.jitter
 
     # -- prediction ---------------------------------------------------------
 
@@ -259,13 +266,11 @@ class GpWindowModel:
         c = self._cache
         ks = _kernel_matrix(xi[None, :], self._X, self.hyper)[0]
         hs = basis_features(xi[None, :], self.hyper.basis)[0]
-        mean = float(hs @ c["beta"] + ks @ c["resid_alpha"])
-        v = solve_triangular(c["L"], ks, lower=True)
-        var = self.hyper.signal_variance - float(v @ v)
-        if hs.size:
-            rho = hs - c["W"].T @ v
-            w = solve_triangular(c["La"], rho, lower=True)
-            var += float(w @ w)
+        mean = float(hs @ self._beta + ks @ c.a)
+        # prior covariance of the folded model: k + tau^2 h' h
+        tau2 = self.basis_prior_variance
+        v = solve_triangular(c.L, ks + tau2 * (c.H @ hs), lower=True)
+        var = self.hyper.signal_variance + tau2 * float(hs @ hs) - float(v @ v)
         return mean, max(var, 0.0)
 
     def mean_derivative(self, xi, dim: int) -> float:
@@ -277,13 +282,12 @@ class GpWindowModel:
             raise ValueError(f"dim must be in 0..{self.dim - 1}")
         if self.size == 0:
             return 0.0
-        c = self._cache
         ks = _kernel_matrix(xi[None, :], self._X, self.hyper)[0]
         dks = -((xi[dim] - self._X[:, dim]) / self.hyper.length_scale ** 2) * ks
-        out = float(dks @ c["resid_alpha"])
-        if c["beta"].size:
+        out = float(dks @ self._cache.a)
+        if self._beta.size:
             dh = basis_derivative(xi, self.hyper.basis, dim)
-            out += float(dh @ c["beta"])
+            out += float(dh @ self._beta)
         return out
 
     # -- hyperparameter fitting ----------------------------------------------
@@ -300,29 +304,19 @@ class GpWindowModel:
         if self.size == 0:
             raise ValueError("empty window")
         hyper = hyper or self.hyper
-        X, y = self._X, self._y
-        sq = _scaled_sq_dist(X, X, hyper.length_scale)
-        K = hyper.signal_variance * np.exp(-0.5 * sq)
-        C = K + hyper.noise_variance * np.eye(self.size)
-        H = basis_features(X, hyper.basis)
-        if H.shape[1]:
-            C = C + self.basis_prior_variance * (H @ H.T)
-            if self._beta_center is not None and self._beta_center.size == H.shape[1]:
-                y = y - H @ self._beta_center
         try:
-            L, _ = _chol_with_jitter(C)
+            f = self._factorize(hyper)
         except LinAlgError:
             return (-math.inf, np.zeros(3)) if grad else -math.inf
-        a = cho_solve((L, True), y)
-        val = float(-0.5 * y @ a - np.sum(np.log(np.diag(L)))
+        val = float(-0.5 * f.y @ f.a - np.sum(np.log(np.diag(f.L)))
                     - 0.5 * self.size * math.log(2.0 * math.pi))
         if not grad:
             return val
         # d val / d theta = 1/2 tr(Q dC/d theta) with Q = a a' - C^-1 and
         # dC/d theta = K * sq, K, sigma_2^2 I (elementwise products)
-        Q = np.outer(a, a) - cho_solve((L, True), np.eye(self.size))
-        QK = Q * K
-        return val, 0.5 * np.array([np.sum(QK * sq), np.sum(QK),
+        Q = np.outer(f.a, f.a) - cho_solve((f.L, True), np.eye(self.size))
+        QK = Q * f.K
+        return val, 0.5 * np.array([np.sum(QK * f.sq), np.sum(QK),
                                     hyper.noise_variance * np.trace(Q)])
 
     def fit_hyperparams(self) -> GpHyperparams:

@@ -24,7 +24,7 @@ import pytest
 from xfertrack.bench import run_comparison
 from xfertrack.control import (AffineErrorOracle, EstimatedGain,
                                TransferController, track_trajectory)
-from xfertrack.gp import GpHyperparams, GpWindowModel, kernel
+from xfertrack.gp import GpHyperparams, GpWindowModel, basis_features, kernel
 from xfertrack.inverse import (AnalyticInverse, InverseDataset, TrainingConfig,
                                train_mlp)
 from xfertrack.stability import (assemble_budget, fit_prediction_budget,
@@ -193,7 +193,9 @@ def test_criterion_7_property_suites(bench_config):
         gp.observe(rng.standard_normal(3), float(rng.standard_normal()))
     X = gp.window_inputs
     K = np.array([[kernel(p, q, gp.hyper) for q in X] for p in X])
-    target_mat = K + (gp.hyper.noise_variance + gp.jitter) * np.eye(len(X))
+    H = basis_features(X, gp.hyper.basis)
+    target_mat = (K + gp.basis_prior_variance * H @ H.T
+                  + (gp.hyper.noise_variance + gp.jitter) * np.eye(len(X)))
     rel = (np.linalg.norm(gp.factor @ gp.factor.T - target_mat)
            / np.linalg.norm(target_mat))
     checks.append(("cholesky reconstruction", rel <= 1e-10))

@@ -124,6 +124,12 @@ def test_gp_capacity_validated():
         GpCfg(capacity=0).build(dim=4)
 
 
+@pytest.mark.parametrize("tau2", [0.0, -1e-8])
+def test_gp_basis_prior_variance_validated(tau2):
+    with pytest.raises(ValueError, match="basis prior variance must be positive"):
+        GpCfg(basis_prior_variance=tau2).build(dim=4)
+
+
 def test_default_trajectory_matches_reference_signal():
     built = TrajectoryCfg().build()
     ref = make_test_trajectory()

@@ -213,6 +213,33 @@ def test_input_guard_raises_with_partial_log():
         track_trajectory(target, guarded, traj, x0=[0.0, 0.0, 0.0])
 
 
+def test_nonfinite_inverse_output_is_a_recorded_abort():
+    # a NaN from the inverse ends an online run as a divergence at that
+    # step, with its partial log, before the online model sees the query
+    target = target_system()
+    inverse = AnalyticInverse(source_system())
+    k_nan = 40  # past the 15-sample window fill
+
+    class NanFromStep:
+        calls = 0
+
+        def reference(self, x, y_d_future):
+            self.calls += 1
+            if self.calls > k_nan:
+                return math.nan
+            return inverse.reference(x, y_d_future)
+
+    ctrl = TransferController(NanFromStep(), r=target.r,
+                              online=GpWindowModel(dim=4, capacity=15, optimize=False))
+    with pytest.raises(SimulationDiverged, match="inverse returned u1=nan") as info:
+        track_trajectory(target, ctrl, short_trajectory())
+    err = info.value
+    assert err.step == k_nan
+    assert len(err.partial_log) == k_nan
+    assert err.partial_trace.inputs.shape == (k_nan,)
+    assert np.isfinite(err.partial_log.u1).all()
+
+
 def test_cold_start_on_offset_trajectory_stays_bounded():
     # a reference that starts far from the plant state used to let gain
     # estimates from a part-filled window cascade (corrections four

@@ -178,6 +178,56 @@ def test_affine_window_recovered_through_basis():
         assert abs(mean - (w @ q + c)) <= 1e-6
 
 
+def gpml_posterior(X, y, xs, hyper, tau2, b, jitter):
+    """Mean and variance of h' beta + f at xs and the coefficient estimate,
+    by GPML eqs. 2.41-2.42 with B = tau2 I and prior mean b, solved densely.
+    K_y carries the model's jitter, which its factor adds to the diagonal."""
+    K = np.array([[kernel(p, q, hyper) for q in X] for p in X])
+    Ky = K + (hyper.noise_variance + jitter) * np.eye(len(X))
+    H = basis_features(X, hyper.basis)  # (n, m), the transpose of GPML's H
+    ks = np.array([kernel(p, xs, hyper) for p in X])
+    hs = basis_features(xs[None, :], hyper.basis)[0]
+    Ky_inv_H = np.linalg.solve(Ky, H)
+    A = np.eye(H.shape[1]) / tau2 + H.T @ Ky_inv_H
+    beta = np.linalg.solve(A, H.T @ np.linalg.solve(Ky, y) + b / tau2)
+    mean = hs @ beta + ks @ np.linalg.solve(Ky, y - H @ beta)
+    R = hs - Ky_inv_H.T @ ks
+    var = (hyper.signal_variance - ks @ np.linalg.solve(Ky, ks)
+           + R @ np.linalg.solve(A, R))
+    return mean, var, beta
+
+
+@pytest.mark.parametrize("basis", ["none", "constant", "linear", "quadratic"])
+def test_prediction_matches_explicit_basis_posterior(basis):
+    # the folded-covariance posterior equals the two-stage explicit-basis
+    # one; the prior mean b of each window is the previous window's
+    # coefficient estimate (zero for the first), as the model re-centers
+    rng = np.random.default_rng(21)
+    for _ in range(25):
+        d = int(rng.integers(1, 5))
+        n = int(rng.integers(3, 16))
+        tau2 = float(10 ** rng.uniform(0, 4))
+        hyper = GpHyperparams(
+            length_scale=float(rng.uniform(0.5, 3.0)),
+            signal_variance=float(rng.uniform(0.3, 3.0)),
+            noise_variance=float(rng.uniform(1e-4, 1e-2)), basis=basis)
+        gp = GpWindowModel(dim=d, capacity=15, hyper=hyper,
+                           basis_prior_variance=tau2, optimize=False)
+        X = rng.standard_normal((n, d))
+        y = rng.standard_normal(n)
+        b = np.zeros(basis_features(X[:1], basis).shape[1])
+        for j in range(n):
+            if j:
+                b = gpml_posterior(X[:j], y[:j], X[0], hyper, tau2, b, gp.jitter)[2]
+            gp.observe(X[j], y[j])
+        for _ in range(5):
+            xs = 1.5 * rng.standard_normal(d)
+            mean, var, _ = gpml_posterior(X, y, xs, hyper, tau2, b, gp.jitter)
+            got_mean, got_var = gp.predict(xs)
+            assert abs(got_mean - mean) <= 1e-6 * max(1.0, abs(mean))
+            assert abs(got_var - var) <= 1e-6 * max(1e-2, var)
+
+
 def test_mean_derivative_matches_finite_differences():
     # 120 random windows of varying size/dimension/hyperparameters
     rng = np.random.default_rng(42)
@@ -210,15 +260,18 @@ def test_derivative_dim_bounds():
 
 
 def test_factorization_reconstructs_covariance():
-    # L L' = K + (sigma_2^2 + jitter) I to 1e-10 relative Frobenius error,
-    # with K rebuilt independently from the public kernel function
+    # L L' = K + tau^2 H H' + (sigma_2^2 + jitter) I to 1e-10 relative
+    # Frobenius error, with K rebuilt independently from the public kernel
+    # function and H from the basis features
     rng = np.random.default_rng(3)
     gp = filled_model(rng, hyper=GpHyperparams(length_scale=1.4,
                                                signal_variance=0.9,
                                                noise_variance=1e-5))
     X = gp.window_inputs
     K = np.array([[kernel(a, b, gp.hyper) for b in X] for a in X])
-    target = K + (gp.hyper.noise_variance + gp.jitter) * np.eye(len(X))
+    H = basis_features(X, gp.hyper.basis)
+    target = (K + gp.basis_prior_variance * H @ H.T
+              + (gp.hyper.noise_variance + gp.jitter) * np.eye(len(X)))
     L = gp.factor
     err = np.linalg.norm(L @ L.T - target) / np.linalg.norm(target)
     assert err <= 1e-10
