@@ -11,7 +11,7 @@ from .trajectory import (SampledTrajectory, SinusoidTrajectory,
                          training_references)
 from .inverse import (AnalyticInverse, InverseDataset, MlpInverseModel,
                       SingularInverse, TrainingConfig, TrainingDiverged,
-                      affine_lstsq_inverse, build_inverse_dataset, train_mlp)
+                      build_inverse_dataset, train_mlp)
 from .gp import GpHyperparams, GpWindowModel, kernel
 from .control import (AffineErrorOracle, EstimatedGain, FixedGain, StepLog,
                       TransferController, track_trajectory)

@@ -98,10 +98,6 @@ class TransferController:
         if self.r < 1:
             raise ValueError("relative degree must be >= 1")
 
-    def reset(self):
-        self._pending.clear()
-        self._last_alpha = None
-
     def select_gain(self, xi_query, u1_dim: int) -> float:
         if isinstance(self.gain, FixedGain):
             return float(self.gain.alpha)

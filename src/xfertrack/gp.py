@@ -182,14 +182,6 @@ class GpWindowModel:
         but not yet a trustworthy input derivative."""
         return self.size >= self.capacity
 
-    @property
-    def window_inputs(self) -> np.ndarray:
-        return self._X.copy()
-
-    @property
-    def window_outputs(self) -> np.ndarray:
-        return self._y.copy()
-
     def observe(self, xi, e: float) -> "GpWindowModel":
         """Insert one observation, evicting the oldest beyond capacity."""
         xi = np.asarray(xi, dtype=float).reshape(-1)

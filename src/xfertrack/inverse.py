@@ -97,13 +97,15 @@ class MlpInverseModel:
 
     Layers are (n+1) -> hidden... -> 1 with tanh activations on hidden
     layers and a linear output. Features and labels are z-scored with
-    constants frozen from the training set.
+    constants frozen from the training set. All weights and biases live in
+    one float64 vector, `params`; `weights` and `biases` are views into it.
     """
 
-    def __init__(self, layer_sizes, weights, biases, in_mean, in_std, out_mean, out_std):
+    def __init__(self, layer_sizes, in_mean, in_std, out_mean, out_std):
         self.layer_sizes = [int(s) for s in layer_sizes]
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
+        fans = zip(self.layer_sizes[:-1], self.layer_sizes[1:])
+        self.params = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in fans))
+        self.weights, self.biases = self.views(self.params)
         self.in_mean = np.asarray(in_mean, dtype=float)
         self.in_std = np.asarray(in_std, dtype=float)
         self.out_mean = float(out_mean)
@@ -113,19 +115,40 @@ class MlpInverseModel:
         self.n = self.layer_sizes[0] - 1
         self.r = None  # set by train_mlp from the dataset
 
+    def views(self, flat: np.ndarray) -> tuple:
+        """Per-layer (weights, biases) views of a vector laid out like params.
+
+        The one statement of the layout: W0, b0, W1, b1, ..., each W_i of
+        shape (fan_in, fan_out) in row-major order. Writing through a view
+        writes the vector.
+        """
+        if flat.shape != self.params.shape:
+            raise ValueError(f"expected {self.params.size} parameters, got shape {flat.shape}")
+        weights, biases, at = [], [], 0
+        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            weights.append(flat[at:at + n_in * n_out].reshape(n_in, n_out))
+            at += n_in * n_out
+            biases.append(flat[at:at + n_out])
+            at += n_out
+        return weights, biases
+
     # -- inference ---------------------------------------------------------
 
     def normalize(self, X):
         return (X - self.in_mean) / self.in_std
 
-    def forward(self, Xn: np.ndarray) -> np.ndarray:
-        """Network output for already-normalized features (N, d) -> (N,)."""
-        a = Xn
+    def _activations(self, Xn: np.ndarray) -> list:
+        """Every layer's output, from the input Xn to the linear output."""
+        acts = [Xn]
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ W + b
-            a = z if i == last else np.tanh(z)
-        return a[:, 0]
+            z = acts[-1] @ W + b
+            acts.append(z if i == last else np.tanh(z))
+        return acts
+
+    def forward(self, Xn: np.ndarray) -> np.ndarray:
+        """Network output for already-normalized features (N, d) -> (N,)."""
+        return self._activations(Xn)[-1][:, 0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         out = self.forward(self.normalize(np.atleast_2d(np.asarray(X, dtype=float))))
@@ -138,33 +161,25 @@ class MlpInverseModel:
     # -- training ----------------------------------------------------------
 
     def loss_and_grads(self, Xn, yn):
-        """Mean-squared-error loss and gradients on normalized data.
+        """Mean-squared-error loss and its gradient on normalized data.
 
-        Returns (loss, dWs, dbs). Kept explicit so the backward pass can be
-        checked against finite differences.
+        Returns (loss, grad), grad laid out like params (views(grad) splits
+        it per layer). Kept explicit so the backward pass can be checked
+        against finite differences.
         """
-        acts = [Xn]
-        zs = []
-        a = Xn
-        last = len(self.weights) - 1
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ W + b
-            zs.append(z)
-            a = z if i == last else np.tanh(z)
-            acts.append(a)
-        pred = acts[-1][:, 0]
-        err = pred - yn
+        acts = self._activations(Xn)
+        err = acts[-1][:, 0] - yn
         N = yn.shape[0]
         loss = float(np.mean(err ** 2))
         delta = (2.0 / N) * err[:, None]
-        dWs = [None] * len(self.weights)
-        dbs = [None] * len(self.biases)
-        for i in range(last, -1, -1):
-            dWs[i] = acts[i].T @ delta
-            dbs[i] = delta.sum(axis=0)
+        grad = np.empty_like(self.params)
+        dWs, dbs = self.views(grad)
+        for i in range(len(dWs) - 1, -1, -1):
+            dWs[i][...] = acts[i].T @ delta
+            dbs[i][...] = delta.sum(axis=0)
             if i > 0:
                 delta = (delta @ self.weights[i].T) * (1.0 - acts[i] ** 2)
-        return loss, dWs, dbs
+        return loss, grad
 
     # -- serialization -----------------------------------------------------
 
@@ -187,12 +202,16 @@ class MlpInverseModel:
             fmt = str(data["format"])
             if fmt != SERIAL_FORMAT:
                 raise ValueError(f"unsupported model format {fmt!r}")
-            sizes = data["layer_sizes"].tolist()
-            k = len(sizes) - 1
-            weights = [data[f"W{i}"] for i in range(k)]
-            biases = [data[f"b{i}"] for i in range(k)]
-            return cls(sizes, weights, biases, data["in_mean"], data["in_std"],
-                       float(data["out_mean"]), float(data["out_std"]))
+            model = cls(data["layer_sizes"].tolist(), data["in_mean"], data["in_std"],
+                        float(data["out_mean"]), float(data["out_std"]))
+            for i, (W, b) in enumerate(zip(model.weights, model.biases)):
+                for key, view in ((f"W{i}", W), (f"b{i}", b)):
+                    stored = data[key]
+                    if stored.shape != view.shape:
+                        raise ValueError(f"{key} has shape {stored.shape}, "
+                                         f"layer_sizes {model.layer_sizes} imply {view.shape}")
+                    view[...] = stored
+            return model
 
 
 @dataclass
@@ -210,14 +229,13 @@ class TrainingConfig:
     subsample: int = 10             # stride over each run's training pairs
 
 
-def init_mlp(layer_sizes, rng) -> tuple:
-    """Scaled-uniform fan-in init: W_ij ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
-    weights, biases = [], []
-    for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        s = 1.0 / np.sqrt(n_in)
-        weights.append(rng.uniform(-s, s, size=(n_in, n_out)))
-        biases.append(np.zeros(n_out))
-    return weights, biases
+def init_mlp(model: MlpInverseModel, rng) -> np.ndarray:
+    """Scaled-uniform fan-in init of model.params, returned: layer by layer,
+    W_ij ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)) and zero biases."""
+    for W in model.weights:
+        s = 1.0 / np.sqrt(W.shape[0])
+        W[...] = rng.uniform(-s, s, size=W.shape)
+    return model.params
 
 
 def train_mlp(dataset: InverseDataset, config: TrainingConfig | None = None,
@@ -249,8 +267,8 @@ def train_mlp(dataset: InverseDataset, config: TrainingConfig | None = None,
         out_std = 1.0
 
     sizes = [dataset.inputs.shape[1], *cfg.hidden, 1]
-    weights, biases = init_mlp(sizes, rng)
-    model = MlpInverseModel(sizes, weights, biases, in_mean, in_std, out_mean, out_std)
+    model = MlpInverseModel(sizes, in_mean, in_std, out_mean, out_std)
+    init_mlp(model, rng)
     model.r = dataset.r
 
     Xn_tr = model.normalize(X_tr)
@@ -259,8 +277,8 @@ def train_mlp(dataset: InverseDataset, config: TrainingConfig | None = None,
     yn_va = (y_va - out_mean) / out_std
 
     # Adam state
-    ms = [np.zeros_like(p) for p in model.weights + model.biases]
-    vs = [np.zeros_like(p) for p in model.weights + model.biases]
+    m = np.zeros_like(model.params)
+    v = np.zeros_like(model.params)
     b1, b2, eps = 0.9, 0.999, 1e-8
     t = 0
 
@@ -273,20 +291,18 @@ def train_mlp(dataset: InverseDataset, config: TrainingConfig | None = None,
     for epoch in range(cfg.epochs):
         epochs_run = epoch + 1
         order = rng.permutation(n_train)
+        X_ep, y_ep = Xn_tr[order], yn_tr[order]
         for start in range(0, n_train, cfg.batch_size):
-            sel = order[start:start + cfg.batch_size]
-            loss, dWs, dbs = model.loss_and_grads(Xn_tr[sel], yn_tr[sel])
+            stop = start + cfg.batch_size
+            loss, grad = model.loss_and_grads(X_ep[start:stop], y_ep[start:stop])
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch)
             t += 1
-            params = model.weights + model.biases
-            grads = dWs + dbs
-            for i, (p, g) in enumerate(zip(params, grads)):
-                ms[i] = b1 * ms[i] + (1 - b1) * g
-                vs[i] = b2 * vs[i] + (1 - b2) * g * g
-                mhat = ms[i] / (1 - b1 ** t)
-                vhat = vs[i] / (1 - b2 ** t)
-                p -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
+            m = b1 * m + (1 - b1) * grad
+            v = b2 * v + (1 - b2) * grad * grad
+            mhat = m / (1 - b1 ** t)
+            vhat = v / (1 - b2 ** t)
+            model.params -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
         val_mse = float(np.mean((model.forward(Xn_va) - yn_va) ** 2))
         if not np.isfinite(val_mse):
             raise TrainingDiverged(epoch)
@@ -296,34 +312,11 @@ def train_mlp(dataset: InverseDataset, config: TrainingConfig | None = None,
             wait += 1
         if val_mse < best_val:
             best_val = val_mse
-            best_params = ([W.copy() for W in model.weights],
-                           [b.copy() for b in model.biases])
+            best_params = model.params.copy()
         if wait >= cfg.patience:
             break
 
-    model.weights, model.biases = best_params
+    model.params[...] = best_params  # in place, so weights and biases stay views
     model.validation_rmse = float(np.sqrt(best_val))
     model.epochs_run = epochs_run
     return model
-
-
-def affine_lstsq_inverse(dataset: InverseDataset):
-    """Closed-form least-squares inverse on the same features as the MLP.
-
-    Returns an object with the same .reference interface; fits
-    u ~ [x, y] @ w + c exactly. Serves as an independent check when the
-    true inverse is affine.
-    """
-    X = np.hstack([dataset.inputs, np.ones((len(dataset), 1))])
-    coef, *_ = np.linalg.lstsq(X, dataset.labels, rcond=None)
-
-    class _Affine:
-        def __init__(self, coef, r):
-            self.coef = coef
-            self.r = r
-
-        def reference(self, x, y_d_future):
-            feat = np.concatenate([np.asarray(x, dtype=float), [float(y_d_future)], [1.0]])
-            return float(feat @ self.coef)
-
-    return _Affine(coef, dataset.r)

@@ -46,3 +46,26 @@ def error_log(errors, n: int = 2) -> StepLog:
     zero = np.zeros_like(y_d)
     return StepLog(np.zeros((y_d.size, n)), y=zero, y_d=y_d, u1=zero, e_p=zero,
                    alpha=zero, u2=zero, u=zero, e_p_star=np.full(y_d.size, np.nan))
+
+
+class AffineInverse:
+    """u = [x, y_d(k+r), 1] @ coef, with the .reference interface of an inverse."""
+
+    def __init__(self, coef, r: int):
+        self.coef = coef
+        self.r = r
+
+    def reference(self, x, y_d_future):
+        feat = np.concatenate([np.asarray(x, dtype=float), [float(y_d_future)], [1.0]])
+        return float(feat @ self.coef)
+
+
+def affine_lstsq_inverse(dataset) -> AffineInverse:
+    """Closed-form least-squares inverse on the same features as the MLP.
+
+    Fits u ~ [x, y] @ w + c exactly; an independent check when the true
+    inverse is affine.
+    """
+    X = np.hstack([dataset.inputs, np.ones((len(dataset), 1))])
+    coef, *_ = np.linalg.lstsq(X, dataset.labels, rcond=None)
+    return AffineInverse(coef, dataset.r)

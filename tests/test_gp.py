@@ -79,8 +79,8 @@ def test_eviction_keeps_latest_n():
     for i in range(40):
         gp.observe([float(i)], float(i))
     assert gp.size == 15
-    np.testing.assert_array_equal(gp.window_inputs[:, 0], np.arange(25.0, 40.0))
-    np.testing.assert_array_equal(gp.window_outputs, np.arange(25.0, 40.0))
+    np.testing.assert_array_equal(gp._X[:, 0], np.arange(25.0, 40.0))
+    np.testing.assert_array_equal(gp._y, np.arange(25.0, 40.0))
     assert gp.observation_count == 40
 
 
@@ -143,7 +143,7 @@ def test_interpolation_limit_at_observed_inputs():
     rng = np.random.default_rng(0)
     gp = filled_model(rng, hyper=GpHyperparams(length_scale=1.0,
                                                noise_variance=0.0))
-    for xi, e in zip(gp.window_inputs, gp.window_outputs):
+    for xi, e in zip(gp._X, gp._y):
         mean, _ = gp.predict(xi)
         assert abs(mean - e) <= 1e-6
 
@@ -152,7 +152,7 @@ def test_variance_nonnegative_and_small_at_data():
     rng = np.random.default_rng(1)
     gp = filled_model(rng, hyper=GpHyperparams(length_scale=1.0,
                                                noise_variance=0.0))
-    for xi in gp.window_inputs:
+    for xi in gp._X:
         _, var = gp.predict(xi)
         assert 0.0 <= var <= 1e-9
     for _ in range(50):
@@ -267,7 +267,7 @@ def test_factorization_reconstructs_covariance():
     gp = filled_model(rng, hyper=GpHyperparams(length_scale=1.4,
                                                signal_variance=0.9,
                                                noise_variance=1e-5))
-    X = gp.window_inputs
+    X = gp._X
     K = np.array([[kernel(a, b, gp.hyper) for b in X] for a in X])
     H = basis_features(X, gp.hyper.basis)
     target = (K + gp.basis_prior_variance * H @ H.T

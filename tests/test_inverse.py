@@ -1,18 +1,20 @@
 """Inverse models: dataset extraction, the closed-form reference law,
 MLP training, gradients, and persistence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from xfertrack.bench import default_benchmark_config, run_strategy
 from xfertrack.inverse import (AnalyticInverse, InverseDataset, MlpInverseModel,
                                SingularInverse, TrainingConfig,
-                               TrainingDiverged, affine_lstsq_inverse,
-                               build_inverse_dataset, train_mlp)
+                               TrainingDiverged, build_inverse_dataset,
+                               train_mlp)
 from xfertrack.systems import NonlinearSystem, SimTrace, simulate
 from xfertrack.trajectory import SinusoidTrajectory
 
-from helpers import source_system
+from helpers import affine_lstsq_inverse, source_system
 
 
 def toy_trace(T, n=2, seed=0, dt=1.5e-3):
@@ -156,7 +158,6 @@ def test_validation_error_on_benchmark_dataset(bench_report):
 def test_mlp_closed_loop_comparable_to_linear_fit(bench_report, bench_config):
     # the network's open-target tracking error should sit within a factor
     # of two of a plain least-squares affine inverse on the same data
-    from dataclasses import replace
     from xfertrack.bench import build_training_dataset
 
     cfg = replace(bench_config, inverse_mode="analytic")
@@ -166,6 +167,29 @@ def test_mlp_closed_loop_comparable_to_linear_fit(bench_report, bench_config):
     mlp_rms = bench_report.strategies["offline"]["rms_tracking"]
     assert mlp_rms <= 2.0 * ref.rms_tracking
 
+
+
+def test_training_returns_best_validation_parameters():
+    # noisy labels and a large step: the validation MSE bottoms out early
+    # and the last epoch is no new best, so restoring the best weights
+    # (in place, under the weight views) is what this checks
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-1, 1, size=(60, 3))
+    y = X @ np.array([0.5, -1.0, 2.0]) + 0.1 + 0.5 * rng.standard_normal(60)
+    ds = InverseDataset(inputs=X, labels=y, r=1)
+    cfg = TrainingConfig(hidden=(16,), epochs=20, batch_size=8,
+                         learning_rate=1e-2, val_fraction=0.25, patience=20)
+    model = train_mlp(ds, cfg, seed=2)
+    assert model.epochs_run == cfg.epochs
+    one_short = train_mlp(ds, replace(cfg, epochs=cfg.epochs - 1), seed=2)
+    assert one_short.validation_rmse == model.validation_rmse
+
+    perm = np.random.default_rng(2).permutation(len(ds))
+    val = perm[:max(1, int(round(cfg.val_fraction * len(ds))))]
+    Xn = model.normalize(X[val])
+    yn = (y[val] - model.out_mean) / model.out_std
+    rmse = float(np.sqrt(float(np.mean((model.forward(Xn) - yn) ** 2))))
+    assert rmse == model.validation_rmse
 
 def test_normalization_roundtrip():
     rng = np.random.default_rng(5)
@@ -185,16 +209,17 @@ def test_gradients_match_finite_differences():
     model = train_mlp(InverseDataset(inputs=X, labels=y, r=1), cfg, seed=0)
     Xn = model.normalize(X)
     yn = (y - model.out_mean) / model.out_std
-    _, dWs, dbs = model.loss_and_grads(Xn, yn)
+    _, grad = model.loss_and_grads(Xn, yn)
+    dWs, dbs = model.views(grad)
     h = 1e-6
     for params, grads in ((model.weights, dWs), (model.biases, dbs)):
         for li, P in enumerate(params):
             for idx in np.ndindex(*P.shape):
                 keep = P[idx]
                 P[idx] = keep + h
-                lp, _, _ = model.loss_and_grads(Xn, yn)
+                lp, _ = model.loss_and_grads(Xn, yn)
                 P[idx] = keep - h
-                lm, _, _ = model.loss_and_grads(Xn, yn)
+                lm, _ = model.loss_and_grads(Xn, yn)
                 P[idx] = keep
                 fd = (lp - lm) / (2 * h)
                 assert abs(grads[li][idx] - fd) <= 1e-5 * max(abs(fd), 1e-6)
@@ -219,6 +244,21 @@ def test_load_rejects_foreign_files(tmp_path):
     with pytest.raises(ValueError, match="format"):
         MlpInverseModel.load(path)
 
+
+
+def test_load_rejects_misshapen_weights(tmp_path):
+    # W0 of a 3-4-1 network transposed: the right number of weights in the
+    # wrong shape must not load as scrambled parameters
+    model = train_mlp(small_dataset(), TrainingConfig(hidden=(4,), epochs=1),
+                      seed=1)
+    good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+    model.save(good)
+    with np.load(good) as data:
+        payload = dict(data)
+    payload["W0"] = payload["W0"].T
+    np.savez(bad, **payload)
+    with pytest.raises(ValueError, match="W0"):
+        MlpInverseModel.load(bad)
 
 def test_affine_lstsq_recovers_exact_coefficients():
     ds = small_dataset()
