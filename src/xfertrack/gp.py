@@ -11,6 +11,10 @@ folded into the covariance, C = K + sigma_2^2 I + tau^2 H H', one Cholesky
 factor of C per window change gives the log marginal likelihood and the
 posterior (GPML section 2.7 with B = tau^2 I, b = c): a = C^-1 (y - H c),
 beta = c + tau^2 H' a and mean(xi) = h(xi)' beta + k(xi)' a.
+
+The N x N factorizations and solves call LAPACK (potrf, potrs, trtrs)
+directly: at window sizes of tens, scipy.linalg's checked wrappers cost
+several times the routine they wrap, and give the same bits.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.optimize import minimize
 
 logger = logging.getLogger(__name__)
@@ -46,9 +51,10 @@ class GpHyperparams:
     basis: str = "quadratic"
 
     def __post_init__(self):
-        if self.length_scale <= 0 or self.signal_variance <= 0 or self.noise_variance < 0:
+        if not (0 < self.length_scale < math.inf and 0 < self.signal_variance < math.inf
+                and 0 <= self.noise_variance < math.inf):
             raise ValueError("length scale and signal variance must be positive, "
-                             "noise variance nonnegative")
+                             "noise variance nonnegative, all finite")
         if self.basis not in BASIS_KINDS:
             raise ValueError(f"basis must be one of {BASIS_KINDS}")
 
@@ -106,16 +112,25 @@ def basis_derivative(xi: np.ndarray, kind: str, dim: int) -> np.ndarray:
 
 
 def _chol_with_jitter(M: np.ndarray):
-    """Lower Cholesky factor of M + jitter*I, doubling jitter up to MAX_JITTER."""
+    """Lower Cholesky factor of M + jitter*I, doubling jitter up to MAX_JITTER.
+
+    The jitter goes onto M's diagonal in place. potrf may factor a matrix
+    with an infinite diagonal without complaint, so a non-finite M raises
+    LinAlgError up front."""
+    if not np.isfinite(M).all():
+        raise LinAlgError("covariance is not finite")
+    diag = M.reshape(-1)[::M.shape[0] + 1]  # a view: M is contiguous
+    base = diag.copy()
     jitter = DEFAULT_JITTER
     while True:
-        try:
-            L = cholesky(M + jitter * np.eye(M.shape[0]), lower=True)
+        np.add(base, jitter, out=diag)
+        L, info = dpotrf(M, lower=1)
+        if info == 0:
             return L, jitter
-        except LinAlgError:
-            jitter *= 2.0
-            if jitter > MAX_JITTER:
-                raise
+        jitter *= 2.0
+        if jitter > MAX_JITTER:
+            raise LinAlgError(f"{info}-th leading minor of the array is not "
+                              "positive definite")
 
 
 class _Factor(NamedTuple):
@@ -142,8 +157,8 @@ class GpWindowModel:
                  max_fit_evals: int = 100):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if not basis_prior_variance > 0:
-            raise ValueError("basis prior variance must be positive")
+        if not 0 < basis_prior_variance < math.inf:
+            raise ValueError("basis prior variance must be positive and finite")
         self.dim = int(dim)
         self.capacity = int(capacity)
         self.hyper = hyper or GpHyperparams()
@@ -160,6 +175,8 @@ class GpWindowModel:
         self.rejected_count = 0
         self._since_fit = 0
         self._cache = None  # _Factor of the current window
+        self._basis = None  # (kind, H, tau^2 H H') of the current window
+        self._last_factor = None  # of the latest log_marginal_likelihood call
         # Latest basis coefficient estimate and the prior mean c of the next
         # factorization (None: zero). Directions the window cannot identify
         # (collinear inputs on a converged trajectory) so hold their last
@@ -198,6 +215,7 @@ class GpWindowModel:
         else:
             self._X = np.vstack([self._X, xi])
             self._y = np.concatenate([self._y, [float(e)]])
+        self._basis = None
         self.observation_count += 1
         self._since_fit += 1
         if (self.optimize and self.size >= self.min_fit_size
@@ -209,30 +227,41 @@ class GpWindowModel:
 
     # -- factorization ------------------------------------------------------
 
+    def _window_basis(self, kind: str):
+        """H and tau^2 H H' of the current window, built once per window
+        change."""
+        if self._basis is None or self._basis[0] != kind:
+            H = basis_features(self._X, kind)
+            self._basis = kind, H, self.basis_prior_variance * (H @ H.T)
+        return self._basis[1:]
+
     def _factorize(self, hyper: GpHyperparams) -> _Factor:
         """Factor C = K + sigma_2^2 I + tau^2 H H' for the current window,
         with the outputs centered on the prior mean H c of the basis term.
-        Raises LinAlgError when C is not positive definite at MAX_JITTER."""
+        Raises LinAlgError when C is not finite, or not positive definite
+        at MAX_JITTER."""
         X, y = self._X, self._y
         sq = _scaled_sq_dist(X, X, hyper.length_scale)
         K = hyper.signal_variance * np.exp(-0.5 * sq)
-        C = K + hyper.noise_variance * np.eye(self.size)
-        H = basis_features(X, hyper.basis)
+        C = K.copy()
+        C.reshape(-1)[::self.size + 1] += hyper.noise_variance
+        H, tau2HH = self._window_basis(hyper.basis)
         center = np.zeros(H.shape[1])
         if H.shape[1]:
-            C = C + self.basis_prior_variance * (H @ H.T)
+            C += tau2HH
             if self._beta is not None and self._beta.size == H.shape[1]:
                 center = self._beta
                 y = y - H @ center
         L, jitter = _chol_with_jitter(C)
-        return _Factor(L, jitter, cho_solve((L, True), y), y, center, H, K, sq)
+        return _Factor(L, jitter, dpotrs(L, y, lower=1)[0], y, center, H, K, sq)
 
-    def _refresh(self):
-        """Rebuild the cached factorization for the current window."""
+    def _refresh(self, f: _Factor | None = None):
+        """Cache the factorization of the current window, f when it is
+        already at hand."""
         if self.size == 0:
             self._cache = None
             return
-        self._cache = f = self._factorize(self.hyper)
+        self._cache = f = self._factorize(self.hyper) if f is None else f
         self._beta = f.center + self.basis_prior_variance * (f.H.T @ f.a)
 
     @property
@@ -261,7 +290,7 @@ class GpWindowModel:
         mean = float(hs @ self._beta + ks @ c.a)
         # prior covariance of the folded model: k + tau^2 h' h
         tau2 = self.basis_prior_variance
-        v = solve_triangular(c.L, ks + tau2 * (c.H @ hs), lower=True)
+        v = dtrtrs(c.L, ks + tau2 * (c.H @ hs), lower=1)[0]
         var = self.hyper.signal_variance + tau2 * float(hs @ hs) - float(v @ v)
         return mean, max(var, 0.0)
 
@@ -299,6 +328,9 @@ class GpWindowModel:
         try:
             f = self._factorize(hyper)
         except LinAlgError:
+            f = None
+        self._last_factor = f
+        if f is None:
             return (-math.inf, np.zeros(3)) if grad else -math.inf
         val = float(-0.5 * f.y @ f.a - np.sum(np.log(np.diag(f.L)))
                     - 0.5 * self.size * math.log(2.0 * math.pi))
@@ -306,7 +338,7 @@ class GpWindowModel:
             return val
         # d val / d theta = 1/2 tr(Q dC/d theta) with Q = a a' - C^-1 and
         # dC/d theta = K * sq, K, sigma_2^2 I (elementwise products)
-        Q = np.outer(f.a, f.a) - cho_solve((f.L, True), np.eye(self.size))
+        Q = np.outer(f.a, f.a) - dpotrs(f.L, np.eye(self.size), lower=1)[0]
         QK = Q * f.K
         return val, 0.5 * np.array([np.sum(QK * f.sq), np.sum(QK),
                                     hyper.noise_variance * np.trace(Q)])
@@ -320,6 +352,12 @@ class GpWindowModel:
         better of the start and the optimizer's result is kept, so the
         likelihood never degrades. The box is LENGTH_SCALE_BOUNDS,
         SIGNAL_VARIANCE_BOUNDS and NOISE_VARIANCE_BOUNDS.
+
+        Each point is evaluated once: the objective depends on theta only
+        through the hyperparameters it maps to, so it is memoized on those
+        (neighbouring thetas may round to the same ones), and the
+        factorization kept at the accepted point is the one its evaluation
+        computed.
         """
         if self.size < 2:
             self._refresh()
@@ -343,23 +381,34 @@ class GpWindowModel:
             return replace(self.hyper, length_scale=ls, signal_variance=sv,
                            noise_variance=nv)
 
+        memo = {}  # GpHyperparams -> (objective, gradient, factor or None)
+
+        def evaluate(theta):
+            hyper = hyper_of(theta)
+            if hyper not in memo:
+                val, g = self.log_marginal_likelihood(hyper, grad=True)
+                memo[hyper] = ((-val, -g[:theta.size], self._last_factor)
+                               if np.isfinite(val) else
+                               (1e30, np.zeros(theta.size), None))
+            return memo[hyper]
+
         def objective(theta):
-            val, g = self.log_marginal_likelihood(hyper_of(theta), grad=True)
-            if not np.isfinite(val):
-                return 1e30, np.zeros(theta.size)
-            return -val, -g[:theta.size]
+            val, g, _ = evaluate(theta)
+            return val, g.copy()  # scipy may write into the gradient
 
         res = minimize(objective, theta0, jac=True, method="L-BFGS-B",
                        bounds=list(zip(lb, ub)),
                        options={"maxfun": self.max_fit_evals})
         best_theta, best_f = res.x, float(res.fun)
-        f0, _ = objective(theta0)
+        f0, _, _ = evaluate(theta0)
         if f0 < best_f:
             best_theta, best_f = theta0, f0
+        factor = None
         if np.isfinite(best_f) and best_f < 1e30:
             self.hyper = hyper_of(best_theta)
+            factor = memo.get(self.hyper, (None, None, None))[2]
         else:
             logger.warning("hyperparameter fit failed; keeping previous values")
         self._since_fit = 0
-        self._refresh()
+        self._refresh(factor)
         return self.hyper

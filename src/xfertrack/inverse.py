@@ -206,6 +206,9 @@ class MlpInverseModel:
                         float(data["out_mean"]), float(data["out_std"]))
             for i, (W, b) in enumerate(zip(model.weights, model.biases)):
                 for key, view in ((f"W{i}", W), (f"b{i}", b)):
+                    if key not in data:
+                        raise ValueError(f"{key} is missing; layer_sizes "
+                                         f"{model.layer_sizes} imply it")
                     stored = data[key]
                     if stored.shape != view.shape:
                         raise ValueError(f"{key} has shape {stored.shape}, "

@@ -124,10 +124,18 @@ def test_gp_capacity_validated():
         GpCfg(capacity=0).build(dim=4)
 
 
-@pytest.mark.parametrize("tau2", [0.0, -1e-8])
+@pytest.mark.parametrize("tau2", [0.0, -1e-8, math.inf])
 def test_gp_basis_prior_variance_validated(tau2):
     with pytest.raises(ValueError, match="basis prior variance must be positive"):
         GpCfg(basis_prior_variance=tau2).build(dim=4)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("length_scale0", math.nan), ("signal_variance0", math.inf),
+    ("noise_variance0", math.inf)])
+def test_gp_nonfinite_settings_rejected(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        replace(GpCfg(), **{field: value}).build(dim=4)
 
 
 def test_default_trajectory_matches_reference_signal():

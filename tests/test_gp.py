@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
-from xfertrack.gp import (GpHyperparams, GpWindowModel, basis_features,
-                          kernel)
+from xfertrack.gp import (BASIS_KINDS, GpHyperparams, GpWindowModel,
+                          basis_features, kernel)
 
 
 def filled_model(rng, dim=3, n=15, **kwargs):
@@ -60,6 +61,12 @@ def test_hyperparams_validation():
         GpHyperparams(length_scale=1.0, noise_variance=-1e-9)
     with pytest.raises(ValueError):
         GpHyperparams(length_scale=1.0, basis="cubic")
+    for bad in (dict(length_scale=math.nan), dict(signal_variance=math.inf),
+                dict(noise_variance=math.inf), dict(noise_variance=math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            GpHyperparams(**bad)
+    with pytest.raises(ValueError, match="finite"):
+        GpWindowModel(dim=2, basis_prior_variance=math.inf)
 
 
 def test_basis_feature_layout():
@@ -108,6 +115,16 @@ def test_duplicate_inputs_still_factorize():
     assert gp.factor is not None
     m, v = gp.predict([1.0, 1.0])
     assert np.isfinite(m) and np.isfinite(v)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_nonfinite_covariance_is_a_factorization_failure():
+    # tau^2 |h|^2 overflows: C = [[inf]] must fail like an indefinite C,
+    # not factor to [[inf]] and predict NaN
+    gp = GpWindowModel(dim=2, capacity=5, optimize=False,
+                       basis_prior_variance=1e308)
+    with pytest.raises(LinAlgError, match="not finite"):
+        gp.observe([10.0, 10.0], 0.5)
 
 
 def test_predictions_live_from_first_observation_and_full_flag():
@@ -344,6 +361,42 @@ def test_fit_budget_stops_early_without_degrading(monkeypatch):
             assert gp.log_marginal_likelihood() >= before - 1e-9
         assert evals[5] < evals[100]
         assert evals[5] <= 5 + 20 + 1  # budget, one line search, the start guard
+
+
+@pytest.mark.parametrize("basis", BASIS_KINDS)
+def test_refit_evaluates_each_point_once(basis, monkeypatch):
+    # L-BFGS-B revisits points and the start guard re-checks the start;
+    # none of that reaches the likelihood twice, and the factor kept at
+    # the accepted point is bit for bit the one a fresh refresh computes
+    points = []
+    lml = GpWindowModel.log_marginal_likelihood
+
+    def recorded(self, hyper=None, grad=False):
+        points.append((hyper.length_scale, hyper.signal_variance,
+                       hyper.noise_variance))
+        return lml(self, hyper, grad)
+
+    monkeypatch.setattr(GpWindowModel, "log_marginal_likelihood", recorded)
+    rng = np.random.default_rng(31)
+    for trial in range(10):
+        d = int(rng.integers(1, 5))
+        gp = GpWindowModel(dim=d, capacity=15, optimize=False,
+                           fit_noise=bool(trial % 2),
+                           hyper=GpHyperparams(noise_variance=1e-6, basis=basis))
+        x = 0.1 * rng.standard_normal(d)
+        for _ in range(int(rng.integers(5, 16))):
+            x = 0.9 * x + 0.05 * rng.standard_normal(d)
+            gp.observe(x, float(np.sin(x).sum()))
+        points.clear()
+        center = gp._beta  # the prior mean the fit factors with
+        gp.fit_hyperparams()
+        assert points and len(set(points)) == len(points)
+        L, jitter, beta = gp.factor, gp.jitter, gp._beta
+        gp._beta = center
+        gp._refresh()
+        assert L.tobytes() == gp.factor.tobytes()
+        assert jitter == gp.jitter
+        assert beta.tobytes() == gp._beta.tobytes()
 
 
 def test_optimizer_never_degrades_likelihood():

@@ -260,6 +260,20 @@ def test_load_rejects_misshapen_weights(tmp_path):
     with pytest.raises(ValueError, match="W0"):
         MlpInverseModel.load(bad)
 
+
+def test_load_rejects_missing_weights(tmp_path):
+    # a 3-4-1 network without its second weight matrix names the key
+    model = train_mlp(small_dataset(), TrainingConfig(hidden=(4,), epochs=1),
+                      seed=1)
+    good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+    model.save(good)
+    with np.load(good) as data:
+        payload = dict(data)
+    del payload["W1"]
+    np.savez(bad, **payload)
+    with pytest.raises(ValueError, match="W1 is missing"):
+        MlpInverseModel.load(bad)
+
 def test_affine_lstsq_recovers_exact_coefficients():
     ds = small_dataset()
     inv = affine_lstsq_inverse(ds)
