@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .systems import (EPS_GAIN, EPS_RELATIVE_DEGREE, IllDefinedRelativeDegree,
                       LtiSystem, NonlinearSystem, SimTrace, SimulationDiverged,
-                      simulate, step, zeros_poles)
+                      simulate, step)
 from .trajectory import (SampledTrajectory, SinusoidTrajectory,
                          ingest_csv_trajectory, make_test_trajectory,
                          training_references)

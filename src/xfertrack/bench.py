@@ -179,8 +179,25 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _digest(payload) -> str:
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
 def config_digest(cfg: BenchConfig) -> str:
-    return hashlib.sha256(canonical_json(cfg.to_dict()).encode()).hexdigest()
+    return _digest(cfg.to_dict())
+
+
+def output_dir(path) -> Path:
+    """The directory at path, created if missing."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def write_json(out_dir, name: str, payload):
+    """Write a report as indented, key-sorted JSON to out_dir/name."""
+    path = output_dir(out_dir) / name
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def default_benchmark_config(inverse_mode: str = "mlp") -> BenchConfig:
@@ -243,14 +260,11 @@ class _PassThrough:
         return y_d_future
 
 
-def make_inverse(cfg: BenchConfig, source: LtiSystem, seed=None):
+def make_inverse(cfg: BenchConfig, source: LtiSystem):
     """Build the configured inverse module (training the MLP if asked)."""
     if cfg.inverse_mode == "analytic":
         return AnalyticInverse(source)
-    dataset = build_training_dataset(cfg, source)
-    model = train_mlp(dataset, cfg.mlp,
-                      seed=cfg.seed if seed is None else seed)
-    return model
+    return train_mlp(build_training_dataset(cfg, source), cfg.mlp, seed=cfg.seed)
 
 
 def build_training_dataset(cfg: BenchConfig, source: LtiSystem) -> InverseDataset:
@@ -272,7 +286,8 @@ class StrategyResult:
     steps: int
     log: StepLog | None = None
     # Startup sensitivity for the online strategy: the same RMS values with
-    # the first max(r, window capacity) steps excluded instead of k < r.
+    # the first max(r, window capacity) steps excluded instead of k < r;
+    # None when the run has no step past them.
     rms_tracking_warm: float | None = None
     rms_prediction_warm: float | None = None
 
@@ -322,14 +337,17 @@ def run_strategy(cfg: BenchConfig, strategy: str, inverse=None,
         return StrategyResult(strategy, None, None, True, err.step,
                               traj.n_steps, err.partial_log)
     m = metrics(log, r)
-    if strategy == "online":
-        mw = metrics(log, max(r, cfg.gp.capacity))
-        return StrategyResult(strategy, m.rms_tracking, m.rms_prediction,
-                              False, None, traj.n_steps, log,
-                              rms_tracking_warm=mw.rms_tracking,
-                              rms_prediction_warm=mw.rms_prediction)
-    return StrategyResult(strategy, m.rms_tracking, None, False, None,
-                          traj.n_steps, log)
+    if strategy != "online":
+        return StrategyResult(strategy, m.rms_tracking, None, False, None,
+                              traj.n_steps, log)
+    res = StrategyResult(strategy, m.rms_tracking, m.rms_prediction, False,
+                         None, traj.n_steps, log)
+    k_warm = max(r, cfg.gp.capacity)
+    if len(log) > k_warm:
+        mw = metrics(log, k_warm)
+        res.rms_tracking_warm = mw.rms_tracking
+        res.rms_prediction_warm = mw.rms_prediction
+    return res
 
 
 # -- reports -------------------------------------------------------------------
@@ -350,8 +368,7 @@ class RunReport:
         body = {
             "version": REPORT_VERSION,
             "config": self.config,
-            "config_digest": hashlib.sha256(
-                canonical_json(self.config).encode()).hexdigest(),
+            "config_digest": _digest(self.config),
             "seed": self.seed,
             "strategies": self.strategies,
             "mlp_validation_rmse": self.mlp_validation_rmse,
@@ -361,13 +378,9 @@ class RunReport:
             body["log_paths"] = self.log_paths
         return body
 
-    def to_json(self) -> str:
-        return json.dumps(self.payload(), sort_keys=True, indent=2)
-
     def digest(self) -> str:
         """Digest over the reproducible part (wall time and paths excluded)."""
-        return hashlib.sha256(
-            canonical_json(self.payload(include_volatile=False)).encode()).hexdigest()
+        return _digest(self.payload(include_volatile=False))
 
 
 def run_comparison(cfg: BenchConfig, out_dir=None) -> RunReport:
@@ -385,9 +398,7 @@ def run_comparison(cfg: BenchConfig, out_dir=None) -> RunReport:
         results[strat] = res.summary()
         logs[strat] = res.log
         if out_dir is not None and res.log is not None:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            path = out / f"{strat}_steps.csv"
+            path = output_dir(out_dir) / f"{strat}_steps.csv"
             res.log.to_csv(path)
             log_paths[strat] = str(path)
     report = RunReport(config=cfg.to_dict(), seed=cfg.seed, strategies=results,
@@ -395,7 +406,7 @@ def run_comparison(cfg: BenchConfig, out_dir=None) -> RunReport:
                        wall_time_s=time.perf_counter() - t0, log_paths=log_paths,
                        logs=logs)
     if out_dir is not None:
-        (Path(out_dir) / "report.json").write_text(report.to_json())
+        write_json(out_dir, "report.json", report.payload())
     return report
 
 
@@ -416,8 +427,5 @@ def alpha_sweep(cfg: BenchConfig, alphas, out_dir=None) -> dict:
     payload = {"version": REPORT_VERSION, "config": cfg.to_dict(),
                "sweep": rows}
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "alpha_sweep.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2))
+        write_json(out_dir, "alpha_sweep.json", payload)
     return payload

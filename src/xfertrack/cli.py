@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 configuration error, 3 divergence in a required
-strategy, 4 I/O error.
+strategy or in MLP training, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -9,13 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from .bench import (BenchConfig, ConfigError, alpha_sweep,
-                    default_benchmark_config, make_inverse, metrics,
-                    run_comparison, run_strategy)
+from .bench import (REPORT_VERSION, BenchConfig, alpha_sweep,
+                    default_benchmark_config, make_inverse, output_dir,
+                    run_comparison, run_strategy, write_json)
+from .inverse import TrainingDiverged
 from .stability import assemble_budget, stability_report
 from .trajectory import ingest_csv_trajectory
 
@@ -60,10 +60,8 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     res = run_strategy(cfg, cfg.strategy)
     if args.out_dir is not None and res.log is not None:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        res.log.to_csv(out / f"{cfg.strategy}_steps.csv")
-    _emit({"version": "1", "strategy": res.summary()}, args)
+        res.log.to_csv(output_dir(args.out_dir) / f"{cfg.strategy}_steps.csv")
+    _emit({"version": REPORT_VERSION, "strategy": res.summary()}, args)
     return EXIT_DIVERGED if res.aborted else EXIT_OK
 
 
@@ -96,10 +94,7 @@ def cmd_similarity(args) -> int:
     budget = assemble_budget(source, target)
     payload = stability_report(source, target, budget)
     if args.out_dir is not None:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "similarity.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2))
+        write_json(args.out_dir, "similarity.json", payload)
     _emit(payload, args)
     return EXIT_OK
 
@@ -109,11 +104,10 @@ def cmd_train_inverse(args) -> int:
     cfg.inverse_mode = "mlp"
     source = cfg.source.build()
     model = make_inverse(cfg, source)
-    out = Path(args.out_dir) if args.out_dir is not None else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir("." if args.out_dir is None else args.out_dir)
     path = out / "inverse_model.npz"
     model.save(path)
-    _emit({"version": "1", "model_path": str(path),
+    _emit({"version": REPORT_VERSION, "model_path": str(path),
            "validation_rmse": model.validation_rmse,
            "epochs_run": model.epochs_run}, args)
     return EXIT_OK
@@ -124,13 +118,11 @@ def cmd_ingest(args) -> int:
     traj = ingest_csv_trajectory(args.path, dt=cfg.trajectory.dt,
                                  time_column=cfg.trajectory.time_column,
                                  value_column=cfg.trajectory.value_column)
-    payload = {"version": "1", "samples": int(traj.samples.size),
+    payload = {"version": REPORT_VERSION, "samples": int(traj.samples.size),
                "dt": traj.dt, "duration_s": traj.duration,
                "max_abs": float(np.max(np.abs(traj.samples)))}
     if args.out_dir is not None:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        dest = out / "trajectory_resampled.csv"
+        dest = output_dir(args.out_dir) / "trajectory_resampled.csv"
         with open(dest, "w") as fh:
             fh.write("t,yd\n")
             for i, v in enumerate(traj.samples):
@@ -187,13 +179,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, PermissionError, IsADirectoryError, OSError) as err:
+    except TrainingDiverged as err:
+        print(f"training diverged: {err}", file=sys.stderr)
+        return EXIT_DIVERGED
+    except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as err:
+    except ValueError as err:  # ConfigError included
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -56,15 +56,16 @@ class ControlDecision:
 class AffineErrorOracle:
     """Exact error predictor for a known linear target.
 
-    Implements the online-module interface (predict / mean_derivative /
-    observe) from the target's lifted gains, for exactness checks:
+    Implements the online-module interface (full / predict /
+    mean_derivative / observe) from the target's lifted gains, for
+    exactness checks:
     e_p(k+r) = y_d(k+r) - lifted_A x - lifted_B u1.
     """
 
     def __init__(self, target):
         self.target = target
         self.n = target.n
-        self.size = 1  # never cold
+        self.full = True
 
     def observe(self, xi, e):
         return self
@@ -99,12 +100,11 @@ class TransferController:
             raise ValueError("relative degree must be >= 1")
 
     def select_gain(self, xi_query, u1_dim: int) -> float:
+        """The gain alpha; reached only once the online window is full."""
         if isinstance(self.gain, FixedGain):
             return float(self.gain.alpha)
         g = self.gain
-        denom = 0.0
-        if self.online is not None and getattr(self.online, "size", 0) > 0:
-            denom = self.online.mean_derivative(xi_query, u1_dim)
+        denom = self.online.mean_derivative(xi_query, u1_dim)
         if abs(denom) < EPS_GAIN_DENOMINATOR:
             # degenerate estimate: hold the last valid gain, else the floor
             return self._last_alpha if self._last_alpha is not None else g.floor
@@ -121,7 +121,7 @@ class TransferController:
         """One control decision; also retires the r-step-old pending record."""
         x = np.asarray(x, dtype=float)
         if len(self._pending) == self.r:
-            k0, x0, u0, yd_k = self._pending.popleft()
+            x0, u0, yd_k = self._pending.popleft()
             if self.online is not None:
                 xi = np.concatenate([x0, [u0], [yd_k]])
                 self.online.observe(xi, yd_k - y_now)
@@ -138,7 +138,7 @@ class TransferController:
             # gives derivative (hence gain) estimates of arbitrary sign,
             # and alpha * e_p with a wrong-sign gain can kick the plant
             # hard enough to poison the window it is learning from.
-            if getattr(self.online, "full", True):
+            if self.online.full:
                 alpha = self.select_gain(xi_query, u1_dim=x.shape[0])
                 self._last_alpha = alpha
                 u2 = alpha * e_p
@@ -151,7 +151,7 @@ class TransferController:
         if not np.isfinite(u) or abs(u) > self.u_max:
             raise SimulationDiverged(
                 f"input guard tripped: |u|={abs(u):.3e} exceeds {self.u_max:.3e}", k)
-        self._pending.append((k, x.copy(), u, float(y_d_future)))
+        self._pending.append((x.copy(), u, float(y_d_future)))
         return ControlDecision(u1=u1, e_p=e_p, variance=var, alpha=alpha, u2=u2, u=u)
 
 
@@ -191,16 +191,6 @@ class StepLog:
             w.writerow(["k"] + [f"x{i}" for i in range(n)] + list(LOG_COLUMNS))
             w.writerows([k] + [repr(v) for v in row]
                         for k, row in enumerate(data.tolist()))
-
-    @classmethod
-    def from_csv(cls, path) -> "StepLog":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            headers = next(reader)
-            rows = [[float(v) for v in row] for row in reader]
-        n = len(headers) - 1 - len(LOG_COLUMNS)
-        data = np.array(rows, dtype=float).reshape(-1, len(headers))
-        return cls(data[:, 1:1 + n], *data[:, 1 + n:].T)
 
 
 def track_trajectory(system, controller: TransferController, trajectory,

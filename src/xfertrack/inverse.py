@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .systems import EPS_GAIN, SimTrace
+from .systems import EPS_GAIN
 
 logger = logging.getLogger(__name__)
 

@@ -68,26 +68,23 @@ def iss_gains(system: LtiSystem, tol: float = DEFAULT_SERIES_TOL):
     shrinks (weakly) as tol shrinks. L2 = max_k ||A^k||, attained within
     the first m powers.
     """
-    A, B = system.A, system.B
+    A = system.A
     if not system.is_schur_stable:
         raise NotSchurStable("spectral radius >= 1")
-    # smallest m with ||A^m||_2 < 1
+    # smallest m with ||A^m||_2 < 1; L2 over k < m is the global max,
+    # since ||A^(qm+i)|| <= c^q ||A^i||, and ||A^0|| = 1
     P = np.eye(A.shape[0])
     m = 0
+    L2 = 1.0
     while True:
         P = P @ A
         m += 1
         c = np.linalg.norm(P, 2)
         if c < 1.0:
             break
+        L2 = max(L2, c)
         if m > 10_000:
             raise NotSchurStable("||A^m|| failed to contract (numerical)")
-    # L2 over k < m is the global max: ||A^(qm+i)|| <= c^q ||A^i||
-    Q = np.eye(A.shape[0])
-    L2 = 1.0
-    for _ in range(m):
-        L2 = max(L2, np.linalg.norm(Q, 2))
-        Q = Q @ A
     # series terms t_j = ||A^j B||
     terms = []
     v = system.B.copy()
@@ -184,7 +181,6 @@ class Lemma1Verdict:
     lhs: float
     rhs: float
     margin: float
-    alpha_max: float
 
 
 def lemma1_check(source: LtiSystem, target: LtiSystem, budget: StabilityBudget,
@@ -203,8 +199,7 @@ def lemma1_check(source: LtiSystem, target: LtiSystem, budget: StabilityBudget,
         status = "satisfied"
     else:
         status = "violated"
-    return Lemma1Verdict(status=status, lhs=lhs, rhs=rhs, margin=rhs - lhs,
-                         alpha_max=budget.alpha_max)
+    return Lemma1Verdict(status=status, lhs=lhs, rhs=rhs, margin=rhs - lhs)
 
 
 def nonlinear_similarity(source, target, x):

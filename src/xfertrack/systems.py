@@ -30,15 +30,15 @@ class IllDefinedRelativeDegree(ValueError):
 class SimulationDiverged(RuntimeError):
     """A simulation step produced a non-finite value or tripped the input guard.
 
-    Carries the failing step index and, when available, the partial trace
-    accumulated so far.
+    Carries the failing step index and, once simulate and track_trajectory
+    have attached them, the partial trace and step log accumulated so far.
     """
 
-    def __init__(self, message: str, step: int, partial_trace=None, partial_log=None):
+    def __init__(self, message: str, step: int):
         super().__init__(f"{message} (step {step})")
         self.step = step
-        self.partial_trace = partial_trace
-        self.partial_log = partial_log
+        self.partial_trace = None
+        self.partial_log = None
 
 
 def _as_state_matrices(A, B, C):
@@ -103,7 +103,18 @@ class LtiSystem:
 
     @property
     def zeros(self) -> np.ndarray:
-        return zeros_poles(self)[1]
+        """Transmission zeros: the finite generalized eigenvalues of the
+        system-matrix pencil [[A - zI, B], [C, 0]]."""
+        n = self.n
+        M = np.zeros((n + 1, n + 1))
+        M[:n, :n] = self.A
+        M[:n, n] = self.B
+        M[n, :n] = self.C
+        N = np.zeros((n + 1, n + 1))
+        N[:n, :n] = np.eye(n)
+        vals = sla.eig(M, N, right=False)
+        return np.array([z for z in vals
+                         if np.isfinite(z.real) and np.isfinite(z.imag)])
 
     @property
     def is_schur_stable(self) -> bool:
@@ -185,35 +196,11 @@ class SimTrace:
     states: np.ndarray
     inputs: np.ndarray
     outputs: np.ndarray
-    dt: float
 
     def __post_init__(self):
         T = self.inputs.shape[0]
         if self.states.shape[0] != T + 1 or self.outputs.shape[0] != T + 1:
             raise ValueError("trace arrays are misaligned")
-
-    def __len__(self):
-        return self.states.shape[0]
-
-
-def zeros_poles(system: LtiSystem):
-    """Poles (eigenvalues of A) and transmission zeros of an LTI system.
-
-    Zeros are the finite generalized eigenvalues of the system-matrix pencil
-    [[A - zI, B], [C, 0]].
-    """
-    A, b, c = system.A, system.B, system.C
-    n = system.n
-    poles = np.linalg.eigvals(A)
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = A
-    M[:n, n] = b
-    M[n, :n] = c
-    N = np.zeros((n + 1, n + 1))
-    N[:n, :n] = np.eye(n)
-    vals = sla.eig(M, N, right=False)
-    zeros = np.array([z for z in vals if np.isfinite(z.real) and np.isfinite(z.imag)])
-    return poles, zeros
 
 
 def step(system, x, u: float, k: Optional[int] = None) -> np.ndarray:
@@ -256,6 +243,6 @@ def simulate(system, policy, trajectory, x0=None) -> SimTrace:
     except SimulationDiverged as err:
         err.partial_trace = SimTrace(states=states[:k + 1].copy(),
                                      inputs=inputs[:k].copy(),
-                                     outputs=outputs[:k + 1].copy(), dt=trajectory.dt)
+                                     outputs=outputs[:k + 1].copy())
         raise
-    return SimTrace(states=states, inputs=inputs, outputs=outputs, dt=trajectory.dt)
+    return SimTrace(states=states, inputs=inputs, outputs=outputs)

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,6 +111,8 @@ def ingest_csv_trajectory(path, dt: float, time_column: str = "t",
     Time must be strictly increasing and all values finite. Resampling is
     linear interpolation with endpoints clamped.
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:

@@ -14,12 +14,10 @@ criterion is not met. The criteria pin:
   8. the documented scope of hardware-scale results.
 """
 
-import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from xfertrack.bench import run_comparison
 from xfertrack.control import (AffineErrorOracle, EstimatedGain,

@@ -1,13 +1,14 @@
 """Benchmark harness: config validation, metrics, strategy nesting,
 reproducible reports, and the gain sweep."""
 
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from xfertrack.bench import (BenchConfig, ConfigError, GainCfg, GpCfg, Metrics,
+from xfertrack.bench import (BenchConfig, ConfigError, GainCfg, GpCfg,
                              SystemCfg, TrajectoryCfg, alpha_sweep,
                              config_digest, default_benchmark_config, metrics,
                              run_comparison, run_strategy)
@@ -215,7 +216,36 @@ def test_warm_metrics_reported_for_online(bench_report):
     assert "rms_tracking_warm" not in bench_report.strategies["offline"]
 
 
+@pytest.mark.parametrize("duration, warm", [(0.012, False), (0.024, True)])
+def test_warm_metrics_need_a_step_past_the_window(duration, warm):
+    # 8 steps end before the window fills at k = 15, 16 steps reach it; the
+    # comparison reports all three strategies either way
+    rep = run_comparison(short_config(duration=duration))
+    on = rep.strategies["online"]
+    assert not on["aborted"]
+    assert ("rms_tracking_warm" in on) is warm
+    assert ("rms_prediction_warm" in on) is warm
+    for s in rep.strategies.values():
+        assert s["rms_tracking"] is not None
+
+
 # -- comparison runs -----------------------------------------------------------
+
+
+def test_analytic_comparison_digests_pinned(tmp_path):
+    # the regression oracle for changes meant to be bit-identical; a change
+    # that moves these values updates them and says so
+    rep = run_comparison(short_config(duration=4.0), out_dir=tmp_path)
+    assert rep.digest() == (
+        "6b6e7c306f93710dcfd010dae07d547aab5d1536ece70c743d46071573537b18")
+    csv_sha256 = {
+        "baseline": "ba6f3fb88c73f14d896e1ca35636585f6df7cb7fc8604f46031e39456f4a0cd5",
+        "offline": "014effe75b410a3f99bf7df3d93ee7d647a84279fff9b9e02946087fa669208f",
+        "online": "76594837942e56e54858d319c4394eac0055b7f87ae94debaac5557ed3a5558b",
+    }
+    for name, want in csv_sha256.items():
+        data = (tmp_path / f"{name}_steps.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == want, name
 
 
 def test_comparison_report_is_reproducible(tmp_path):

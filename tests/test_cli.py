@@ -178,6 +178,19 @@ def test_train_inverse_saves_loadable_model(tmp_path, capsys):
     assert np.isfinite(model.reference(np.zeros(2), 0.5))
 
 
+@pytest.mark.parametrize("command", ["compare", "train-inverse"])
+def test_training_divergence_exit_code(tmp_path, capsys, command):
+    cfg = default_benchmark_config()
+    cfg = replace(cfg, trajectory=replace(cfg.trajectory, duration_s=0.3),
+                  mlp=replace(cfg.mlp, learning_rate=1e300, epochs=2,
+                              train_duration_s=0.3))
+    path = tmp_path / "diverge.yaml"
+    cfg.to_yaml(path)
+    code = main([command, "--config", str(path), "--out-dir", str(tmp_path)])
+    assert code == EXIT_DIVERGED
+    assert "training loss became non-finite" in capsys.readouterr().err
+
+
 # -- ingest --------------------------------------------------------------------
 
 
@@ -202,6 +215,19 @@ def test_ingest_roundtrip(tmp_path, capsys):
 def test_ingest_missing_file(capsys):
     code, _ = run_cli(capsys, "ingest", "/nonexistent/traj.csv")
     assert code == EXIT_IO
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.001])
+def test_ingest_bad_dt_is_config_error(tmp_path, capsys, dt):
+    src = tmp_path / "traj.csv"
+    src.write_text("t,yd\n0.0,0.0\n1.0,1.0\n")
+    cfg = default_benchmark_config()
+    cfg = replace(cfg, trajectory=replace(cfg.trajectory, dt=dt))
+    path = tmp_path / "dt.yaml"
+    cfg.to_yaml(path)
+    code = main(["ingest", str(src), "--config", str(path)])
+    assert code == EXIT_CONFIG
+    assert "dt must be positive and finite" in capsys.readouterr().err
 
 
 def test_ingest_missing_column(tmp_path, capsys):

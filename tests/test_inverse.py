@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xfertrack.bench import default_benchmark_config, run_strategy
+from xfertrack.bench import run_strategy
 from xfertrack.inverse import (AnalyticInverse, InverseDataset, MlpInverseModel,
                                SingularInverse, TrainingConfig,
                                TrainingDiverged, build_inverse_dataset,
@@ -17,11 +17,11 @@ from xfertrack.trajectory import SinusoidTrajectory
 from helpers import affine_lstsq_inverse, source_system
 
 
-def toy_trace(T, n=2, seed=0, dt=1.5e-3):
+def toy_trace(T, n=2, seed=0):
     rng = np.random.default_rng(seed)
     return SimTrace(states=rng.standard_normal((T + 1, n)),
                     inputs=rng.standard_normal(T),
-                    outputs=rng.standard_normal(T + 1), dt=dt)
+                    outputs=rng.standard_normal(T + 1))
 
 
 # -- dataset extraction --------------------------------------------------------
@@ -61,7 +61,7 @@ def test_all_traces_too_short_raises():
 
 def test_zero_trace_gives_zero_labels():
     trace = SimTrace(states=np.zeros((11, 2)), inputs=np.zeros(10),
-                     outputs=np.zeros(11), dt=1.5e-3)
+                     outputs=np.zeros(11))
     ds = build_inverse_dataset([trace], r=1)
     np.testing.assert_array_equal(ds.labels, 0.0)
 

@@ -7,7 +7,7 @@ import pytest
 from helpers import source_system, target_system
 from xfertrack.systems import (IllDefinedRelativeDegree, LtiSystem,
                                NonlinearSystem, SimTrace, SimulationDiverged,
-                               simulate, step, zeros_poles)
+                               simulate, step)
 from xfertrack.trajectory import SinusoidTrajectory
 
 
@@ -123,11 +123,13 @@ def test_io_terms_match_lifted_map():
 
 def test_zeros_poles_benchmark_values():
     # source: poles {0.3, 0.5}, zero {0.2}; target: poles {0.4, 0.6}, zero {0.1}
-    poles_s, zeros_s = zeros_poles(source_system())
+    src = source_system()
+    poles_s, zeros_s = src.poles, src.zeros
     np.testing.assert_allclose(sorted(poles_s.real), [0.3, 0.5], atol=1e-9)
     assert np.max(np.abs(poles_s.imag)) < 1e-9
     np.testing.assert_allclose(zeros_s.real, [0.2], atol=1e-9)
-    poles_t, zeros_t = zeros_poles(target_system())
+    tgt = target_system()
+    poles_t, zeros_t = tgt.poles, tgt.zeros
     np.testing.assert_allclose(sorted(poles_t.real), [0.4, 0.6], atol=1e-9)
     np.testing.assert_allclose(zeros_t.real, [0.1], atol=1e-9)
 
@@ -264,4 +266,4 @@ def test_simulate_bad_x0_shape():
 def test_simtrace_misaligned_rejected():
     with pytest.raises(ValueError):
         SimTrace(states=np.zeros((3, 1)), inputs=np.zeros(3),
-                 outputs=np.zeros(3), dt=1.0)
+                 outputs=np.zeros(3))
