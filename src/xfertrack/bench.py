@@ -56,9 +56,12 @@ class TrajectoryCfg:
     value_column: str = "yd"
 
     def build(self):
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if self.kind == "sinusoid":
+            if not 0 < self.duration_s < math.inf:
+                raise ConfigError("duration_s must be positive and finite, "
+                                  f"got {self.duration_s}")
             if not (len(self.amplitudes) == len(self.periods_s) == len(self.phases)):
                 raise ConfigError("sinusoid component lists must align")
             if any(p <= 0 for p in self.periods_s):
@@ -269,11 +272,13 @@ def make_inverse(cfg: BenchConfig, source: LtiSystem):
 
 def build_training_dataset(cfg: BenchConfig, source: LtiSystem) -> InverseDataset:
     """Excitation protocol: drive the source with each reference sinusoid
-    passed through as the input, then pair (x(k), y(k+r)) -> u(k)."""
+    passed through as the input, then pair (x(k), y(k+r)) -> u(k). The
+    references are rolled as one stack of runs."""
     refs = training_references(dt=cfg.trajectory.dt,
                                duration=cfg.mlp.train_duration_s)
-    traces = [simulate(source, lambda k, x, ydf: ydf, ref) for ref in refs]
-    return build_inverse_dataset(traces, r=source.r, subsample=cfg.mlp.subsample)
+    stack = simulate(source, lambda k, x, ydf: ydf, refs)
+    return build_inverse_dataset(stack.members(), r=source.r,
+                                 subsample=cfg.mlp.subsample)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 configuration error, 3 divergence in a required
-strategy or in MLP training, 4 I/O error.
+strategy, in the excitation rollout or in MLP training, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .bench import (REPORT_VERSION, BenchConfig, alpha_sweep,
                     run_comparison, run_strategy, write_json)
 from .inverse import TrainingDiverged
 from .stability import assemble_budget, stability_report
+from .systems import SimulationDiverged
 from .trajectory import ingest_csv_trajectory
 
 EXIT_OK = 0
@@ -181,6 +182,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except TrainingDiverged as err:
         print(f"training diverged: {err}", file=sys.stderr)
+        return EXIT_DIVERGED
+    except SimulationDiverged as err:
+        print(f"simulation diverged: {err}", file=sys.stderr)
         return EXIT_DIVERGED
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)

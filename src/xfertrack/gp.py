@@ -70,11 +70,17 @@ def kernel(xi, xj, hyper: GpHyperparams) -> float:
 
 
 def _scaled_sq_dist(X, Z, ls: float) -> np.ndarray:
-    """Squared distances between the rows of X / ls and Z / ls."""
+    """Squared distances between the rows of X / ls and Z / ls; X is Z
+    scales and squares the rows once."""
     Xs = X / ls
-    Zs = Z / ls
-    sq = (np.sum(Xs ** 2, axis=1)[:, None] + np.sum(Zs ** 2, axis=1)[None, :]
-          - 2.0 * Xs @ Zs.T)
+    nx = (Xs ** 2).sum(axis=1)
+    Zs, nz = Xs, nx
+    if Z is not X:
+        Zs = Z / ls
+        nz = (Zs ** 2).sum(axis=1)
+    # 2.0 * Xs is its own array, so the product stays a gemm even when
+    # Zs is Xs: numpy would switch Xs @ Xs.T to syrk, which rounds differently
+    sq = nx[:, None] + nz[None, :] - 2.0 * Xs @ Zs.T
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -177,6 +183,7 @@ class GpWindowModel:
         self._cache = None  # _Factor of the current window
         self._basis = None  # (kind, H, tau^2 H H') of the current window
         self._last_factor = None  # of the latest log_marginal_likelihood call
+        self._query = None  # (xi bytes, k(xi, X)) of the latest query
         # Latest basis coefficient estimate and the prior mean c of the next
         # factorization (None: zero). Directions the window cannot identify
         # (collinear inputs on a converged trajectory) so hold their last
@@ -210,8 +217,12 @@ class GpWindowModel:
                            self.rejected_count)
             return self
         if self.size == self.capacity:
-            self._X = np.vstack([self._X[1:], xi])
-            self._y = np.concatenate([self._y[1:], [float(e)]])
+            # slide in place. A factor's y may alias _y, but only the
+            # likelihood evaluation that made the factor reads it.
+            self._X[:-1] = self._X[1:]
+            self._X[-1] = xi
+            self._y[:-1] = self._y[1:]
+            self._y[-1] = float(e)
         else:
             self._X = np.vstack([self._X, xi])
             self._y = np.concatenate([self._y, [float(e)]])
@@ -258,6 +269,7 @@ class GpWindowModel:
     def _refresh(self, f: _Factor | None = None):
         """Cache the factorization of the current window, f when it is
         already at hand."""
+        self._query = None
         if self.size == 0:
             self._cache = None
             return
@@ -285,7 +297,7 @@ class GpWindowModel:
         if self.size == 0:
             return 0.0, math.inf
         c = self._cache
-        ks = _kernel_matrix(xi[None, :], self._X, self.hyper)[0]
+        ks = self._query_kernel(xi)
         hs = basis_features(xi[None, :], self.hyper.basis)[0]
         mean = float(hs @ self._beta + ks @ c.a)
         # prior covariance of the folded model: k + tau^2 h' h
@@ -293,6 +305,15 @@ class GpWindowModel:
         v = dtrtrs(c.L, ks + tau2 * (c.H @ hs), lower=1)[0]
         var = self.hyper.signal_variance + tau2 * float(hs @ hs) - float(v @ v)
         return mean, max(var, 0.0)
+
+    def _query_kernel(self, xi: np.ndarray) -> np.ndarray:
+        """k(xi, X) on the current window. The controller asks predict and
+        mean_derivative at the same query, so the latest one is kept until
+        the next _refresh."""
+        key = xi.tobytes()
+        if self._query is None or self._query[0] != key:
+            self._query = key, _kernel_matrix(xi[None, :], self._X, self.hyper)[0]
+        return self._query[1]
 
     def mean_derivative(self, xi, dim: int) -> float:
         """d mean / d xi_dim at xi, combining kernel and basis terms.
@@ -303,7 +324,7 @@ class GpWindowModel:
             raise ValueError(f"dim must be in 0..{self.dim - 1}")
         if self.size == 0:
             return 0.0
-        ks = _kernel_matrix(xi[None, :], self._X, self.hyper)[0]
+        ks = self._query_kernel(xi)
         dks = -((xi[dim] - self._X[:, dim]) / self.hyper.length_scale ** 2) * ks
         out = float(dks @ self._cache.a)
         if self._beta.size:

@@ -8,7 +8,9 @@ the relative degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -191,7 +193,8 @@ class NonlinearSystem:
 
 @dataclass(frozen=True)
 class SimTrace:
-    """States (T+1, n), inputs (T,), outputs (T+1,) of one simulation run."""
+    """States (T+1, n), inputs (T,), outputs (T+1,) of one simulation run,
+    or (T+1, R, n), (T, R), (T+1, R) of a stack of R runs."""
 
     states: np.ndarray
     inputs: np.ndarray
@@ -202,10 +205,41 @@ class SimTrace:
         if self.states.shape[0] != T + 1 or self.outputs.shape[0] != T + 1:
             raise ValueError("trace arrays are misaligned")
 
+    def members(self) -> list:
+        """The per-run traces of a stacked simulation, in stack order."""
+        return [SimTrace(states=self.states[:, i], inputs=self.inputs[:, i],
+                         outputs=self.outputs[:, i])
+                for i in range(self.inputs.shape[1])]
 
-def step(system, x, u: float, k: Optional[int] = None) -> np.ndarray:
-    """One plant step with divergence checking."""
-    x_next = system.step(np.asarray(x, dtype=float), float(u))
+
+class _LtiStack:
+    """R copies of an LtiSystem stepped together: states (R, n), inputs (R,).
+
+    Each member's update and output is its own matrix-vector product, so a
+    member gets the bits of LtiSystem.step and LtiSystem.output on its own
+    state. X @ A.T (one matrix-matrix product) and X @ C do not: they
+    differ in the last bit on a sizeable share of states.
+    """
+
+    def __init__(self, system: LtiSystem):
+        self.A = system.A
+        self.B = system.B
+        self.C = system.C[:, None]
+
+    def step(self, X, u) -> np.ndarray:
+        return (self.A @ X[..., None])[..., 0] + self.B * u[..., None]
+
+    def output(self, X) -> np.ndarray:
+        return (X[..., None, :] @ self.C)[..., 0, 0]
+
+
+def _all_finite(a) -> bool:
+    return bool(np.isfinite(a).all())
+
+
+def step(system, x, u, k: Optional[int] = None) -> np.ndarray:
+    """One plant step with divergence checking; x and u may be a stack."""
+    x_next = system.step(np.asarray(x, dtype=float), u)
     if not np.isfinite(x_next).all():
         raise SimulationDiverged("state became non-finite", -1 if k is None else k)
     return x_next
@@ -218,28 +252,46 @@ def simulate(system, policy, trajectory, x0=None) -> SimTrace:
     output r steps ahead. Deterministic: identical arguments produce a
     bit-identical trace. When the policy or the plant raises
     SimulationDiverged at step k, the error carries the trace up to x(k).
+
+    A list or tuple of R trajectories with equal n_steps rolls R runs of an
+    LtiSystem at once: the policy sees states (R, n) and previews (R,) and
+    returns R inputs, and the trace holds states (T+1, R, n), inputs (T, R)
+    and outputs (T+1, R), each member bit-identical to its own run. The
+    stack diverges at the first step where any member does.
     """
     r = system.r
-    T = trajectory.n_steps
-    yd = trajectory.values(T + r)
-    x = np.zeros(system.n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if x.shape != (system.n,):
-        raise ValueError(f"x0 must have shape ({system.n},)")
-    states = np.empty((T + 1, system.n))
-    inputs = np.empty(T)
-    outputs = np.empty(T + 1)
+    if isinstance(trajectory, (list, tuple)):
+        if not isinstance(system, LtiSystem):
+            raise TypeError("only an LtiSystem simulates a stack of runs")
+        T = trajectory[0].n_steps
+        if any(traj.n_steps != T for traj in trajectory):
+            raise ValueError("stacked trajectories must have equal n_steps")
+        yd = np.stack([traj.values(T + r) for traj in trajectory], axis=1)
+        plant, shape = _LtiStack(system), (len(trajectory), system.n)
+        as_input, finite = partial(np.asarray, dtype=float), _all_finite
+    else:
+        T = trajectory.n_steps
+        yd = trajectory.values(T + r)
+        plant, shape = system, (system.n,)
+        as_input, finite = float, math.isfinite
+    x = np.zeros(shape) if x0 is None else np.asarray(x0, dtype=float).copy()
+    if x.shape != shape:
+        raise ValueError(f"x0 must have shape {shape}")
+    states = np.empty((T + 1,) + shape)
+    inputs = np.empty((T,) + shape[:-1])
+    outputs = np.empty((T + 1,) + shape[:-1])
     states[0] = x
-    outputs[0] = system.output(x)
+    outputs[0] = plant.output(x)
     k = 0
     try:
         for k in range(T):
-            u = float(policy(k, x, yd[k + r]))
-            if not np.isfinite(u):
+            u = as_input(policy(k, x, yd[k + r]))
+            if not finite(u):
                 raise SimulationDiverged("policy produced a non-finite input", k)
             inputs[k] = u
-            x = step(system, x, u, k)
+            x = step(plant, x, u, k)
             states[k + 1] = x
-            outputs[k + 1] = system.output(x)
+            outputs[k + 1] = plant.output(x)
     except SimulationDiverged as err:
         err.partial_trace = SimTrace(states=states[:k + 1].copy(),
                                      inputs=inputs[:k].copy(),

@@ -27,8 +27,10 @@ class SinusoidTrajectory:
     def __post_init__(self):
         if not (len(self.amplitudes) == len(self.angular_freqs) == len(self.phases)):
             raise ValueError("component tuples must have equal length")
-        if self.dt <= 0 or self.duration <= 0:
-            raise ValueError("dt and duration must be positive")
+        for name in ("dt", "duration"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def n_steps(self) -> int:

@@ -10,7 +10,8 @@ import pytest
 
 from xfertrack.bench import (BenchConfig, ConfigError, GainCfg, GpCfg,
                              SystemCfg, TrajectoryCfg, alpha_sweep,
-                             config_digest, default_benchmark_config, metrics,
+                             build_training_dataset, config_digest,
+                             default_benchmark_config, metrics,
                              run_comparison, run_strategy)
 from xfertrack.inverse import AnalyticInverse
 from xfertrack.trajectory import make_test_trajectory
@@ -51,6 +52,16 @@ def test_bundled_config_digests_pinned():
         "3393b8152c89cd6ba6f586adf5d74b7ecfc6b8f99753fc41865970d1fc85baec")
     assert config_digest(default_benchmark_config(inverse_mode="analytic")) == (
         "218e301dad5140e038b0c36cd7b28c3ab837b8d3357e3dc3dc2f8a8efd8abb62")
+
+
+def test_excitation_dataset_pinned():
+    # the MLP's training pairs from the bundled source, shortened to 2 s
+    # per excitation sinusoid
+    cfg = default_benchmark_config()
+    cfg = replace(cfg, mlp=replace(cfg.mlp, train_duration_s=2.0))
+    ds = build_training_dataset(cfg, cfg.source.build())
+    assert hashlib.sha256(ds.inputs.tobytes() + ds.labels.tobytes()).hexdigest() == (
+        "9ea4aa6712dea614288d800e08ff490c0b02a9f6a85e4056cda4c1292d0fca21")
 
 
 def test_bad_system_matrices():
@@ -137,6 +148,14 @@ def test_gp_basis_prior_variance_validated(tau2):
 def test_gp_nonfinite_settings_rejected(field, value):
     with pytest.raises(ValueError, match="finite"):
         replace(GpCfg(), **{field: value}).build(dim=4)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dt", math.nan), ("dt", math.inf), ("duration_s", math.nan),
+    ("duration_s", math.inf)])
+def test_nonfinite_trajectory_timing_rejected(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be positive and finite"):
+        replace(TrajectoryCfg(), **{field: value}).build()
 
 
 def test_default_trajectory_matches_reference_signal():

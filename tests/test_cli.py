@@ -191,6 +191,34 @@ def test_training_divergence_exit_code(tmp_path, capsys, command):
     assert "training loss became non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("command", ["compare", "train-inverse"])
+def test_excitation_divergence_exit_code(tmp_path, capsys, command):
+    # an unstable source blows up the excitation rollout before training
+    cfg = default_benchmark_config()
+    cfg = replace(cfg, source=replace(cfg.source, a=[[0.0, 1.0], [-0.5, 2.0]]),
+                  trajectory=replace(cfg.trajectory, duration_s=0.3),
+                  mlp=replace(cfg.mlp, epochs=2, train_duration_s=3.0))
+    path = tmp_path / "unstable.yaml"
+    cfg.to_yaml(path)
+    code = main([command, "--config", str(path), "--out-dir", str(tmp_path)])
+    assert code == EXIT_DIVERGED
+    assert "state became non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dt", float("nan")), ("dt", float("inf")), ("duration_s", float("inf"))])
+def test_nonfinite_trajectory_timing_is_config_error(tmp_path, capsys,
+                                                     field, value):
+    cfg = default_benchmark_config(inverse_mode="analytic")
+    cfg = replace(cfg, trajectory=replace(cfg.trajectory, **{field: value}))
+    path = tmp_path / "timing.yaml"
+    cfg.to_yaml(path)
+    code = main(["compare", "--config", str(path)])
+    assert code == EXIT_CONFIG
+    assert f"{field} must be positive and finite" in capsys.readouterr().err
+
+
 # -- ingest --------------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import LinAlgError
 
 from xfertrack.gp import (BASIS_KINDS, GpHyperparams, GpWindowModel,
-                          basis_features, kernel)
+                          _kernel_matrix, basis_features, kernel)
 
 
 def filled_model(rng, dim=3, n=15, **kwargs):
@@ -267,6 +267,39 @@ def test_mean_derivative_matches_finite_differences():
         hi[dim] += h
         fd = (gp.predict(hi)[0] - gp.predict(lo)[0]) / (2 * h)
         assert abs(analytic - fd) <= 1e-4 * max(abs(fd), 1e-8)
+
+
+@pytest.mark.parametrize("basis", BASIS_KINDS)
+def test_query_memo_never_stale(basis):
+    # predict and mean_derivative share k(xi, X) at a repeated query; after
+    # every observe (slides and refits included) and explicit refit, each
+    # result must equal a recomputation with the memo cleared, and the memo
+    # must hold _kernel_matrix on the current window and hyperparameters
+    rng = np.random.default_rng(BASIS_KINDS.index(basis))
+    gp = GpWindowModel(dim=3, capacity=6, refit_stride=4, max_fit_evals=10,
+                       hyper=GpHyperparams(basis=basis))
+    queries = [rng.standard_normal(3) for _ in range(3)]
+
+    def recomputed(method, *args):
+        gp._query = None
+        return getattr(gp, method)(*args)
+
+    for _ in range(120):
+        action = rng.integers(4)
+        if action == 0 or gp.size == 0:
+            xi = rng.standard_normal(3)
+            gp.observe(xi, float(np.sin(xi).sum()))
+        elif action == 1:
+            gp.fit_hyperparams()
+        else:
+            q = (queries[rng.integers(3)] if rng.random() < 0.7
+                 else rng.standard_normal(3))
+            method, args = (("predict", (q,)) if action == 2
+                            else ("mean_derivative", (q, int(rng.integers(3)))))
+            got = getattr(gp, method)(*args)
+            assert np.array_equal(gp._query[1],
+                                  _kernel_matrix(q[None, :], gp._X, gp.hyper)[0])
+            assert got == recomputed(method, *args)
 
 
 def test_derivative_dim_bounds():

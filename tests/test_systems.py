@@ -4,7 +4,7 @@ simulation plumbing."""
 import numpy as np
 import pytest
 
-from helpers import source_system, target_system
+from helpers import random_stable_system, source_system, target_system
 from xfertrack.systems import (IllDefinedRelativeDegree, LtiSystem,
                                NonlinearSystem, SimTrace, SimulationDiverged,
                                simulate, step)
@@ -261,6 +261,62 @@ def test_simulate_bad_x0_shape():
     with pytest.raises(ValueError):
         simulate(target_system(), lambda k, x, ydf: 0.0, flat_trajectory(),
                  x0=np.zeros(3))
+
+
+# -- stacked simulation --------------------------------------------------------
+
+
+def sinusoid(amplitude, omega, steps=200, dt=0.05):
+    return SinusoidTrajectory(amplitudes=(amplitude,), angular_freqs=(omega,),
+                              phases=(0.0,), offset=0.0, dt=dt,
+                              duration=steps * dt)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_simulate_matches_single_runs(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        sys_ = random_stable_system(rng, n)
+        trajs = [sinusoid(*rng.uniform(0.1, 3.0, 2)) for _ in range(7)]
+        x0 = rng.standard_normal((len(trajs), n))
+
+        def policy(k, x, ydf):  # depends on the state, for a single or a stack
+            return ydf - 0.3 * x[..., 0]
+
+        stack = simulate(sys_, policy, trajs, x0=x0)
+        assert stack.states.shape == (201, len(trajs), n)
+        for i, (traj, member) in enumerate(zip(trajs, stack.members())):
+            single = simulate(sys_, policy, traj, x0=x0[i])
+            assert np.array_equal(member.states, single.states)
+            assert np.array_equal(member.inputs, single.inputs)
+            assert np.array_equal(member.outputs, single.outputs)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_stacked_simulate_diverges_at_first_member_divergence():
+    unstable = LtiSystem([[2.0]], [1.0], [1.0])
+    trajs = [flat_trajectory(value=v, steps=2000) for v in (1.0, 1e200, 1e100)]
+    with pytest.raises(SimulationDiverged) as stacked:
+        simulate(unstable, lambda k, x, ydf: ydf, trajs)
+    with pytest.raises(SimulationDiverged) as first:
+        simulate(unstable, lambda k, x, ydf: ydf, trajs[1])
+    k = first.value.step
+    assert stacked.value.step == k
+    partial = stacked.value.partial_trace
+    assert partial.states.shape == (k + 1, 3, 1)
+    assert partial.inputs.shape == (k, 3)
+    assert np.isfinite(partial.states).all()
+    calm = simulate(unstable, lambda k, x, ydf: ydf,
+                    flat_trajectory(value=1.0, steps=k))
+    assert np.array_equal(partial.members()[0].states, calm.states)
+    assert np.array_equal(partial.members()[1].states,
+                          first.value.partial_trace.states)
+
+
+def test_stacked_simulate_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="equal n_steps"):
+        simulate(target_system(), lambda k, x, ydf: ydf,
+                 [flat_trajectory(steps=5), flat_trajectory(steps=6)])
 
 
 def test_simtrace_misaligned_rejected():

@@ -80,6 +80,17 @@ def test_positive_dt_and_duration_required():
                            phases=(0.0,), offset=0.0, dt=0.1, duration=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dt", math.nan), ("dt", math.inf), ("duration", math.nan),
+    ("duration", math.inf)])
+def test_finite_dt_and_duration_required(field, value):
+    kwargs = dict(amplitudes=(1.0,), angular_freqs=(1.0,), phases=(0.0,),
+                  offset=0.0, dt=0.1, duration=1.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        SinusoidTrajectory(**kwargs)
+
+
 # -- training grid -------------------------------------------------------------
 
 
