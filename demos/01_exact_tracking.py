@@ -9,8 +9,7 @@
 
 import numpy as np
 
-from xfertrack import (AnalyticInverse, LtiSystem, make_test_trajectory,
-                       simulate)
+from xfertrack import AnalyticInverse, LtiSystem, TrajectoryCfg, simulate
 
 source = LtiSystem([[0.0, 1.0], [-0.15, 0.8]], [0.0, 1.0], [-0.2, 1.0])
 print(f"source system: n={source.n}, relative degree r={source.r}")
@@ -19,7 +18,7 @@ print(f"lifted gains: A_l={source.lifted_A}, B_l={source.lifted_B}")
 print(f"minimum phase: {source.is_minimum_phase}")
 
 inverse = AnalyticInverse(source)
-traj = make_test_trajectory()
+traj = TrajectoryCfg().build()  # the bundled test signal
 print(f"\ntracking {traj.n_steps} steps of the test signal "
       f"({traj.n_steps * traj.dt:.0f} s at dt={traj.dt} s)")
 

@@ -7,12 +7,11 @@ from .systems import (EPS_GAIN, EPS_RELATIVE_DEGREE, IllDefinedRelativeDegree,
                       LtiSystem, NonlinearSystem, SimTrace, SimulationDiverged,
                       simulate, step)
 from .trajectory import (SampledTrajectory, SinusoidTrajectory,
-                         ingest_csv_trajectory, make_test_trajectory,
-                         training_references)
+                         ingest_csv_trajectory, training_references)
 from .inverse import (AnalyticInverse, InverseDataset, MlpInverseModel,
                       SingularInverse, TrainingConfig, TrainingDiverged,
                       build_inverse_dataset, train_mlp)
-from .gp import GpHyperparams, GpWindowModel, kernel
+from .gp import GpCfg, GpHyperparams, GpWindowModel, kernel
 from .control import (AffineErrorOracle, EstimatedGain, FixedGain, StepLog,
                       TransferController, track_trajectory)
 from .stability import (AssumptionViolation, Lemma1Verdict, NotSchurStable,
@@ -20,7 +19,7 @@ from .stability import (AssumptionViolation, Lemma1Verdict, NotSchurStable,
                         assemble_budget, fit_prediction_budget, iss_gains,
                         lemma1_check, nonlinear_similarity, similarity,
                         stability_report)
-from .bench import (BenchConfig, ConfigError, GainCfg, GpCfg, Metrics,
+from .bench import (BenchConfig, ConfigError, GainCfg, Metrics,
                     RunReport, StrategyResult, SystemCfg, TrajectoryCfg,
                     alpha_sweep, config_digest, default_benchmark_config,
                     metrics, run_comparison, run_strategy)

@@ -15,7 +15,7 @@ import yaml
 
 from .control import (EstimatedGain, FixedGain, StepLog, TransferController,
                       track_trajectory)
-from .gp import GpHyperparams, GpWindowModel
+from .gp import GpCfg, GpWindowModel
 from .inverse import (AnalyticInverse, InverseDataset, TrainingConfig,
                       build_inverse_dataset, train_mlp)
 from .systems import LtiSystem, SimulationDiverged, simulate
@@ -44,6 +44,10 @@ class SystemCfg:
 
 @dataclass
 class TrajectoryCfg:
+    """The desired output. The defaults are the benchmark test signal
+    sin(2*pi/8 t) + cos(2*pi/16 t) - 1 over 48 s, the cosine phrased as a
+    quarter-phase sine."""
+
     kind: str = "sinusoid"            # "sinusoid" | "csv"
     amplitudes: list = field(default_factory=lambda: [1.0, 1.0])
     periods_s: list = field(default_factory=lambda: [8.0, 16.0])
@@ -81,41 +85,12 @@ class TrajectoryCfg:
 
 
 @dataclass
-class GpCfg:
-    capacity: int = 15
-    basis: str = "quadratic"
-    optimize: bool = True
-    fit_noise: bool = True
-    refit_stride: int = 1
-    min_fit_size: int = 5
-    basis_prior_variance: float = 1e4
-    length_scale0: float = 1.0
-    signal_variance0: float = 1.0
-    noise_variance0: float = 1e-6
-    max_fit_evals: int = 100
-
-    def build(self, dim: int) -> GpWindowModel:
-        if self.capacity < 1:
-            raise ConfigError("gp capacity must be >= 1")
-        hyper = GpHyperparams(length_scale=self.length_scale0,
-                              signal_variance=self.signal_variance0,
-                              noise_variance=self.noise_variance0,
-                              basis=self.basis)
-        return GpWindowModel(dim=dim, capacity=self.capacity, hyper=hyper,
-                             basis_prior_variance=self.basis_prior_variance,
-                             optimize=self.optimize, fit_noise=self.fit_noise,
-                             refit_stride=self.refit_stride,
-                             min_fit_size=self.min_fit_size,
-                             max_fit_evals=self.max_fit_evals)
-
-
-@dataclass
 class GainCfg:
     mode: str = "estimated"   # "estimated" | "fixed"
     alpha: float = 1.0
-    floor: float = 0.05
-    cap: float = 20.0
-    smoothing: float | None = None
+    floor: float = EstimatedGain.floor
+    cap: float = EstimatedGain.cap
+    smoothing: float | None = EstimatedGain.smoothing
 
     def build(self):
         if self.mode == "fixed":
@@ -327,7 +302,7 @@ def run_strategy(cfg: BenchConfig, strategy: str, inverse=None,
             inverse = make_inverse(cfg, source)
         online = gain = None
         if strategy == "online":
-            online = cfg.gp.build(dim=target.n + 2)
+            online = GpWindowModel(target.n + 2, cfg.gp)
             gain = cfg.gain.build()
             if alpha_override is not None:
                 gain = FixedGain(alpha=alpha_override)
@@ -393,13 +368,17 @@ def run_comparison(cfg: BenchConfig, out_dir=None) -> RunReport:
     trajectory and initial state. A divergence aborts only the strategy
     it occurred in."""
     t0 = time.perf_counter()
+    # the baseline needs no inverse; running it first builds and checks
+    # the systems and the trajectory before the MLP is trained
+    runs = {"baseline": run_strategy(cfg, "baseline")}
     inverse = make_inverse(cfg, cfg.source.build())
     val_rmse = getattr(inverse, "validation_rmse", None)
+    for strat in ("offline", "online"):
+        runs[strat] = run_strategy(cfg, strat, inverse=inverse)
     results = {}
     log_paths = {}
     logs = {}
-    for strat in ("baseline", "offline", "online"):
-        res = run_strategy(cfg, strat, inverse=inverse)
+    for strat, res in runs.items():
         results[strat] = res.summary()
         logs[strat] = res.log
         if out_dir is not None and res.log is not None:
@@ -420,6 +399,9 @@ def alpha_sweep(cfg: BenchConfig, alphas, out_dir=None) -> dict:
 
     Divergence is a recorded outcome here, not an error."""
     source = cfg.source.build()
+    # a bad target or trajectory section fails here, before MLP training
+    cfg.target.build()
+    cfg.trajectory.build()
     inverse = make_inverse(cfg, source)
     rows = []
     for alpha in alphas:

@@ -42,6 +42,10 @@ class EstimatedGain:
     cap: float = 20.0
     smoothing: Optional[float] = None
 
+    def clamp(self, alpha: float) -> float:
+        """alpha with its magnitude clamped to [floor, cap]."""
+        return math.copysign(min(max(abs(alpha), self.floor), self.cap), alpha)
+
 
 @dataclass(frozen=True)
 class ControlDecision:
@@ -109,13 +113,11 @@ class TransferController:
             # degenerate estimate: hold the last valid gain, else the floor
             return self._last_alpha if self._last_alpha is not None else g.floor
         alpha = -1.0 / denom
-        alpha = math.copysign(min(max(abs(alpha), g.floor), g.cap), alpha)
         if g.smoothing is not None and self._last_alpha is not None:
-            alpha = g.smoothing * self._last_alpha + (1.0 - g.smoothing) * alpha
+            alpha = g.smoothing * self._last_alpha + (1.0 - g.smoothing) * g.clamp(alpha)
             if alpha == 0.0:
                 alpha = g.floor
-            alpha = math.copysign(min(max(abs(alpha), g.floor), g.cap), alpha)
-        return alpha
+        return g.clamp(alpha)
 
     def control_step(self, k: int, x, y_d_future: float, y_now: float) -> ControlDecision:
         """One control decision; also retires the r-step-old pending record."""

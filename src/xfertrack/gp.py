@@ -59,6 +59,25 @@ class GpHyperparams:
             raise ValueError(f"basis must be one of {BASIS_KINDS}")
 
 
+@dataclass
+class GpCfg:
+    """Settings of a GpWindowModel, and the `gp` section of a benchmark
+    config. basis and the *0 fields are the starting GpHyperparams; a
+    refit moves the hyperparameters from there."""
+
+    capacity: int = 15                  # window size N
+    basis: str = GpHyperparams.basis
+    optimize: bool = True               # refit the hyperparameters online
+    fit_noise: bool = True              # refit sigma_2^2 too
+    refit_stride: int = 1               # observations between refits
+    min_fit_size: int = 5               # no refit on a smaller window
+    basis_prior_variance: float = 1e4   # tau^2
+    length_scale0: float = GpHyperparams.length_scale
+    signal_variance0: float = GpHyperparams.signal_variance
+    noise_variance0: float = GpHyperparams.noise_variance
+    max_fit_evals: int = 100            # L-BFGS-B maxfun per refit
+
+
 def kernel(xi, xj, hyper: GpHyperparams) -> float:
     """Squared-exponential kernel sigma_1^2 exp(-1/2 sum ((xi-xj)/l)^2)."""
     a = np.asarray(xi, dtype=float)
@@ -155,25 +174,24 @@ class _Factor(NamedTuple):
 class GpWindowModel:
     """Online error predictor over a sliding window of recent observations."""
 
-    def __init__(self, dim: int, capacity: int = 15,
-                 hyper: GpHyperparams | None = None,
-                 basis_prior_variance: float = 1e4,
-                 optimize: bool = True, fit_noise: bool = True,
-                 refit_stride: int = 1, min_fit_size: int = 5,
-                 max_fit_evals: int = 100):
-        if capacity < 1:
+    def __init__(self, dim: int, cfg: GpCfg | None = None):
+        cfg = GpCfg() if cfg is None else cfg
+        if cfg.capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if not 0 < basis_prior_variance < math.inf:
+        if not 0 < cfg.basis_prior_variance < math.inf:
             raise ValueError("basis prior variance must be positive and finite")
         self.dim = int(dim)
-        self.capacity = int(capacity)
-        self.hyper = hyper or GpHyperparams()
-        self.basis_prior_variance = float(basis_prior_variance)
-        self.optimize = bool(optimize)
-        self.fit_noise = bool(fit_noise)
-        self.refit_stride = int(refit_stride)
-        self.min_fit_size = int(min_fit_size)
-        self.max_fit_evals = int(max_fit_evals)
+        self.capacity = int(cfg.capacity)
+        self.hyper = GpHyperparams(length_scale=cfg.length_scale0,
+                                   signal_variance=cfg.signal_variance0,
+                                   noise_variance=cfg.noise_variance0,
+                                   basis=cfg.basis)
+        self.basis_prior_variance = float(cfg.basis_prior_variance)
+        self.optimize = bool(cfg.optimize)
+        self.fit_noise = bool(cfg.fit_noise)
+        self.refit_stride = int(cfg.refit_stride)
+        self.min_fit_size = int(cfg.min_fit_size)
+        self.max_fit_evals = int(cfg.max_fit_evals)
 
         self._X = np.zeros((0, self.dim))
         self._y = np.zeros(0)

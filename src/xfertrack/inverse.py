@@ -82,8 +82,6 @@ class AnalyticInverse:
 
     def __init__(self, system):
         self.system = system
-        self.r = system.r
-        self.n = system.n
 
     def reference(self, x, y_d_future: float) -> float:
         F, G = self.system.io_terms(x)
@@ -112,8 +110,6 @@ class MlpInverseModel:
         self.out_std = float(out_std)
         self.validation_rmse = None  # normalized units; set by train_mlp
         self.epochs_run = None
-        self.n = self.layer_sizes[0] - 1
-        self.r = None  # set by train_mlp from the dataset
 
     def views(self, flat: np.ndarray) -> tuple:
         """Per-layer (weights, biases) views of a vector laid out like params.
@@ -272,7 +268,6 @@ def train_mlp(dataset: InverseDataset, config: TrainingConfig | None = None,
     sizes = [dataset.inputs.shape[1], *cfg.hidden, 1]
     model = MlpInverseModel(sizes, in_mean, in_std, out_mean, out_std)
     init_mlp(model, rng)
-    model.r = dataset.r
 
     Xn_tr = model.normalize(X_tr)
     yn_tr = (y_tr - out_mean) / out_std

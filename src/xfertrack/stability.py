@@ -189,9 +189,10 @@ def lemma1_check(source: LtiSystem, target: LtiSystem, budget: StabilityBudget,
 
     "vacuous" flags beta4 <= 0: the condition cannot hold for any alpha,
     including 0, because the gain-ratio scenario check already fails.
+    ||S2|| is budget.s2_norm, the value alpha_max uses; source and target
+    are not read again, and stay in the signature for existing callers.
     """
-    S = similarity(source, target)
-    lhs = abs(alpha) * (S.s2_norm + budget.beta2)
+    lhs = abs(alpha) * (budget.s2_norm + budget.beta2)
     rhs = budget.beta4 / budget.l1
     if budget.beta4 <= 0.0:
         status = "vacuous"

@@ -75,22 +75,7 @@ class SampledTrajectory:
         return out
 
 
-def make_test_trajectory(dt: float = 1.5e-3, duration: float = 48.0) -> SinusoidTrajectory:
-    """The benchmark test signal sin(2*pi/8 t) + cos(2*pi/16 t) - 1.
-
-    Period 16 s; the cosine is phrased as a quarter-phase sine.
-    """
-    return SinusoidTrajectory(
-        amplitudes=(1.0, 1.0),
-        angular_freqs=(2.0 * math.pi / 8.0, 2.0 * math.pi / 16.0),
-        phases=(0.0, math.pi / 2.0),
-        offset=-1.0,
-        dt=dt,
-        duration=duration,
-    )
-
-
-def training_references(dt: float = 1.5e-3, duration: float = 40.0):
+def training_references(dt: float, duration: float):
     """The 5x5 grid of excitation sinusoids used to build inverse datasets.
 
     Amplitudes 0.5..2.5 crossed with angular frequencies 2*pi/20..2*pi/4.

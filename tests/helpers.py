@@ -1,9 +1,13 @@
 """Shared builders for the test suite."""
 
+import math
+
 import numpy as np
 
 from xfertrack.control import StepLog
+from xfertrack.gp import GpCfg, GpHyperparams
 from xfertrack.systems import LtiSystem
+from xfertrack.trajectory import SinusoidTrajectory
 
 # the bundled benchmark pair, rebuilt directly so tests do not depend on
 # the config layer they are checking
@@ -21,6 +25,31 @@ def source_system() -> LtiSystem:
 
 def target_system() -> LtiSystem:
     return LtiSystem(TARGET_A, TARGET_B, TARGET_C)
+
+
+def reference_trajectory(dt: float = 1.5e-3,
+                         duration: float = 48.0) -> SinusoidTrajectory:
+    """The benchmark test signal sin(2*pi/8 t) + cos(2*pi/16 t) - 1, built
+    directly: the oracle that TrajectoryCfg's defaults are checked against.
+
+    Period 16 s; the cosine is phrased as a quarter-phase sine.
+    """
+    return SinusoidTrajectory(
+        amplitudes=(1.0, 1.0),
+        angular_freqs=(2.0 * math.pi / 8.0, 2.0 * math.pi / 16.0),
+        phases=(0.0, math.pi / 2.0),
+        offset=-1.0,
+        dt=dt,
+        duration=duration,
+    )
+
+
+def hyper_cfg(hyper: GpHyperparams, **settings) -> GpCfg:
+    """GP settings whose starting hyperparameters are hyper."""
+    return GpCfg(length_scale0=hyper.length_scale,
+                 signal_variance0=hyper.signal_variance,
+                 noise_variance0=hyper.noise_variance, basis=hyper.basis,
+                 **settings)
 
 
 def random_stable_system(rng, n: int = 2) -> LtiSystem:

@@ -22,15 +22,16 @@ import numpy as np
 from xfertrack.bench import run_comparison
 from xfertrack.control import (AffineErrorOracle, EstimatedGain,
                                TransferController, track_trajectory)
-from xfertrack.gp import GpHyperparams, GpWindowModel, basis_features, kernel
+from xfertrack.gp import (GpCfg, GpHyperparams, GpWindowModel, basis_features,
+                          kernel)
 from xfertrack.inverse import (AnalyticInverse, InverseDataset, TrainingConfig,
                                train_mlp)
 from xfertrack.stability import (assemble_budget, fit_prediction_budget,
                                  lemma1_check, similarity)
-from xfertrack.trajectory import make_test_trajectory
 
 from conftest import record_criterion
-from helpers import random_stable_system, source_system, target_system
+from helpers import (hyper_cfg, random_stable_system, reference_trajectory,
+                     source_system, target_system)
 
 BASELINE_RMS = 3.97
 BASELINE_BAND = 0.10
@@ -84,7 +85,7 @@ def test_criterion_4_exact_oracle_stack():
     ctrl = TransferController(AnalyticInverse(source_system()), r=target.r,
                               online=AffineErrorOracle(target),
                               gain=EstimatedGain())
-    traj = make_test_trajectory()
+    traj = reference_trajectory()
     trace, log = track_trajectory(target, ctrl, traj)
     yd = traj.values(traj.n_steps + target.r)
     err = float(np.abs(trace.outputs[target.r:]
@@ -177,16 +178,15 @@ def test_criterion_7_property_suites(bench_config):
                 and np.allclose(tgt.zeros.real, [0.1], atol=1e-9))
     checks.append(("poles/zeros", poles_ok and zeros_ok))
 
-    gp = GpWindowModel(dim=1, capacity=15, optimize=False)
+    gp = GpWindowModel(1, GpCfg(capacity=15, optimize=False))
     for i in range(40):
         gp.observe([float(i)], float(i))
     checks.append(("window eviction",
                    gp._X[:, 0].tolist() == list(range(25, 40))))
 
     rng = np.random.default_rng(3)
-    hyper = GpHyperparams(length_scale=1.4, signal_variance=0.9,
-                          noise_variance=1e-5)
-    gp = GpWindowModel(dim=3, capacity=15, hyper=hyper, optimize=False)
+    gp = GpWindowModel(3, GpCfg(capacity=15, optimize=False, length_scale0=1.4,
+                                signal_variance0=0.9, noise_variance0=1e-5))
     for _ in range(15):
         gp.observe(rng.standard_normal(3), float(rng.standard_normal()))
     X = gp._X
@@ -207,7 +207,7 @@ def test_criterion_7_property_suites(bench_config):
             length_scale=float(rng.uniform(0.5, 3.0)),
             signal_variance=float(rng.uniform(0.3, 3.0)),
             noise_variance=float(rng.uniform(1e-6, 1e-3)))
-        gp = GpWindowModel(dim=d, capacity=16, hyper=hyper, optimize=False)
+        gp = GpWindowModel(d, hyper_cfg(hyper, capacity=16, optimize=False))
         for _ in range(n):
             gp.observe(rng.standard_normal(d), float(rng.standard_normal()))
         q = rng.standard_normal(d)

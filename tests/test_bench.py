@@ -8,15 +8,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from xfertrack import bench
 from xfertrack.bench import (BenchConfig, ConfigError, GainCfg, GpCfg,
                              SystemCfg, TrajectoryCfg, alpha_sweep,
                              build_training_dataset, config_digest,
                              default_benchmark_config, metrics,
                              run_comparison, run_strategy)
+from xfertrack.gp import GpWindowModel
 from xfertrack.inverse import AnalyticInverse
-from xfertrack.trajectory import make_test_trajectory
 
-from helpers import error_log, source_system
+from helpers import error_log, reference_trajectory, source_system
 
 
 def short_config(duration=3.0, **kwargs):
@@ -52,6 +53,14 @@ def test_bundled_config_digests_pinned():
         "3393b8152c89cd6ba6f586adf5d74b7ecfc6b8f99753fc41865970d1fc85baec")
     assert config_digest(default_benchmark_config(inverse_mode="analytic")) == (
         "218e301dad5140e038b0c36cd7b28c3ab837b8d3357e3dc3dc2f8a8efd8abb62")
+
+
+def test_all_defaults_config_digest_pinned():
+    # the defaults the bundled config overrides (fit_noise, refit_stride,
+    # noise_variance0, smoothing, ...) are pinned here
+    b = default_benchmark_config()
+    assert config_digest(BenchConfig(source=b.source, target=b.target)) == (
+        "b0c07eeca5457731b5b90e584e95a0195af79b06d6b3f563093849e22f2e632f")
 
 
 def test_excitation_dataset_pinned():
@@ -132,14 +141,14 @@ def test_invalid_yaml(tmp_path):
 
 
 def test_gp_capacity_validated():
-    with pytest.raises(ConfigError, match="capacity"):
-        GpCfg(capacity=0).build(dim=4)
+    with pytest.raises(ValueError, match="capacity"):
+        GpWindowModel(4, GpCfg(capacity=0))
 
 
 @pytest.mark.parametrize("tau2", [0.0, -1e-8, math.inf])
 def test_gp_basis_prior_variance_validated(tau2):
     with pytest.raises(ValueError, match="basis prior variance must be positive"):
-        GpCfg(basis_prior_variance=tau2).build(dim=4)
+        GpWindowModel(4, GpCfg(basis_prior_variance=tau2))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -147,7 +156,7 @@ def test_gp_basis_prior_variance_validated(tau2):
     ("noise_variance0", math.inf)])
 def test_gp_nonfinite_settings_rejected(field, value):
     with pytest.raises(ValueError, match="finite"):
-        replace(GpCfg(), **{field: value}).build(dim=4)
+        GpWindowModel(4, replace(GpCfg(), **{field: value}))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -160,7 +169,7 @@ def test_nonfinite_trajectory_timing_rejected(field, value):
 
 def test_default_trajectory_matches_reference_signal():
     built = TrajectoryCfg().build()
-    ref = make_test_trajectory()
+    ref = reference_trajectory()
     assert built.n_steps == ref.n_steps
     np.testing.assert_allclose(built.values(100), ref.values(100), atol=1e-15)
 
@@ -332,6 +341,20 @@ def test_alpha_sweep_contains_offline_at_zero(tmp_path):
     assert zero["bounded"] is True
     assert zero["rms_tracking"] == pytest.approx(off.rms_tracking, rel=1e-12)
     assert (tmp_path / "alpha_sweep.json").exists()
+
+
+@pytest.mark.parametrize("entry", [run_comparison, alpha_sweep])
+def test_bad_trajectory_fails_before_training(monkeypatch, entry):
+    trained = []
+    monkeypatch.setattr(bench, "train_mlp",
+                        lambda *args, **kwargs: trained.append(1))
+    cfg = default_benchmark_config()
+    cfg = replace(cfg, trajectory=replace(cfg.trajectory, duration_s=math.inf),
+                  mlp=replace(cfg.mlp, epochs=2, train_duration_s=2.0))
+    args = (cfg,) if entry is run_comparison else (cfg, [0.0])
+    with pytest.raises(ConfigError, match="duration_s"):
+        entry(*args)
+    assert trained == []
 
 
 def test_run_strategy_rejects_unknown_name():

@@ -73,6 +73,14 @@ def test_bad_config_field_is_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+def test_zero_gp_capacity_is_config_error(tmp_path, capsys):
+    gp = default_benchmark_config().gp
+    cfg = write_config(tmp_path, gp=replace(gp, capacity=0))
+    code = main(["simulate", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert "capacity" in capsys.readouterr().err
+
+
 # -- compare -------------------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from xfertrack.bench import default_benchmark_config, run_strategy
 from xfertrack.control import (LOG_COLUMNS, AffineErrorOracle, EstimatedGain,
                                FixedGain, StepLog, TransferController,
                                track_trajectory)
-from xfertrack.gp import GpWindowModel
+from xfertrack.gp import GpCfg, GpWindowModel
 from xfertrack.inverse import AnalyticInverse
 from xfertrack.systems import LtiSystem, SimulationDiverged, simulate
 from xfertrack.trajectory import SinusoidTrajectory
@@ -147,7 +147,7 @@ def test_offline_only_matches_plain_simulation():
 
 def test_cold_start_before_first_retirement():
     sys = target_system()
-    gp = GpWindowModel(dim=4, capacity=15, optimize=False)
+    gp = GpWindowModel(4, GpCfg(capacity=15, optimize=False))
     ctrl = TransferController(AnalyticInverse(source_system()), r=sys.r,
                               online=gp, gain=EstimatedGain())
     traj = short_trajectory()
@@ -231,7 +231,8 @@ def test_nonfinite_inverse_output_is_a_recorded_abort():
             return inverse.reference(x, y_d_future)
 
     ctrl = TransferController(NanFromStep(), r=target.r,
-                              online=GpWindowModel(dim=4, capacity=15, optimize=False))
+                              online=GpWindowModel(4, GpCfg(capacity=15,
+                                                            optimize=False)))
     with pytest.raises(SimulationDiverged, match="inverse returned u1=nan") as info:
         track_trajectory(target, ctrl, short_trajectory())
     err = info.value
@@ -258,7 +259,7 @@ def test_cold_start_on_offset_trajectory_stays_bounded():
     yd = traj.values(traj.n_steps + target.r)
     for gain, bound in ((EstimatedGain(), 50.0),
                         (EstimatedGain(smoothing=0.95), 1.0)):
-        gp = GpWindowModel(dim=4, capacity=15, optimize=False)
+        gp = GpWindowModel(4, GpCfg(capacity=15, optimize=False))
         ctrl = TransferController(AnalyticInverse(source_system()), r=target.r,
                                   online=gp, gain=gain)
         trace, log = track_trajectory(target, ctrl, traj)

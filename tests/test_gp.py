@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
-from xfertrack.gp import (BASIS_KINDS, GpHyperparams, GpWindowModel,
+from xfertrack.gp import (BASIS_KINDS, GpCfg, GpHyperparams, GpWindowModel,
                           _kernel_matrix, basis_features, kernel)
+
+from helpers import hyper_cfg
 
 
 def filled_model(rng, dim=3, n=15, **kwargs):
     defaults = dict(optimize=False)
     defaults.update(kwargs)
-    gp = GpWindowModel(dim=dim, capacity=max(n, 15), **defaults)
+    gp = GpWindowModel(dim, GpCfg(capacity=max(n, 15), **defaults))
     for _ in range(n):
         xi = rng.standard_normal(dim)
         gp.observe(xi, float(np.sin(xi).sum()))
@@ -66,7 +68,7 @@ def test_hyperparams_validation():
         with pytest.raises(ValueError, match="finite"):
             GpHyperparams(**bad)
     with pytest.raises(ValueError, match="finite"):
-        GpWindowModel(dim=2, basis_prior_variance=math.inf)
+        GpWindowModel(2, GpCfg(basis_prior_variance=math.inf))
 
 
 def test_basis_feature_layout():
@@ -82,7 +84,7 @@ def test_basis_feature_layout():
 
 
 def test_eviction_keeps_latest_n():
-    gp = GpWindowModel(dim=1, capacity=15, optimize=False)
+    gp = GpWindowModel(1, GpCfg(capacity=15, optimize=False))
     for i in range(40):
         gp.observe([float(i)], float(i))
     assert gp.size == 15
@@ -92,7 +94,7 @@ def test_eviction_keeps_latest_n():
 
 
 def test_nonfinite_observation_rejected():
-    gp = GpWindowModel(dim=2, capacity=5, optimize=False)
+    gp = GpWindowModel(2, GpCfg(capacity=5, optimize=False))
     gp.observe([0.0, 0.0], 1.0)
     gp.observe([np.nan, 0.0], 1.0)
     gp.observe([0.0, 0.0], math.inf)
@@ -101,15 +103,14 @@ def test_nonfinite_observation_rejected():
 
 
 def test_observation_dimension_checked():
-    gp = GpWindowModel(dim=2, capacity=5, optimize=False)
+    gp = GpWindowModel(2, GpCfg(capacity=5, optimize=False))
     with pytest.raises(ValueError):
         gp.observe([1.0, 2.0, 3.0], 0.0)
 
 
 def test_duplicate_inputs_still_factorize():
-    gp = GpWindowModel(dim=2, capacity=8, optimize=False,
-                       hyper=GpHyperparams(length_scale=1.0,
-                                           noise_variance=1e-6))
+    gp = GpWindowModel(2, GpCfg(capacity=8, optimize=False, length_scale0=1.0,
+                                noise_variance0=1e-6))
     for _ in range(6):
         gp.observe([1.0, 1.0], 0.5)
     assert gp.factor is not None
@@ -121,8 +122,8 @@ def test_duplicate_inputs_still_factorize():
 def test_nonfinite_covariance_is_a_factorization_failure():
     # tau^2 |h|^2 overflows: C = [[inf]] must fail like an indefinite C,
     # not factor to [[inf]] and predict NaN
-    gp = GpWindowModel(dim=2, capacity=5, optimize=False,
-                       basis_prior_variance=1e308)
+    gp = GpWindowModel(2, GpCfg(capacity=5, optimize=False,
+                                basis_prior_variance=1e308))
     with pytest.raises(LinAlgError, match="not finite"):
         gp.observe([10.0, 10.0], 0.5)
 
@@ -131,7 +132,7 @@ def test_predictions_live_from_first_observation_and_full_flag():
     # the posterior is served from the very first observation (the
     # controller decides what to do with part-filled-window estimates);
     # `full` flips exactly when the window reaches capacity
-    gp = GpWindowModel(dim=2, capacity=5, optimize=False)
+    gp = GpWindowModel(2, GpCfg(capacity=5, optimize=False))
     assert not gp.full
     for i in range(5):
         gp.observe([float(i), 0.0], float(i))
@@ -147,7 +148,7 @@ def test_predictions_live_from_first_observation_and_full_flag():
 
 
 def test_empty_window_cold_start():
-    gp = GpWindowModel(dim=3, capacity=15)
+    gp = GpWindowModel(3, GpCfg(capacity=15))
     mean, var = gp.predict([0.0, 0.0, 0.0])
     assert mean == 0.0
     assert var == math.inf
@@ -158,8 +159,7 @@ def test_empty_window_cold_start():
 
 def test_interpolation_limit_at_observed_inputs():
     rng = np.random.default_rng(0)
-    gp = filled_model(rng, hyper=GpHyperparams(length_scale=1.0,
-                                               noise_variance=0.0))
+    gp = filled_model(rng, length_scale0=1.0, noise_variance0=0.0)
     for xi, e in zip(gp._X, gp._y):
         mean, _ = gp.predict(xi)
         assert abs(mean - e) <= 1e-6
@@ -167,8 +167,7 @@ def test_interpolation_limit_at_observed_inputs():
 
 def test_variance_nonnegative_and_small_at_data():
     rng = np.random.default_rng(1)
-    gp = filled_model(rng, hyper=GpHyperparams(length_scale=1.0,
-                                               noise_variance=0.0))
+    gp = filled_model(rng, length_scale0=1.0, noise_variance0=0.0)
     for xi in gp._X:
         _, var = gp.predict(xi)
         assert 0.0 <= var <= 1e-9
@@ -183,9 +182,8 @@ def test_affine_window_recovered_through_basis():
     rng = np.random.default_rng(2)
     w = np.array([0.8, -0.4, 1.1])
     c = 0.25
-    gp = GpWindowModel(dim=3, capacity=15, optimize=False,
-                       hyper=GpHyperparams(length_scale=1.0,
-                                           noise_variance=1e-10))
+    gp = GpWindowModel(3, GpCfg(capacity=15, optimize=False, length_scale0=1.0,
+                                noise_variance0=1e-10))
     X = rng.uniform(-1, 1, size=(15, 3))
     for xi in X:
         gp.observe(xi, float(w @ xi + c))
@@ -228,8 +226,8 @@ def test_prediction_matches_explicit_basis_posterior(basis):
             length_scale=float(rng.uniform(0.5, 3.0)),
             signal_variance=float(rng.uniform(0.3, 3.0)),
             noise_variance=float(rng.uniform(1e-4, 1e-2)), basis=basis)
-        gp = GpWindowModel(dim=d, capacity=15, hyper=hyper,
-                           basis_prior_variance=tau2, optimize=False)
+        gp = GpWindowModel(d, hyper_cfg(hyper, capacity=15,
+                                        basis_prior_variance=tau2, optimize=False))
         X = rng.standard_normal((n, d))
         y = rng.standard_normal(n)
         b = np.zeros(basis_features(X[:1], basis).shape[1])
@@ -255,7 +253,7 @@ def test_mean_derivative_matches_finite_differences():
             length_scale=float(rng.uniform(0.5, 3.0)),
             signal_variance=float(rng.uniform(0.3, 3.0)),
             noise_variance=float(rng.uniform(1e-6, 1e-3)))
-        gp = GpWindowModel(dim=d, capacity=16, hyper=hyper, optimize=False)
+        gp = GpWindowModel(d, hyper_cfg(hyper, capacity=16, optimize=False))
         for _ in range(n):
             gp.observe(rng.standard_normal(d), float(rng.standard_normal()))
         q = rng.standard_normal(d)
@@ -276,8 +274,8 @@ def test_query_memo_never_stale(basis):
     # result must equal a recomputation with the memo cleared, and the memo
     # must hold _kernel_matrix on the current window and hyperparameters
     rng = np.random.default_rng(BASIS_KINDS.index(basis))
-    gp = GpWindowModel(dim=3, capacity=6, refit_stride=4, max_fit_evals=10,
-                       hyper=GpHyperparams(basis=basis))
+    gp = GpWindowModel(3, GpCfg(capacity=6, refit_stride=4, max_fit_evals=10,
+                                basis=basis))
     queries = [rng.standard_normal(3) for _ in range(3)]
 
     def recomputed(method, *args):
@@ -303,7 +301,7 @@ def test_query_memo_never_stale(basis):
 
 
 def test_derivative_dim_bounds():
-    gp = GpWindowModel(dim=2, capacity=5, optimize=False)
+    gp = GpWindowModel(2, GpCfg(capacity=5, optimize=False))
     gp.observe([0.0, 0.0], 1.0)
     with pytest.raises(ValueError):
         gp.mean_derivative([0.0, 0.0], 2)
@@ -314,9 +312,8 @@ def test_factorization_reconstructs_covariance():
     # Frobenius error, with K rebuilt independently from the public kernel
     # function and H from the basis features
     rng = np.random.default_rng(3)
-    gp = filled_model(rng, hyper=GpHyperparams(length_scale=1.4,
-                                               signal_variance=0.9,
-                                               noise_variance=1e-5))
+    gp = filled_model(rng, length_scale0=1.4, signal_variance0=0.9,
+                      noise_variance0=1e-5)
     X = gp._X
     K = np.array([[kernel(a, b, gp.hyper) for b in X] for a in X])
     H = basis_features(X, gp.hyper.basis)
@@ -345,8 +342,8 @@ def test_likelihood_gradient_matches_finite_differences(basis, fit_noise):
             length_scale=float(rng.uniform(0.5, 3.0)),
             signal_variance=float(rng.uniform(0.3, 3.0)),
             noise_variance=float(rng.uniform(1e-4, 1e-2)), basis=basis)
-        gp = GpWindowModel(dim=d, capacity=15, hyper=hyper, optimize=False,
-                           fit_noise=fit_noise)
+        gp = GpWindowModel(d, hyper_cfg(hyper, capacity=15, optimize=False,
+                                        fit_noise=fit_noise))
         for _ in range(int(rng.integers(3, 16))):
             gp.observe(rng.standard_normal(d), float(rng.standard_normal()))
         value, grad = gp.log_marginal_likelihood(grad=True)
@@ -379,11 +376,9 @@ def test_fit_budget_stops_early_without_degrading(monkeypatch):
         evals = {}
         for budget in (5, 100):
             rng = np.random.default_rng(seed)
-            gp = GpWindowModel(dim=2, capacity=15, optimize=False,
-                               max_fit_evals=budget,
-                               hyper=GpHyperparams(length_scale=1.0,
-                                                   noise_variance=1e-4,
-                                                   basis="none"))
+            gp = GpWindowModel(2, GpCfg(capacity=15, optimize=False,
+                                        max_fit_evals=budget, length_scale0=1.0,
+                                        noise_variance0=1e-4, basis="none"))
             for _ in range(15):
                 xi = rng.uniform(-3, 3, size=2)
                 gp.observe(xi, float(np.cos(xi[0]) + 0.3 * xi[1]))
@@ -413,9 +408,9 @@ def test_refit_evaluates_each_point_once(basis, monkeypatch):
     rng = np.random.default_rng(31)
     for trial in range(10):
         d = int(rng.integers(1, 5))
-        gp = GpWindowModel(dim=d, capacity=15, optimize=False,
-                           fit_noise=bool(trial % 2),
-                           hyper=GpHyperparams(noise_variance=1e-6, basis=basis))
+        gp = GpWindowModel(d, GpCfg(capacity=15, optimize=False,
+                                    fit_noise=bool(trial % 2),
+                                    noise_variance0=1e-6, basis=basis))
         x = 0.1 * rng.standard_normal(d)
         for _ in range(int(rng.integers(5, 16))):
             x = 0.9 * x + 0.05 * rng.standard_normal(d)
@@ -437,10 +432,9 @@ def test_optimizer_never_degrades_likelihood():
     # centering, so before/after values are directly comparable
     rng = np.random.default_rng(4)
     for trial in range(8):
-        gp = GpWindowModel(dim=2, capacity=15, optimize=False, fit_noise=True,
-                           hyper=GpHyperparams(length_scale=1.0,
-                                               noise_variance=1e-4,
-                                               basis="none"))
+        gp = GpWindowModel(2, GpCfg(capacity=15, optimize=False, fit_noise=True,
+                                    length_scale0=1.0, noise_variance0=1e-4,
+                                    basis="none"))
         for _ in range(12):
             xi = rng.uniform(-3, 3, size=2)
             gp.observe(xi, float(np.cos(xi[0]) + 0.3 * xi[1]))
@@ -460,10 +454,9 @@ def test_length_scale_recovery_from_synthetic_data():
         X = rng.uniform(-5, 5, size=(15, 1))
         K = np.array([[kernel(a, b, hyp_true) for b in X] for a in X])
         y = rng.multivariate_normal(np.zeros(15), K + 1e-10 * np.eye(15))
-        gp = GpWindowModel(dim=1, capacity=15, optimize=False, fit_noise=False,
-                           hyper=GpHyperparams(length_scale=1.0,
-                                               noise_variance=1e-8,
-                                               basis="none"))
+        gp = GpWindowModel(1, GpCfg(capacity=15, optimize=False, fit_noise=False,
+                                    length_scale0=1.0, noise_variance0=1e-8,
+                                    basis="none"))
         for xi, e in zip(X, y):
             gp.observe(xi, float(e))
         gp.fit_hyperparams()
@@ -472,9 +465,9 @@ def test_length_scale_recovery_from_synthetic_data():
 
 def test_zero_outputs_drive_signal_variance_to_floor():
     rng = np.random.default_rng(7)
-    gp = GpWindowModel(dim=2, capacity=15, optimize=False, fit_noise=False,
-                       hyper=GpHyperparams(length_scale=1.0,
-                                           noise_variance=1e-6, basis="none"))
+    gp = GpWindowModel(2, GpCfg(capacity=15, optimize=False, fit_noise=False,
+                                length_scale0=1.0, noise_variance0=1e-6,
+                                basis="none"))
     for _ in range(15):
         gp.observe(rng.standard_normal(2), 0.0)
     gp.fit_hyperparams()
@@ -482,9 +475,8 @@ def test_zero_outputs_drive_signal_variance_to_floor():
 
 
 def test_fixed_hyper_mode_skips_optimization():
-    hyper = GpHyperparams(length_scale=20.0, signal_variance=1.0,
-                          noise_variance=2e-5)
-    gp = GpWindowModel(dim=2, capacity=40, hyper=hyper, optimize=False)
+    gp = GpWindowModel(2, GpCfg(capacity=40, optimize=False, length_scale0=20.0,
+                                signal_variance0=1.0, noise_variance0=2e-5))
     rng = np.random.default_rng(8)
     for _ in range(40):
         gp.observe(rng.standard_normal(2), float(rng.standard_normal()))
@@ -495,10 +487,10 @@ def test_fixed_hyper_mode_skips_optimization():
 
 def test_refit_stride_controls_schedule():
     rng = np.random.default_rng(9)
-    per_step = GpWindowModel(dim=1, capacity=15, optimize=True, refit_stride=1,
-                             min_fit_size=5)
-    strided = GpWindowModel(dim=1, capacity=15, optimize=True, refit_stride=50,
-                            min_fit_size=5)
+    per_step = GpWindowModel(1, GpCfg(capacity=15, optimize=True, refit_stride=1,
+                                      min_fit_size=5))
+    strided = GpWindowModel(1, GpCfg(capacity=15, optimize=True, refit_stride=50,
+                                     min_fit_size=5))
     xs = rng.uniform(-2, 2, size=20)
     for x in xs:
         per_step.observe([float(x)], float(np.sin(x)))

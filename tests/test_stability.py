@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from xfertrack import stability
 from xfertrack.stability import (AssumptionViolation, NotSchurStable,
                                  StabilityBudget, UndefinedSimilarity,
                                  assemble_budget, fit_prediction_budget,
@@ -209,6 +210,19 @@ def test_satisfied_pair_has_exact_alpha_threshold():
     at = lemma1_check(src, tgt, bud, bud.alpha_max)
     assert at.status == "violated"  # strict inequality
     assert lemma1_check(src, tgt, bud, 0.0).status == "satisfied"
+
+
+def test_lemma1_check_reads_the_budget_similarity(monkeypatch):
+    src, tgt = source_system(), target_system()
+    bud = assemble_budget(src, tgt, betas=(0.0, 0.01, 0.0))
+    want = lemma1_check(src, tgt, bud, 0.5)
+
+    def recomputed(*args):
+        raise AssertionError("similarity recomputed")
+
+    monkeypatch.setattr(stability, "similarity", recomputed)
+    assert lemma1_check(src, tgt, bud, 0.5) == want
+    assert want.lhs == 0.5 * (bud.s2_norm + 0.01)
 
 
 def test_identical_pair_satisfied_for_any_gain():

@@ -6,26 +6,27 @@ import numpy as np
 import pytest
 
 from xfertrack.trajectory import (SampledTrajectory, SinusoidTrajectory,
-                                  ingest_csv_trajectory, make_test_trajectory,
-                                  training_references)
+                                  ingest_csv_trajectory, training_references)
+
+from helpers import reference_trajectory
 
 
 # -- benchmark test signal -----------------------------------------------------
 
 
 def test_signal_starts_at_zero():
-    traj = make_test_trajectory()
+    traj = reference_trajectory()
     assert traj.values(1)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_signal_value_at_four_seconds():
     # sin(pi) + cos(pi/2) - 1 = -1; dt = 0.5 puts t = 4 s on sample 8
-    traj = make_test_trajectory(dt=0.5)
+    traj = reference_trajectory(dt=0.5)
     assert traj.values(9)[8] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_signal_period_is_sixteen_seconds():
-    traj = make_test_trajectory(dt=0.01)
+    traj = reference_trajectory(dt=0.01)
     y = traj.values(3300)
     np.testing.assert_allclose(y[1600:3200], y[:1600], atol=1e-9)
     # 8 s is NOT a period (the slower component repeats only every 16 s)
@@ -33,11 +34,11 @@ def test_signal_period_is_sixteen_seconds():
 
 
 def test_default_step_count():
-    assert make_test_trajectory().n_steps == 32000
+    assert reference_trajectory().n_steps == 32000
 
 
 def test_values_extend_past_horizon():
-    traj = make_test_trajectory(dt=0.1, duration=1.0)
+    traj = reference_trajectory(dt=0.1, duration=1.0)
     long = traj.values(traj.n_steps + 5)
     assert long.shape == (15,)
     # analytic continuation, not clamping
@@ -51,7 +52,7 @@ def test_values_extend_past_horizon():
 
 def test_bound_never_exceeded():
     # |y_d| <= |1| + |1| + |-1|: amplitudes plus offset
-    traj = make_test_trajectory(dt=0.003, duration=64.0)
+    traj = reference_trajectory(dt=0.003, duration=64.0)
     y = traj.values(traj.n_steps + 1)
     assert np.max(np.abs(y)) <= 3.0 + 1e-9
 
@@ -95,7 +96,7 @@ def test_finite_dt_and_duration_required(field, value):
 
 
 def test_training_grid_is_five_by_five():
-    refs = training_references()
+    refs = training_references(dt=1.5e-3, duration=40.0)
     assert len(refs) == 25
     amps = sorted({r.amplitudes[0] for r in refs})
     assert amps == [0.5, 1.0, 1.5, 2.0, 2.5]
