@@ -11,9 +11,9 @@ from .trajectory import (SampledTrajectory, SinusoidTrajectory,
 from .inverse import (AnalyticInverse, InverseDataset, MlpInverseModel,
                       SingularInverse, TrainingConfig, TrainingDiverged,
                       build_inverse_dataset, train_mlp)
-from .gp import GpCfg, GpHyperparams, GpWindowModel, kernel
-from .control import (AffineErrorOracle, EstimatedGain, FixedGain, StepLog,
-                      TransferController, track_trajectory)
+from .gp import GpCfg, GpHyperparams, GpWindowModel
+from .control import (EstimatedGain, FixedGain, StepLog, TransferController,
+                      track_trajectory)
 from .stability import (AssumptionViolation, Lemma1Verdict, NotSchurStable,
                         SimilarityVector, StabilityBudget, UndefinedSimilarity,
                         assemble_budget, fit_prediction_budget, iss_gains,

@@ -135,6 +135,7 @@ class BenchConfig:
             raise ConfigError(f"unknown inverse_mode {cfg.inverse_mode!r}")
         if cfg.strategy not in ("baseline", "offline", "online"):
             raise ConfigError(f"unknown strategy {cfg.strategy!r}")
+        cfg.gain.build()  # a bad gain section fails before MLP training
         return cfg
 
     @classmethod
@@ -288,7 +289,6 @@ def run_strategy(cfg: BenchConfig, strategy: str, inverse=None,
     source = cfg.source.build()
     target = cfg.target.build()
     traj = cfg.trajectory.build()
-    x0 = None if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
     r = target.r
 
     # every strategy is a controller; the baseline passes the reference
@@ -311,19 +311,18 @@ def run_strategy(cfg: BenchConfig, strategy: str, inverse=None,
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
     try:
-        _, log = track_trajectory(target, ctrl, traj, x0=x0,
+        _, log = track_trajectory(target, ctrl, traj, x0=cfg.x0,
                                   error_oracle_target=oracle_target)
     except SimulationDiverged as err:
         return StrategyResult(strategy, None, None, True, err.step,
                               traj.n_steps, err.partial_log)
     m = metrics(log, r)
-    if strategy != "online":
-        return StrategyResult(strategy, m.rms_tracking, None, False, None,
-                              traj.n_steps, log)
-    res = StrategyResult(strategy, m.rms_tracking, m.rms_prediction, False,
-                         None, traj.n_steps, log)
+    online = strategy == "online"
+    res = StrategyResult(strategy, m.rms_tracking,
+                         m.rms_prediction if online else None, False, None,
+                         traj.n_steps, log)
     k_warm = max(r, cfg.gp.capacity)
-    if len(log) > k_warm:
+    if online and len(log) > k_warm:
         mw = metrics(log, k_warm)
         res.rms_tracking_warm = mw.rms_tracking
         res.rms_prediction_warm = mw.rms_prediction
@@ -392,6 +391,10 @@ def run_comparison(cfg: BenchConfig, out_dir=None) -> RunReport:
     if out_dir is not None:
         write_json(out_dir, "report.json", report.payload())
     return report
+
+
+# the gains `xfertrack sweep-alpha` runs when the config lists none
+SWEEP_ALPHAS = (0.0, 0.25, 0.5, 1.0, 2.0)
 
 
 def alpha_sweep(cfg: BenchConfig, alphas, out_dir=None) -> dict:

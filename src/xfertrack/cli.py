@@ -9,16 +9,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .bench import (REPORT_VERSION, BenchConfig, alpha_sweep,
+from .bench import (REPORT_VERSION, SWEEP_ALPHAS, BenchConfig, alpha_sweep,
                     default_benchmark_config, make_inverse, output_dir,
                     run_comparison, run_strategy, write_json)
 from .inverse import TrainingDiverged
 from .stability import assemble_budget, stability_report
 from .systems import SimulationDiverged
-from .trajectory import ingest_csv_trajectory
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,8 +80,8 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep_alpha(args) -> int:
     cfg = _load_config(args)
-    alphas = cfg.sweep_alphas or [0.0, 0.25, 0.5, 1.0, 2.0]
-    payload = alpha_sweep(cfg, alphas, out_dir=args.out_dir)
+    payload = alpha_sweep(cfg, cfg.sweep_alphas or SWEEP_ALPHAS,
+                          out_dir=args.out_dir)
     rows = [("alpha", "bounded", "rms_tracking")]
     rows += [(r["alpha"], r["bounded"], r["rms_tracking"]) for r in payload["sweep"]]
     _emit(payload, args, rows=rows)
@@ -116,9 +116,7 @@ def cmd_train_inverse(args) -> int:
 
 def cmd_ingest(args) -> int:
     cfg = _load_config(args)
-    traj = ingest_csv_trajectory(args.path, dt=cfg.trajectory.dt,
-                                 time_column=cfg.trajectory.time_column,
-                                 value_column=cfg.trajectory.value_column)
+    traj = replace(cfg.trajectory, kind="csv", csv_path=args.path).build()
     payload = {"version": REPORT_VERSION, "samples": int(traj.samples.size),
                "dt": traj.dt, "duration_s": traj.duration,
                "max_abs": float(np.max(np.abs(traj.samples)))}

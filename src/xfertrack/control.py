@@ -29,6 +29,10 @@ EPS_GAIN_DENOMINATOR = 1e-8
 class FixedGain:
     alpha: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"gain alpha must be finite, got {self.alpha}")
+
 
 @dataclass(frozen=True)
 class EstimatedGain:
@@ -41,6 +45,13 @@ class EstimatedGain:
     floor: float = 0.05
     cap: float = 20.0
     smoothing: Optional[float] = None
+
+    def __post_init__(self):
+        if not 0 <= self.floor <= self.cap < math.inf:
+            raise ValueError("gain floor and cap must be finite with "
+                             f"0 <= floor <= cap, got {self.floor}, {self.cap}")
+        if self.smoothing is not None and not 0 <= self.smoothing < 1:
+            raise ValueError(f"gain smoothing must be in [0, 1), got {self.smoothing}")
 
     def clamp(self, alpha: float) -> float:
         """alpha with its magnitude clamped to [floor, cap]."""
@@ -55,38 +66,6 @@ class ControlDecision:
     alpha: float
     u2: float
     u: float
-
-
-class AffineErrorOracle:
-    """Exact error predictor for a known linear target.
-
-    Implements the online-module interface (full / predict /
-    mean_derivative / observe) from the target's lifted gains, for
-    exactness checks:
-    e_p(k+r) = y_d(k+r) - lifted_A x - lifted_B u1.
-    """
-
-    def __init__(self, target):
-        self.target = target
-        self.n = target.n
-        self.full = True
-
-    def observe(self, xi, e):
-        return self
-
-    def error(self, x, u1: float, y_d_future: float) -> float:
-        return float(y_d_future - self.target.lifted_A @ x - self.target.lifted_B * u1)
-
-    def predict(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return self.error(xi[:self.n], xi[self.n], xi[self.n + 1]), 0.0
-
-    def mean_derivative(self, xi, dim: int) -> float:
-        if dim < self.n:
-            return float(-self.target.lifted_A[dim])
-        if dim == self.n:
-            return -self.target.lifted_B
-        return 1.0
 
 
 class TransferController:
@@ -199,15 +178,14 @@ def track_trajectory(system, controller: TransferController, trajectory,
                      x0=None, error_oracle_target=None):
     """Run a controller against a plant along a trajectory via simulate.
 
-    Returns (SimTrace, StepLog). When error_oracle_target (a linear system
-    with lifted gains) is given, the analytic error map is evaluated at
-    each query and logged as e_p_star for prediction-accuracy audits;
-    otherwise e_p_star is NaN. On divergence, or when the online model's
+    Returns (SimTrace, StepLog). When error_oracle_target (a system with
+    io_terms) is given, the analytic error map
+    e*(k+r) = y_d(k+r) - F(x) - G(x) u1 of its r-step map y(k+r) = F + G u
+    is evaluated at each query and logged as e_p_star for prediction-accuracy
+    audits; otherwise e_p_star is NaN. On divergence, or when the online model's
     factorization fails, the raised SimulationDiverged carries the partial
     trace and a log with one row per input of that trace.
     """
-    oracle = (None if error_oracle_target is None
-              else AffineErrorOracle(error_oracle_target))
     T = trajectory.n_steps
     cols = np.full((T, 5), math.nan)  # u1, e_p, alpha, u2, e_p_star
 
@@ -217,7 +195,10 @@ def track_trajectory(system, controller: TransferController, trajectory,
         except LinAlgError as err:
             raise SimulationDiverged(f"online model factorization failed: {err}",
                                      k) from err
-        e_star = math.nan if oracle is None else oracle.error(x, dec.u1, y_d_future)
+        e_star = math.nan
+        if error_oracle_target is not None:
+            F, G = error_oracle_target.io_terms(x)
+            e_star = y_d_future - F - G * dec.u1
         cols[k] = dec.u1, dec.e_p, dec.alpha, dec.u2, e_star
         return dec.u
 

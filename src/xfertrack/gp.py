@@ -78,16 +78,6 @@ class GpCfg:
     max_fit_evals: int = 100            # L-BFGS-B maxfun per refit
 
 
-def kernel(xi, xj, hyper: GpHyperparams) -> float:
-    """Squared-exponential kernel sigma_1^2 exp(-1/2 sum ((xi-xj)/l)^2)."""
-    a = np.asarray(xi, dtype=float)
-    b = np.asarray(xj, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    d = (a - b) / hyper.length_scale
-    return float(hyper.signal_variance * np.exp(-0.5 * np.dot(d, d)))
-
-
 def _scaled_sq_dist(X, Z, ls: float) -> np.ndarray:
     """Squared distances between the rows of X / ls and Z / ls; X is Z
     scales and squares the rows once."""
@@ -180,6 +170,8 @@ class GpWindowModel:
             raise ValueError("capacity must be >= 1")
         if not 0 < cfg.basis_prior_variance < math.inf:
             raise ValueError("basis prior variance must be positive and finite")
+        if cfg.max_fit_evals < 1:
+            raise ValueError(f"max_fit_evals must be >= 1, got {cfg.max_fit_evals}")
         self.dim = int(dim)
         self.capacity = int(cfg.capacity)
         self.hyper = GpHyperparams(length_scale=cfg.length_scale0,
@@ -305,13 +297,19 @@ class GpWindowModel:
 
     # -- prediction ---------------------------------------------------------
 
-    def predict(self, xi) -> tuple:
-        """Predictive mean and variance at xi; (0, inf) on an empty window."""
+    def _checked_query(self, xi) -> np.ndarray:
+        """xi as a flat array; ValueError unless it is finite and of the
+        model's dimension."""
         xi = np.asarray(xi, dtype=float).reshape(-1)
         if xi.shape != (self.dim,):
             raise ValueError(f"expected {self.dim}-dimensional input, got {xi.shape}")
         if not np.isfinite(xi).all():
             raise ValueError("query must be finite")
+        return xi
+
+    def predict(self, xi) -> tuple:
+        """Predictive mean and variance at xi; (0, inf) on an empty window."""
+        xi = self._checked_query(xi)
         if self.size == 0:
             return 0.0, math.inf
         c = self._cache
@@ -337,7 +335,7 @@ class GpWindowModel:
         """d mean / d xi_dim at xi, combining kernel and basis terms.
 
         Zero on an empty window, matching predict's zero mean."""
-        xi = np.asarray(xi, dtype=float).reshape(-1)
+        xi = self._checked_query(xi)
         if not 0 <= dim < self.dim:
             raise ValueError(f"dim must be in 0..{self.dim - 1}")
         if self.size == 0:

@@ -7,6 +7,7 @@ output r steps ahead on the system they were derived from.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,6 +227,16 @@ class TrainingConfig:
     patience: int = 50
     train_duration_s: float = 40.0  # length of each excitation run
     subsample: int = 10             # stride over each run's training pairs
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_size", "subsample"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"mlp.{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.val_fraction < 1:
+            raise ValueError(f"mlp.val_fraction must be in (0, 1), got {self.val_fraction}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("mlp.learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
 
 
 def init_mlp(model: MlpInverseModel, rng) -> np.ndarray:

@@ -69,6 +69,47 @@ def random_stable_system(rng, n: int = 2) -> LtiSystem:
             return LtiSystem(A, B, C)
 
 
+def kernel(xi, xj, hyper: GpHyperparams) -> float:
+    """Squared-exponential kernel sigma_1^2 exp(-1/2 sum ((xi-xj)/l)^2), one
+    pair at a time: the oracle that gp._kernel_matrix is checked against."""
+    a = np.asarray(xi, dtype=float)
+    b = np.asarray(xj, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    d = (a - b) / hyper.length_scale
+    return float(hyper.signal_variance * np.exp(-0.5 * np.dot(d, d)))
+
+
+class AffineErrorOracle:
+    """Exact error predictor for a known linear target, with the
+    online-module interface (full / observe / predict / mean_derivative).
+
+    predict is the analytic error map e_p(k+r) = y_d(k+r) - F(x) - G u1
+    from the target's io_terms; mean_derivative reads the lifted gains
+    (F = lifted_A x, G = lifted_B).
+    """
+
+    def __init__(self, target):
+        self.target = target
+        self.n = target.n
+        self.full = True
+
+    def observe(self, xi, e):
+        return self
+
+    def predict(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        F, G = self.target.io_terms(xi[:self.n])
+        return float(xi[self.n + 1] - F - G * xi[self.n]), 0.0
+
+    def mean_derivative(self, xi, dim: int) -> float:
+        if dim < self.n:
+            return float(-self.target.lifted_A[dim])
+        if dim == self.n:
+            return -self.target.lifted_B
+        return 1.0
+
+
 def error_log(errors, n: int = 2) -> StepLog:
     """Log whose tracking error y_d - y at step k is errors[k]."""
     y_d = np.asarray(errors, dtype=float)

@@ -20,18 +20,17 @@ from pathlib import Path
 import numpy as np
 
 from xfertrack.bench import run_comparison
-from xfertrack.control import (AffineErrorOracle, EstimatedGain,
-                               TransferController, track_trajectory)
-from xfertrack.gp import (GpCfg, GpHyperparams, GpWindowModel, basis_features,
-                          kernel)
+from xfertrack.control import (EstimatedGain, TransferController,
+                               track_trajectory)
+from xfertrack.gp import GpCfg, GpHyperparams, GpWindowModel, basis_features
 from xfertrack.inverse import (AnalyticInverse, InverseDataset, TrainingConfig,
                                train_mlp)
 from xfertrack.stability import (assemble_budget, fit_prediction_budget,
                                  lemma1_check, similarity)
 
 from conftest import record_criterion
-from helpers import (hyper_cfg, random_stable_system, reference_trajectory,
-                     source_system, target_system)
+from helpers import (AffineErrorOracle, hyper_cfg, kernel, random_stable_system,
+                     reference_trajectory, source_system, target_system)
 
 BASELINE_RMS = 3.97
 BASELINE_BAND = 0.10

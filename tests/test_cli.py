@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from xfertrack.bench import default_benchmark_config
 from xfertrack.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main)
@@ -17,6 +18,16 @@ def write_config(tmp_path, name="cfg.yaml", duration=2.5, **kwargs):
                   **kwargs)
     path = tmp_path / name
     cfg.to_yaml(path)
+    return path
+
+
+def write_raw_config(tmp_path, cfg, section, **values):
+    """cfg as YAML with values set in one section, bypassing the section's
+    own checks, as a hand-edited config file would."""
+    raw = cfg.to_dict()
+    raw[section].update(values)
+    path = tmp_path / "raw.yaml"
+    path.write_text(yaml.safe_dump(raw))
     return path
 
 
@@ -225,6 +236,47 @@ def test_nonfinite_trajectory_timing_is_config_error(tmp_path, capsys,
     code = main(["compare", "--config", str(path)])
     assert code == EXIT_CONFIG
     assert f"{field} must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 0), ("batch_size", 0), ("subsample", 0), ("val_fraction", 1.0),
+    ("val_fraction", 0.0), ("learning_rate", 0.0), ("learning_rate", -1e-3),
+    ("learning_rate", float("nan")), ("learning_rate", float("inf"))])
+def test_out_of_range_mlp_section_is_config_error(tmp_path, capsys, field, value):
+    cfg = default_benchmark_config()
+    cfg = replace(cfg, mlp=replace(cfg.mlp, hidden=[4], epochs=2,
+                                   train_duration_s=2.0, subsample=50))
+    path = write_raw_config(tmp_path, cfg, "mlp", **{field: value})
+    code = main(["train-inverse", "--config", str(path), "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert f"mlp.{field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "inverse_model.npz").exists()
+
+
+@pytest.mark.parametrize("section, values", [
+    ("gain", dict(mode="fixed", alpha=float("nan"))),
+    ("gain", dict(mode="fixed", alpha=float("inf"))),
+    ("gain", dict(floor=float("nan"))),
+    ("gain", dict(floor=-1.0)),
+    ("gain", dict(cap=float("inf"))),
+    ("gain", dict(floor=5.0, cap=1.0)),
+    ("gain", dict(smoothing=float("nan"))),
+    ("gain", dict(smoothing=1.0)),
+    ("gain", dict(smoothing=-0.1)),
+    ("gp", dict(max_fit_evals=0)),
+    ("gp", dict(max_fit_evals=-3))],
+    ids=["fixed-alpha-nan", "fixed-alpha-inf", "floor-nan", "floor-negative",
+         "cap-inf", "cap-below-floor", "smoothing-nan", "smoothing-1",
+         "smoothing-negative", "max_fit_evals-0", "max_fit_evals-neg"])
+def test_bad_gain_or_refit_budget_is_config_error(tmp_path, capsys, section, values):
+    cfg = default_benchmark_config(inverse_mode="analytic")
+    cfg = replace(cfg, trajectory=replace(cfg.trajectory, duration_s=0.3))
+    path = write_raw_config(tmp_path, cfg, section, **values)
+    code = main(["simulate", "--config", str(path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert ("max_fit_evals" if section == "gp" else "gain") in err
 
 
 # -- ingest --------------------------------------------------------------------

@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from xfertrack.bench import default_benchmark_config, run_strategy
-from xfertrack.control import (LOG_COLUMNS, AffineErrorOracle, EstimatedGain,
-                               FixedGain, StepLog, TransferController,
-                               track_trajectory)
+from xfertrack.control import (LOG_COLUMNS, EstimatedGain, FixedGain, StepLog,
+                               TransferController, track_trajectory)
 from xfertrack.gp import GpCfg, GpWindowModel
 from xfertrack.inverse import AnalyticInverse
-from xfertrack.systems import LtiSystem, SimulationDiverged, simulate
+from xfertrack.systems import (LtiSystem, NonlinearSystem, SimulationDiverged,
+                               simulate)
 from xfertrack.trajectory import SinusoidTrajectory
 
-from helpers import error_log, source_system, target_system
+from helpers import AffineErrorOracle, error_log, source_system, target_system
 
 
 def short_trajectory(duration=0.3):
@@ -295,6 +295,22 @@ def test_affine_oracle_values():
     assert oracle.mean_derivative(xi, 1) == pytest.approx(-0.9)
     assert oracle.mean_derivative(xi, 2) == pytest.approx(-1.0)
     assert oracle.mean_derivative(xi, 3) == 1.0
+
+
+def test_error_map_audits_a_nonlinear_target():
+    # y(k+1) = x/2 + (1 + sin(x)/2) u: with the correction off, u = u1, so
+    # e*(k+1) = y_d(k+1) - F - G u1 is the next step's tracking error
+    target = NonlinearSystem(
+        n=1, f=lambda x: 0.5 * x, g=lambda x: 1.0 + 0.5 * np.sin(x),
+        h=lambda x: float(x[0]), r=1,
+        F=lambda x: 0.5 * x[0], G=lambda x: 1.0 + 0.5 * math.sin(x[0]))
+    ctrl = TransferController(AnalyticInverse(LtiSystem([[0.5]], [1.0], [1.0])), r=1)
+    _, log = track_trajectory(target, ctrl, short_trajectory(),
+                              error_oracle_target=target)
+    err_next = log.column("y_d")[1:] - log.column("y")[1:]
+    np.testing.assert_allclose(log.column("e_p_star")[:-1], err_next,
+                               rtol=0, atol=1e-12)
+    assert np.abs(err_next).max() > 1e-3
 
 
 # -- step log ------------------------------------------------------------------

@@ -9,9 +9,9 @@ import pytest
 from scipy.linalg import LinAlgError
 
 from xfertrack.gp import (BASIS_KINDS, GpCfg, GpHyperparams, GpWindowModel,
-                          _kernel_matrix, basis_features, kernel)
+                          _kernel_matrix, basis_features)
 
-from helpers import hyper_cfg
+from helpers import hyper_cfg, kernel
 
 
 def filled_model(rng, dim=3, n=15, **kwargs):
@@ -305,6 +305,18 @@ def test_derivative_dim_bounds():
     gp.observe([0.0, 0.0], 1.0)
     with pytest.raises(ValueError):
         gp.mean_derivative([0.0, 0.0], 2)
+
+
+@pytest.mark.parametrize("method", ["predict", "mean_derivative"])
+def test_queries_checked_for_shape_and_finiteness(method):
+    gp = GpWindowModel(2, GpCfg(capacity=5, optimize=False))
+    gp.observe([0.0, 0.0], 1.0)
+    ask = getattr(gp, method)
+    extra = () if method == "predict" else (0,)
+    with pytest.raises(ValueError, match="query must be finite"):
+        ask([math.nan, 0.0], *extra)
+    with pytest.raises(ValueError, match="expected 2-dimensional input"):
+        ask([0.0, 0.0, 0.0], *extra)
 
 
 def test_factorization_reconstructs_covariance():
