@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,31 +42,29 @@ NOISE_VARIANCE_BOUNDS = (1e-12, 1.0)
 
 @dataclass(frozen=True)
 class GpHyperparams:
-    """Kernel settings: one length scale shared by every input dimension
-    and the two variances."""
+    """The kernel settings a refit fits: one length scale shared by every
+    input dimension and the two variances."""
 
     length_scale: float = 1.0      # l
     signal_variance: float = 1.0   # sigma_1^2
     noise_variance: float = 1e-6   # sigma_2^2
-    basis: str = "quadratic"
 
     def __post_init__(self):
         if not (0 < self.length_scale < math.inf and 0 < self.signal_variance < math.inf
                 and 0 <= self.noise_variance < math.inf):
             raise ValueError("length scale and signal variance must be positive, "
                              "noise variance nonnegative, all finite")
-        if self.basis not in BASIS_KINDS:
-            raise ValueError(f"basis must be one of {BASIS_KINDS}")
 
 
 @dataclass
 class GpCfg:
     """Settings of a GpWindowModel, and the `gp` section of a benchmark
-    config. basis and the *0 fields are the starting GpHyperparams; a
-    refit moves the hyperparameters from there."""
+    config, checked here once. The *0 fields are the starting
+    GpHyperparams; a refit moves the hyperparameters from there. The basis
+    term (basis, tau^2) stays fixed."""
 
     capacity: int = 15                  # window size N
-    basis: str = GpHyperparams.basis
+    basis: str = "quadratic"            # one of BASIS_KINDS
     optimize: bool = True               # refit the hyperparameters online
     fit_noise: bool = True              # refit sigma_2^2 too
     refit_stride: int = 1               # observations between refits
@@ -76,6 +74,24 @@ class GpCfg:
     signal_variance0: float = GpHyperparams.signal_variance
     noise_variance0: float = GpHyperparams.noise_variance
     max_fit_evals: int = 100            # L-BFGS-B maxfun per refit
+
+    def __post_init__(self):
+        if not (self.capacity >= 1 and float(self.capacity).is_integer()):
+            raise ValueError("capacity must be a whole number >= 1, "
+                             f"got {self.capacity}")
+        if self.basis not in BASIS_KINDS:
+            raise ValueError(f"basis must be one of {BASIS_KINDS}")
+        if not 0 < self.basis_prior_variance < math.inf:
+            raise ValueError("basis prior variance must be positive and finite")
+        if not self.max_fit_evals >= 1:
+            raise ValueError(f"max_fit_evals must be >= 1, got {self.max_fit_evals}")
+        self.hyper0  # building the starting GpHyperparams checks them
+
+    @property
+    def hyper0(self) -> GpHyperparams:
+        """The starting hyperparameters."""
+        return GpHyperparams(self.length_scale0, self.signal_variance0,
+                             self.noise_variance0)
 
 
 def _scaled_sq_dist(X, Z, ls: float) -> np.ndarray:
@@ -151,54 +167,37 @@ def _chol_with_jitter(M: np.ndarray):
 class _Factor(NamedTuple):
     """One factorization of a window's covariance with the basis folded in."""
 
-    L: np.ndarray       # lower Cholesky factor of C + jitter I
+    L: np.ndarray   # lower Cholesky factor of C + jitter I
     jitter: float
-    a: np.ndarray       # C^-1 (y - H c)
-    y: np.ndarray       # y - H c: the outputs centered on the basis prior mean
-    center: np.ndarray  # c
-    H: np.ndarray
+    a: np.ndarray   # C^-1 (y - H c)
+    y: np.ndarray   # y - H c: the outputs centered on the basis prior mean
     K: np.ndarray
-    sq: np.ndarray      # scaled squared distances, K = sigma_1^2 exp(-sq / 2)
+    sq: np.ndarray  # scaled squared distances, K = sigma_1^2 exp(-sq / 2)
 
 
 class GpWindowModel:
     """Online error predictor over a sliding window of recent observations."""
 
     def __init__(self, dim: int, cfg: GpCfg | None = None):
-        cfg = GpCfg() if cfg is None else cfg
-        if cfg.capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if not 0 < cfg.basis_prior_variance < math.inf:
-            raise ValueError("basis prior variance must be positive and finite")
-        if cfg.max_fit_evals < 1:
-            raise ValueError(f"max_fit_evals must be >= 1, got {cfg.max_fit_evals}")
+        self.cfg = GpCfg() if cfg is None else cfg
         self.dim = int(dim)
-        self.capacity = int(cfg.capacity)
-        self.hyper = GpHyperparams(length_scale=cfg.length_scale0,
-                                   signal_variance=cfg.signal_variance0,
-                                   noise_variance=cfg.noise_variance0,
-                                   basis=cfg.basis)
-        self.basis_prior_variance = float(cfg.basis_prior_variance)
-        self.optimize = bool(cfg.optimize)
-        self.fit_noise = bool(cfg.fit_noise)
-        self.refit_stride = int(cfg.refit_stride)
-        self.min_fit_size = int(cfg.min_fit_size)
-        self.max_fit_evals = int(cfg.max_fit_evals)
+        self.hyper = self.cfg.hyper0
 
         self._X = np.zeros((0, self.dim))
         self._y = np.zeros(0)
+        self._H = basis_features(self._X, self.cfg.basis)
+        self._tau2HH = np.zeros((0, 0))  # tau^2 H H'
         self.observation_count = 0
         self.rejected_count = 0
         self._since_fit = 0
         self._cache = None  # _Factor of the current window
-        self._basis = None  # (kind, H, tau^2 H H') of the current window
         self._last_factor = None  # of the latest log_marginal_likelihood call
         self._query = None  # (xi bytes, k(xi, X)) of the latest query
         # Latest basis coefficient estimate and the prior mean c of the next
-        # factorization (None: zero). Directions the window cannot identify
-        # (collinear inputs on a converged trajectory) so hold their last
-        # value instead of drifting toward zero.
-        self._beta = None
+        # factorization. Directions the window cannot identify (collinear
+        # inputs on a converged trajectory) so hold their last value
+        # instead of drifting toward zero.
+        self._beta = np.zeros(self._H.shape[1])
 
     # -- window bookkeeping -------------------------------------------------
 
@@ -214,21 +213,17 @@ class GpWindowModel:
         transfer controller keeps its correction off until the window is
         full, because a part-filled window supports the posterior mean
         but not yet a trustworthy input derivative."""
-        return self.size >= self.capacity
+        return self.size >= self.cfg.capacity
 
     def observe(self, xi, e: float) -> "GpWindowModel":
         """Insert one observation, evicting the oldest beyond capacity."""
-        xi = np.asarray(xi, dtype=float).reshape(-1)
-        if xi.shape != (self.dim,):
-            raise ValueError(f"expected {self.dim}-dimensional input, got {xi.shape}")
+        xi = self._as_input(xi)
         if not (np.isfinite(xi).all() and np.isfinite(e)):
             self.rejected_count += 1
             logger.warning("rejected non-finite observation (total rejected: %d)",
                            self.rejected_count)
             return self
-        if self.size == self.capacity:
-            # slide in place. A factor's y may alias _y, but only the
-            # likelihood evaluation that made the factor reads it.
+        if self.size == self.cfg.capacity:
             self._X[:-1] = self._X[1:]
             self._X[-1] = xi
             self._y[:-1] = self._y[1:]
@@ -236,11 +231,12 @@ class GpWindowModel:
         else:
             self._X = np.vstack([self._X, xi])
             self._y = np.concatenate([self._y, [float(e)]])
-        self._basis = None
+        self._H = basis_features(self._X, self.cfg.basis)
+        self._tau2HH = self.cfg.basis_prior_variance * (self._H @ self._H.T)
         self.observation_count += 1
         self._since_fit += 1
-        if (self.optimize and self.size >= self.min_fit_size
-                and self._since_fit >= self.refit_stride):
+        if (self.cfg.optimize and self.size >= self.cfg.min_fit_size
+                and self._since_fit >= self.cfg.refit_stride):
             self.fit_hyperparams()
         else:
             self._refresh()
@@ -248,33 +244,19 @@ class GpWindowModel:
 
     # -- factorization ------------------------------------------------------
 
-    def _window_basis(self, kind: str):
-        """H and tau^2 H H' of the current window, built once per window
-        change."""
-        if self._basis is None or self._basis[0] != kind:
-            H = basis_features(self._X, kind)
-            self._basis = kind, H, self.basis_prior_variance * (H @ H.T)
-        return self._basis[1:]
-
     def _factorize(self, hyper: GpHyperparams) -> _Factor:
         """Factor C = K + sigma_2^2 I + tau^2 H H' for the current window,
         with the outputs centered on the prior mean H c of the basis term.
         Raises LinAlgError when C is not finite, or not positive definite
         at MAX_JITTER."""
-        X, y = self._X, self._y
-        sq = _scaled_sq_dist(X, X, hyper.length_scale)
+        sq = _scaled_sq_dist(self._X, self._X, hyper.length_scale)
         K = hyper.signal_variance * np.exp(-0.5 * sq)
         C = K.copy()
         C.reshape(-1)[::self.size + 1] += hyper.noise_variance
-        H, tau2HH = self._window_basis(hyper.basis)
-        center = np.zeros(H.shape[1])
-        if H.shape[1]:
-            C += tau2HH
-            if self._beta is not None and self._beta.size == H.shape[1]:
-                center = self._beta
-                y = y - H @ center
+        C += self._tau2HH
+        y = self._y - self._H @ self._beta
         L, jitter = _chol_with_jitter(C)
-        return _Factor(L, jitter, dpotrs(L, y, lower=1)[0], y, center, H, K, sq)
+        return _Factor(L, jitter, dpotrs(L, y, lower=1)[0], y, K, sq)
 
     def _refresh(self, f: _Factor | None = None):
         """Cache the factorization of the current window, f when it is
@@ -284,7 +266,7 @@ class GpWindowModel:
             self._cache = None
             return
         self._cache = f = self._factorize(self.hyper) if f is None else f
-        self._beta = f.center + self.basis_prior_variance * (f.H.T @ f.a)
+        self._beta = self._beta + self.cfg.basis_prior_variance * (self._H.T @ f.a)
 
     @property
     def factor(self) -> np.ndarray | None:
@@ -297,12 +279,17 @@ class GpWindowModel:
 
     # -- prediction ---------------------------------------------------------
 
-    def _checked_query(self, xi) -> np.ndarray:
-        """xi as a flat array; ValueError unless it is finite and of the
-        model's dimension."""
+    def _as_input(self, xi) -> np.ndarray:
+        """xi as a flat array; ValueError unless it has the model's
+        dimension."""
         xi = np.asarray(xi, dtype=float).reshape(-1)
         if xi.shape != (self.dim,):
             raise ValueError(f"expected {self.dim}-dimensional input, got {xi.shape}")
+        return xi
+
+    def _checked_query(self, xi) -> np.ndarray:
+        """_as_input, and ValueError unless xi is finite."""
+        xi = self._as_input(xi)
         if not np.isfinite(xi).all():
             raise ValueError("query must be finite")
         return xi
@@ -314,11 +301,11 @@ class GpWindowModel:
             return 0.0, math.inf
         c = self._cache
         ks = self._query_kernel(xi)
-        hs = basis_features(xi[None, :], self.hyper.basis)[0]
+        hs = basis_features(xi[None, :], self.cfg.basis)[0]
         mean = float(hs @ self._beta + ks @ c.a)
         # prior covariance of the folded model: k + tau^2 h' h
-        tau2 = self.basis_prior_variance
-        v = dtrtrs(c.L, ks + tau2 * (c.H @ hs), lower=1)[0]
+        tau2 = self.cfg.basis_prior_variance
+        v = dtrtrs(c.L, ks + tau2 * (self._H @ hs), lower=1)[0]
         var = self.hyper.signal_variance + tau2 * float(hs @ hs) - float(v @ v)
         return mean, max(var, 0.0)
 
@@ -344,7 +331,7 @@ class GpWindowModel:
         dks = -((xi[dim] - self._X[:, dim]) / self.hyper.length_scale ** 2) * ks
         out = float(dks @ self._cache.a)
         if self._beta.size:
-            dh = basis_derivative(xi, self.hyper.basis, dim)
+            dh = basis_derivative(xi, self.cfg.basis, dim)
             out += float(dh @ self._beta)
         return out
 
@@ -402,7 +389,7 @@ class GpWindowModel:
         bounds = [LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS]
         theta0 = [math.log(self.hyper.length_scale),
                   math.log(self.hyper.signal_variance)]
-        if self.fit_noise:
+        if self.cfg.fit_noise:
             bounds.append(NOISE_VARIANCE_BOUNDS)
             nv0 = min(max(self.hyper.noise_variance, NOISE_VARIANCE_BOUNDS[0]),
                       NOISE_VARIANCE_BOUNDS[1])
@@ -414,9 +401,8 @@ class GpWindowModel:
         def hyper_of(theta):
             ls = math.exp(theta[0])
             sv = math.exp(theta[1])
-            nv = math.exp(theta[2]) if self.fit_noise else self.hyper.noise_variance
-            return replace(self.hyper, length_scale=ls, signal_variance=sv,
-                           noise_variance=nv)
+            nv = math.exp(theta[2]) if self.cfg.fit_noise else self.hyper.noise_variance
+            return GpHyperparams(ls, sv, nv)
 
         memo = {}  # GpHyperparams -> (objective, gradient, factor or None)
 
@@ -435,7 +421,7 @@ class GpWindowModel:
 
         res = minimize(objective, theta0, jac=True, method="L-BFGS-B",
                        bounds=list(zip(lb, ub)),
-                       options={"maxfun": self.max_fit_evals})
+                       options={"maxfun": self.cfg.max_fit_evals})
         best_theta, best_f = res.x, float(res.fun)
         f0, _, _ = evaluate(theta0)
         if f0 < best_f:

@@ -38,7 +38,6 @@ class InverseDataset:
 
     inputs: np.ndarray  # (N, n+1)
     labels: np.ndarray  # (N,)
-    r: int
 
     def __post_init__(self):
         if self.inputs.shape[0] != self.labels.shape[0]:
@@ -75,7 +74,7 @@ def build_inverse_dataset(traces, r: int, subsample: int = 1) -> InverseDataset:
     if not xs:
         raise ValueError("no trace long enough to contribute a sample")
     inputs = np.hstack([np.vstack(xs), np.concatenate(ys)[:, None]])
-    return InverseDataset(inputs=inputs, labels=np.concatenate(us), r=r)
+    return InverseDataset(inputs=inputs, labels=np.concatenate(us))
 
 
 class AnalyticInverse:
@@ -229,14 +228,17 @@ class TrainingConfig:
     subsample: int = 10             # stride over each run's training pairs
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "subsample"):
+        for name in ("epochs", "batch_size", "patience", "subsample"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"mlp.{name} must be >= 1, got {getattr(self, name)}")
+        if not all(size >= 1 for size in self.hidden):
+            raise ValueError(f"mlp.hidden must be layer sizes >= 1, got {self.hidden}")
         if not 0 < self.val_fraction < 1:
             raise ValueError(f"mlp.val_fraction must be in (0, 1), got {self.val_fraction}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("mlp.learning_rate must be positive and finite, "
-                             f"got {self.learning_rate}")
+        for name in ("learning_rate", "train_duration_s"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"mlp.{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
 
 
 def init_mlp(model: MlpInverseModel, rng) -> np.ndarray:

@@ -237,11 +237,11 @@ def _all_finite(a) -> bool:
     return bool(np.isfinite(a).all())
 
 
-def step(system, x, u, k: Optional[int] = None) -> np.ndarray:
-    """One plant step with divergence checking; x and u may be a stack."""
+def step(system, x, u, k: int) -> np.ndarray:
+    """Plant step k with divergence checking; x and u may be a stack."""
     x_next = system.step(np.asarray(x, dtype=float), u)
     if not np.isfinite(x_next).all():
-        raise SimulationDiverged("state became non-finite", -1 if k is None else k)
+        raise SimulationDiverged("state became non-finite", k)
     return x_next
 
 

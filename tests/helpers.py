@@ -48,8 +48,7 @@ def hyper_cfg(hyper: GpHyperparams, **settings) -> GpCfg:
     """GP settings whose starting hyperparameters are hyper."""
     return GpCfg(length_scale0=hyper.length_scale,
                  signal_variance0=hyper.signal_variance,
-                 noise_variance0=hyper.noise_variance, basis=hyper.basis,
-                 **settings)
+                 noise_variance0=hyper.noise_variance, **settings)
 
 
 def random_stable_system(rng, n: int = 2) -> LtiSystem:
@@ -121,9 +120,8 @@ def error_log(errors, n: int = 2) -> StepLog:
 class AffineInverse:
     """u = [x, y_d(k+r), 1] @ coef, with the .reference interface of an inverse."""
 
-    def __init__(self, coef, r: int):
+    def __init__(self, coef):
         self.coef = coef
-        self.r = r
 
     def reference(self, x, y_d_future):
         feat = np.concatenate([np.asarray(x, dtype=float), [float(y_d_future)], [1.0]])
@@ -138,4 +136,4 @@ def affine_lstsq_inverse(dataset) -> AffineInverse:
     """
     X = np.hstack([dataset.inputs, np.ones((len(dataset), 1))])
     coef, *_ = np.linalg.lstsq(X, dataset.labels, rcond=None)
-    return AffineInverse(coef, dataset.r)
+    return AffineInverse(coef)

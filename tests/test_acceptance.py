@@ -190,8 +190,8 @@ def test_criterion_7_property_suites(bench_config):
         gp.observe(rng.standard_normal(3), float(rng.standard_normal()))
     X = gp._X
     K = np.array([[kernel(p, q, gp.hyper) for q in X] for p in X])
-    H = basis_features(X, gp.hyper.basis)
-    target_mat = (K + gp.basis_prior_variance * H @ H.T
+    H = basis_features(X, gp.cfg.basis)
+    target_mat = (K + gp.cfg.basis_prior_variance * H @ H.T
                   + (gp.hyper.noise_variance + gp.jitter) * np.eye(len(X)))
     rel = (np.linalg.norm(gp.factor @ gp.factor.T - target_mat)
            / np.linalg.norm(target_mat))
@@ -224,7 +224,7 @@ def test_criterion_7_property_suites(bench_config):
     rng = np.random.default_rng(6)
     X = rng.standard_normal((6, 2))
     y = rng.standard_normal(6)
-    model = train_mlp(InverseDataset(inputs=X, labels=y, r=1),
+    model = train_mlp(InverseDataset(inputs=X, labels=y),
                       TrainingConfig(hidden=(3, 2), epochs=1, batch_size=6),
                       seed=0)
     Xn = model.normalize(X)

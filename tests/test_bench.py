@@ -231,6 +231,13 @@ def test_online_with_zero_gain_equals_offline():
     assert on.rms_tracking == off.rms_tracking
 
 
+def test_bundled_report_digest_pinned(bench_report):
+    # the full bundled comparison, MLP training included, is bit-identical
+    # to the recorded run; a change that moves it must say so
+    assert bench_report.digest() == (
+        "9c7cac4dcc86acd74c526bee65ef260a0b1d33507e0e3d51228d9a1267e67fd5")
+
+
 def test_online_improves_on_offline(bench_report):
     off = bench_report.strategies["offline"]["rms_tracking"]
     on = bench_report.strategies["online"]["rms_tracking"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from xfertrack import bench
 from xfertrack.bench import default_benchmark_config
 from xfertrack.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main)
 from xfertrack.inverse import MlpInverseModel
@@ -85,9 +86,9 @@ def test_bad_config_field_is_config_error(tmp_path, capsys):
 
 
 def test_zero_gp_capacity_is_config_error(tmp_path, capsys):
-    gp = default_benchmark_config().gp
-    cfg = write_config(tmp_path, gp=replace(gp, capacity=0))
-    code = main(["simulate", "--config", str(cfg)])
+    cfg = default_benchmark_config(inverse_mode="analytic")
+    path = write_raw_config(tmp_path, cfg, "gp", capacity=0)
+    code = main(["simulate", "--config", str(path)])
     assert code == EXIT_CONFIG
     assert "capacity" in capsys.readouterr().err
 
@@ -241,7 +242,9 @@ def test_nonfinite_trajectory_timing_is_config_error(tmp_path, capsys,
 @pytest.mark.parametrize("field, value", [
     ("epochs", 0), ("batch_size", 0), ("subsample", 0), ("val_fraction", 1.0),
     ("val_fraction", 0.0), ("learning_rate", 0.0), ("learning_rate", -1e-3),
-    ("learning_rate", float("nan")), ("learning_rate", float("inf"))])
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ("hidden", [4, 0]), ("patience", 0), ("patience", -1),
+    ("train_duration_s", 0.0), ("train_duration_s", float("nan"))])
 def test_out_of_range_mlp_section_is_config_error(tmp_path, capsys, field, value):
     cfg = default_benchmark_config()
     cfg = replace(cfg, mlp=replace(cfg.mlp, hidden=[4], epochs=2,
@@ -277,6 +280,24 @@ def test_bad_gain_or_refit_budget_is_config_error(tmp_path, capsys, section, val
     err = capsys.readouterr().err
     assert "config error" in err
     assert ("max_fit_evals" if section == "gp" else "gain") in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "sweep-alpha"])
+@pytest.mark.parametrize("field, value", [
+    ("capacity", 0), ("capacity", 2.5), ("basis", "cubic"), ("max_fit_evals", 0),
+    ("basis_prior_variance", -1.0), ("length_scale0", -1.0),
+    ("noise_variance0", float("nan"))])
+def test_bad_gp_section_fails_before_training(tmp_path, capsys, monkeypatch,
+                                              command, field, value):
+    trained = []
+    monkeypatch.setattr(bench, "train_mlp",
+                        lambda *args, **kwargs: trained.append(1))
+    path = write_raw_config(tmp_path, default_benchmark_config(), "gp",
+                            **{field: value})
+    code = main([command, "--config", str(path), "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert trained == []
 
 
 # -- ingest --------------------------------------------------------------------

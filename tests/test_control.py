@@ -161,7 +161,7 @@ def test_cold_start_before_first_retirement():
     # so the correction and gain stay off before that and engage exactly there
     alpha = log.column("alpha")
     u2 = log.column("u2")
-    fill = gp.capacity
+    fill = gp.cfg.capacity
     assert np.all(alpha[:fill] == 0.0)
     assert np.all(u2[:fill] == 0.0)
     assert alpha[fill] != 0.0

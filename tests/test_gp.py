@@ -62,7 +62,7 @@ def test_hyperparams_validation():
     with pytest.raises(ValueError):
         GpHyperparams(length_scale=1.0, noise_variance=-1e-9)
     with pytest.raises(ValueError):
-        GpHyperparams(length_scale=1.0, basis="cubic")
+        GpCfg(basis="cubic")
     for bad in (dict(length_scale=math.nan), dict(signal_variance=math.inf),
                 dict(noise_variance=math.inf), dict(noise_variance=math.nan)):
         with pytest.raises(ValueError, match="finite"):
@@ -193,15 +193,15 @@ def test_affine_window_recovered_through_basis():
         assert abs(mean - (w @ q + c)) <= 1e-6
 
 
-def gpml_posterior(X, y, xs, hyper, tau2, b, jitter):
+def gpml_posterior(X, y, xs, hyper, basis, tau2, b, jitter):
     """Mean and variance of h' beta + f at xs and the coefficient estimate,
     by GPML eqs. 2.41-2.42 with B = tau2 I and prior mean b, solved densely.
     K_y carries the model's jitter, which its factor adds to the diagonal."""
     K = np.array([[kernel(p, q, hyper) for q in X] for p in X])
     Ky = K + (hyper.noise_variance + jitter) * np.eye(len(X))
-    H = basis_features(X, hyper.basis)  # (n, m), the transpose of GPML's H
+    H = basis_features(X, basis)  # (n, m), the transpose of GPML's H
     ks = np.array([kernel(p, xs, hyper) for p in X])
-    hs = basis_features(xs[None, :], hyper.basis)[0]
+    hs = basis_features(xs[None, :], basis)[0]
     Ky_inv_H = np.linalg.solve(Ky, H)
     A = np.eye(H.shape[1]) / tau2 + H.T @ Ky_inv_H
     beta = np.linalg.solve(A, H.T @ np.linalg.solve(Ky, y) + b / tau2)
@@ -225,19 +225,21 @@ def test_prediction_matches_explicit_basis_posterior(basis):
         hyper = GpHyperparams(
             length_scale=float(rng.uniform(0.5, 3.0)),
             signal_variance=float(rng.uniform(0.3, 3.0)),
-            noise_variance=float(rng.uniform(1e-4, 1e-2)), basis=basis)
-        gp = GpWindowModel(d, hyper_cfg(hyper, capacity=15,
+            noise_variance=float(rng.uniform(1e-4, 1e-2)))
+        gp = GpWindowModel(d, hyper_cfg(hyper, capacity=15, basis=basis,
                                         basis_prior_variance=tau2, optimize=False))
         X = rng.standard_normal((n, d))
         y = rng.standard_normal(n)
         b = np.zeros(basis_features(X[:1], basis).shape[1])
         for j in range(n):
             if j:
-                b = gpml_posterior(X[:j], y[:j], X[0], hyper, tau2, b, gp.jitter)[2]
+                b = gpml_posterior(X[:j], y[:j], X[0], hyper, basis, tau2, b,
+                                   gp.jitter)[2]
             gp.observe(X[j], y[j])
         for _ in range(5):
             xs = 1.5 * rng.standard_normal(d)
-            mean, var, _ = gpml_posterior(X, y, xs, hyper, tau2, b, gp.jitter)
+            mean, var, _ = gpml_posterior(X, y, xs, hyper, basis, tau2, b,
+                                          gp.jitter)
             got_mean, got_var = gp.predict(xs)
             assert abs(got_mean - mean) <= 1e-6 * max(1.0, abs(mean))
             assert abs(got_var - var) <= 1e-6 * max(1e-2, var)
@@ -328,8 +330,8 @@ def test_factorization_reconstructs_covariance():
                       noise_variance0=1e-5)
     X = gp._X
     K = np.array([[kernel(a, b, gp.hyper) for b in X] for a in X])
-    H = basis_features(X, gp.hyper.basis)
-    target = (K + gp.basis_prior_variance * H @ H.T
+    H = basis_features(X, gp.cfg.basis)
+    target = (K + gp.cfg.basis_prior_variance * H @ H.T
               + (gp.hyper.noise_variance + gp.jitter) * np.eye(len(X)))
     L = gp.factor
     err = np.linalg.norm(L @ L.T - target) / np.linalg.norm(target)
@@ -353,9 +355,9 @@ def test_likelihood_gradient_matches_finite_differences(basis, fit_noise):
         hyper = GpHyperparams(
             length_scale=float(rng.uniform(0.5, 3.0)),
             signal_variance=float(rng.uniform(0.3, 3.0)),
-            noise_variance=float(rng.uniform(1e-4, 1e-2)), basis=basis)
+            noise_variance=float(rng.uniform(1e-4, 1e-2)))
         gp = GpWindowModel(d, hyper_cfg(hyper, capacity=15, optimize=False,
-                                        fit_noise=fit_noise))
+                                        fit_noise=fit_noise, basis=basis))
         for _ in range(int(rng.integers(3, 16))):
             gp.observe(rng.standard_normal(d), float(rng.standard_normal()))
         value, grad = gp.log_marginal_likelihood(grad=True)
@@ -460,7 +462,7 @@ def test_length_scale_recovery_from_synthetic_data():
     # data drawn from a known SE prior with l = 2; small-window variance
     # makes this a wide-band check (within a factor of 1.5)
     hyp_true = GpHyperparams(length_scale=2.0, signal_variance=1.0,
-                             noise_variance=1e-8, basis="none")
+                             noise_variance=1e-8)
     for seed in (0, 2, 6, 9):
         rng = np.random.default_rng(seed)
         X = rng.uniform(-5, 5, size=(15, 1))

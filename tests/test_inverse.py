@@ -33,7 +33,6 @@ def test_sample_count_for_relative_degree_one():
     ds = build_inverse_dataset([toy_trace(10)], r=1)
     assert ds.inputs.shape == (10, 3)
     assert ds.labels.shape == (10,)
-    assert ds.r == 1
 
 
 def test_pairing_uses_future_output():
@@ -122,7 +121,7 @@ def small_dataset(seed=0, n=400):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1, 1, size=(n, 3))
     y = X @ np.array([0.5, -1.0, 2.0]) + 0.1
-    return InverseDataset(inputs=X, labels=y, r=1)
+    return InverseDataset(inputs=X, labels=y)
 
 
 def test_training_is_deterministic():
@@ -137,7 +136,7 @@ def test_training_is_deterministic():
 
 
 def test_empty_dataset_rejected():
-    empty = InverseDataset(inputs=np.zeros((0, 3)), labels=np.zeros(0), r=1)
+    empty = InverseDataset(inputs=np.zeros((0, 3)), labels=np.zeros(0))
     with pytest.raises(ValueError):
         train_mlp(empty, TrainingConfig(epochs=1))
 
@@ -176,7 +175,7 @@ def test_training_returns_best_validation_parameters():
     rng = np.random.default_rng(0)
     X = rng.uniform(-1, 1, size=(60, 3))
     y = X @ np.array([0.5, -1.0, 2.0]) + 0.1 + 0.5 * rng.standard_normal(60)
-    ds = InverseDataset(inputs=X, labels=y, r=1)
+    ds = InverseDataset(inputs=X, labels=y)
     cfg = TrainingConfig(hidden=(16,), epochs=20, batch_size=8,
                          learning_rate=1e-2, val_fraction=0.25, patience=20)
     model = train_mlp(ds, cfg, seed=2)
@@ -206,7 +205,7 @@ def test_gradients_match_finite_differences():
     X = rng.standard_normal((6, 2))
     y = rng.standard_normal(6)
     cfg = TrainingConfig(hidden=(3, 2), epochs=1, batch_size=6)
-    model = train_mlp(InverseDataset(inputs=X, labels=y, r=1), cfg, seed=0)
+    model = train_mlp(InverseDataset(inputs=X, labels=y), cfg, seed=0)
     Xn = model.normalize(X)
     yn = (y - model.out_mean) / model.out_std
     _, grad = model.loss_and_grads(Xn, yn)
