@@ -116,27 +116,51 @@ class BenchConfig:
     u_max: float = 1e6
     sweep_alphas: list = field(default_factory=list)
 
+    def __post_init__(self):
+        """Check the whole config once, when it is made, from YAML or in
+        code: each section mapping becomes its dataclass, and the sections
+        that build an object are built once, since building is their check."""
+        for key, sub in (("source", SystemCfg), ("target", SystemCfg),
+                         ("trajectory", TrajectoryCfg), ("gp", GpCfg),
+                         ("mlp", TrainingConfig), ("gain", GainCfg)):
+            value = getattr(self, key)
+            if isinstance(value, dict):
+                setattr(self, key, sub(**value))
+            elif not isinstance(value, sub):
+                raise ConfigError(f"section {key} must be a mapping, got {value!r}")
+        if self.inverse_mode not in ("mlp", "analytic"):
+            raise ConfigError(f"unknown inverse_mode {self.inverse_mode!r}")
+        if self.strategy not in ("baseline", "offline", "online"):
+            raise ConfigError(f"unknown strategy {self.strategy!r}")
+        self.source.build()
+        target = self.target.build()
+        self.gain.build()
+        steps = self.trajectory.build().n_steps
+        if not steps > target.r:
+            raise ConfigError(f"trajectory has {steps} steps; it needs more than "
+                              f"the target's relative degree r = {target.r}")
+        if self.x0 is not None and len(self.x0) != target.n:
+            raise ConfigError(f"x0 must have {target.n} entries, got {self.x0!r}")
+        if not 0 < self.u_max <= math.inf:
+            raise ConfigError(f"u_max must be positive or inf, got {self.u_max}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        try:
+            for alpha in self.sweep_alphas:
+                FixedGain(alpha=alpha)
+        except (TypeError, ValueError) as err:
+            raise ConfigError("sweep_alphas must be a list of finite gains, "
+                              f"got {self.sweep_alphas!r}") from err
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BenchConfig":
         try:
-            kwargs = dict(raw)
-            for key, sub in (("source", SystemCfg), ("target", SystemCfg),
-                             ("trajectory", TrajectoryCfg), ("gp", GpCfg),
-                             ("mlp", TrainingConfig), ("gain", GainCfg)):
-                if key in kwargs and isinstance(kwargs[key], dict):
-                    kwargs[key] = sub(**kwargs[key])
-            cfg = cls(**kwargs)
+            return cls(**raw)
         except TypeError as err:
             raise ConfigError(f"bad config structure: {err}") from err
-        if cfg.inverse_mode not in ("mlp", "analytic"):
-            raise ConfigError(f"unknown inverse_mode {cfg.inverse_mode!r}")
-        if cfg.strategy not in ("baseline", "offline", "online"):
-            raise ConfigError(f"unknown strategy {cfg.strategy!r}")
-        cfg.gain.build()  # a bad gain section fails before MLP training
-        return cfg
 
     @classmethod
     def from_yaml(cls, path) -> "BenchConfig":
@@ -286,7 +310,6 @@ def run_strategy(cfg: BenchConfig, strategy: str, inverse=None,
                  alpha_override: float | None = None) -> StrategyResult:
     """Run one strategy: "baseline" (reference passed through), "offline"
     (inverse only), or "online" (inverse plus error prediction)."""
-    source = cfg.source.build()
     target = cfg.target.build()
     traj = cfg.trajectory.build()
     r = target.r
@@ -299,14 +322,14 @@ def run_strategy(cfg: BenchConfig, strategy: str, inverse=None,
         oracle_target = None
     elif strategy in ("offline", "online"):
         if inverse is None:
-            inverse = make_inverse(cfg, source)
-        online = gain = None
+            inverse = make_inverse(cfg, cfg.source.build())
+        gp_model = gain = None
         if strategy == "online":
-            online = GpWindowModel(target.n + 2, cfg.gp)
+            gp_model = GpWindowModel(target.n + 2, cfg.gp)
             gain = cfg.gain.build()
             if alpha_override is not None:
                 gain = FixedGain(alpha=alpha_override)
-        ctrl = TransferController(inverse, r=r, online=online, gain=gain,
+        ctrl = TransferController(inverse, r=r, online=gp_model, gain=gain,
                                   u_max=cfg.u_max)
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
@@ -367,8 +390,6 @@ def run_comparison(cfg: BenchConfig, out_dir=None) -> RunReport:
     trajectory and initial state. A divergence aborts only the strategy
     it occurred in."""
     t0 = time.perf_counter()
-    # the baseline needs no inverse; running it first builds and checks
-    # the systems and the trajectory before the MLP is trained
     runs = {"baseline": run_strategy(cfg, "baseline")}
     inverse = make_inverse(cfg, cfg.source.build())
     val_rmse = getattr(inverse, "validation_rmse", None)
@@ -401,11 +422,7 @@ def alpha_sweep(cfg: BenchConfig, alphas, out_dir=None) -> dict:
     """Run the online strategy at fixed gains, recording boundedness and RMS.
 
     Divergence is a recorded outcome here, not an error."""
-    source = cfg.source.build()
-    # a bad target or trajectory section fails here, before MLP training
-    cfg.target.build()
-    cfg.trajectory.build()
-    inverse = make_inverse(cfg, source)
+    inverse = make_inverse(cfg, cfg.source.build())
     rows = []
     for alpha in alphas:
         res = run_strategy(cfg, "online", inverse=inverse,

@@ -32,7 +32,7 @@ def _load_config(args) -> BenchConfig:
     else:
         cfg = BenchConfig.from_yaml(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -101,10 +101,8 @@ def cmd_similarity(args) -> int:
 
 
 def cmd_train_inverse(args) -> int:
-    cfg = _load_config(args)
-    cfg.inverse_mode = "mlp"
-    source = cfg.source.build()
-    model = make_inverse(cfg, source)
+    cfg = replace(_load_config(args), inverse_mode="mlp")
+    model = make_inverse(cfg, cfg.source.build())
     out = output_dir("." if args.out_dir is None else args.out_dir)
     path = out / "inverse_model.npz"
     model.save(path)

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from xfertrack import bench
 from xfertrack.bench import (BenchConfig, ConfigError, GainCfg, GpCfg,
@@ -14,6 +15,7 @@ from xfertrack.bench import (BenchConfig, ConfigError, GainCfg, GpCfg,
                              build_training_dataset, config_digest,
                              default_benchmark_config, metrics,
                              run_comparison, run_strategy)
+from xfertrack.cli import EXIT_CONFIG, main
 from xfertrack.gp import GpWindowModel
 from xfertrack.inverse import AnalyticInverse
 
@@ -75,10 +77,9 @@ def test_excitation_dataset_pinned():
 
 def test_bad_system_matrices():
     cfg = default_benchmark_config()
-    broken = replace(cfg, source=SystemCfg(a=[[0.0, 1.0]], b=[0.0, 1.0],
-                                           c=[-0.2, 1.0]))
     with pytest.raises(ConfigError, match="matrices"):
-        run_strategy(broken, "baseline")
+        replace(cfg, source=SystemCfg(a=[[0.0, 1.0]], b=[0.0, 1.0],
+                                      c=[-0.2, 1.0]))
 
 
 def test_misaligned_sinusoid_lists():
@@ -328,6 +329,12 @@ def test_failed_factorization_is_a_recorded_abort():
     assert len(res.log) == res.abort_step
 
 
+def test_config_made_in_code_is_checked():
+    # replace() makes a new config, so it gets the checks a YAML file gets
+    with pytest.raises(ConfigError, match="inverse_mode"):
+        replace(default_benchmark_config(), inverse_mode="Analytic")
+
+
 def test_x0_honored():
     cfg = short_config(duration=1.0)
     shifted = replace(cfg, x0=[5.0, -3.0])
@@ -350,17 +357,21 @@ def test_alpha_sweep_contains_offline_at_zero(tmp_path):
     assert (tmp_path / "alpha_sweep.json").exists()
 
 
-@pytest.mark.parametrize("entry", [run_comparison, alpha_sweep])
-def test_bad_trajectory_fails_before_training(monkeypatch, entry):
+@pytest.mark.parametrize("command", ["compare", "sweep-alpha"],
+                         ids=["run_comparison", "alpha_sweep"])
+def test_bad_trajectory_fails_before_training(tmp_path, capsys, monkeypatch,
+                                              command):
     trained = []
     monkeypatch.setattr(bench, "train_mlp",
                         lambda *args, **kwargs: trained.append(1))
     cfg = default_benchmark_config()
-    cfg = replace(cfg, trajectory=replace(cfg.trajectory, duration_s=math.inf),
-                  mlp=replace(cfg.mlp, epochs=2, train_duration_s=2.0))
-    args = (cfg,) if entry is run_comparison else (cfg, [0.0])
-    with pytest.raises(ConfigError, match="duration_s"):
-        entry(*args)
+    raw = replace(cfg, mlp=replace(cfg.mlp, epochs=2, train_duration_s=2.0),
+                  sweep_alphas=[0.0]).to_dict()
+    raw["trajectory"]["duration_s"] = math.inf
+    path = tmp_path / "raw.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main([command, "--config", str(path)]) == EXIT_CONFIG
+    assert "duration_s" in capsys.readouterr().err
     assert trained == []
 
 

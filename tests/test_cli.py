@@ -93,6 +93,54 @@ def test_zero_gp_capacity_is_config_error(tmp_path, capsys):
     assert "capacity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, section, value", [
+    ("simulate", "gp", 5), ("simulate", "trajectory", 3),
+    ("similarity", "source", [1]), ("simulate", "mlp", "x"),
+    ("simulate", "gain", [1])], ids=lambda v: str(v).replace(" ", ""))
+def test_section_that_is_not_a_mapping_is_config_error(tmp_path, capsys,
+                                                       command, section, value):
+    cfg = default_benchmark_config(inverse_mode="analytic")
+    raw = replace(cfg, trajectory=replace(cfg.trajectory, duration_s=0.3)).to_dict()
+    raw[section] = value
+    path = tmp_path / "raw.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main([command, "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert section in err
+
+
+TRACKING = ("simulate", "compare", "sweep-alpha")
+
+
+@pytest.mark.parametrize("command, field, value", [
+    *[(c, "u_max", float("nan")) for c in TRACKING],
+    *[(c, "x0", [0.0, 0.0, 0.0]) for c in ("simulate", "sweep-alpha")],
+    *[(c, "seed", 1.5) for c in TRACKING + ("train-inverse",)],
+    ("sweep-alpha", "sweep_alphas", [0.0, float("nan")]),
+    ("sweep-alpha", "sweep_alphas", 3),
+    *[(c, "trajectory", dict(duration_s=0.0015)) for c in TRACKING]],
+    ids=lambda v: str(v).replace(" ", ""))
+def test_bad_top_level_field_fails_before_training(tmp_path, capsys, monkeypatch,
+                                                   command, field, value):
+    trained = []
+    monkeypatch.setattr(bench, "train_mlp",
+                        lambda *args, **kwargs: trained.append(1))
+    raw = default_benchmark_config().to_dict()
+    if isinstance(value, dict):
+        raw[field].update(value)
+    else:
+        raw[field] = value
+    path = tmp_path / "raw.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    code = main([command, "--config", str(path), "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert field in err
+    assert trained == []
+
+
 # -- compare -------------------------------------------------------------------
 
 
@@ -231,9 +279,7 @@ def test_excitation_divergence_exit_code(tmp_path, capsys, command):
 def test_nonfinite_trajectory_timing_is_config_error(tmp_path, capsys,
                                                      field, value):
     cfg = default_benchmark_config(inverse_mode="analytic")
-    cfg = replace(cfg, trajectory=replace(cfg.trajectory, **{field: value}))
-    path = tmp_path / "timing.yaml"
-    cfg.to_yaml(path)
+    path = write_raw_config(tmp_path, cfg, "trajectory", **{field: value})
     code = main(["compare", "--config", str(path)])
     assert code == EXIT_CONFIG
     assert f"{field} must be positive and finite" in capsys.readouterr().err
@@ -330,10 +376,8 @@ def test_ingest_missing_file(capsys):
 def test_ingest_bad_dt_is_config_error(tmp_path, capsys, dt):
     src = tmp_path / "traj.csv"
     src.write_text("t,yd\n0.0,0.0\n1.0,1.0\n")
-    cfg = default_benchmark_config()
-    cfg = replace(cfg, trajectory=replace(cfg.trajectory, dt=dt))
-    path = tmp_path / "dt.yaml"
-    cfg.to_yaml(path)
+    path = write_raw_config(tmp_path, default_benchmark_config(), "trajectory",
+                            dt=dt)
     code = main(["ingest", str(src), "--config", str(path)])
     assert code == EXIT_CONFIG
     assert "dt must be positive and finite" in capsys.readouterr().err

@@ -43,6 +43,20 @@ def test_perfbench_patch_targets_exist():
             assert hasattr(owner, attr), f"{owner.__name__}.{attr}"
 
 
+def test_workload_configs_pass_the_config_checks():
+    # BenchConfig checks each config when it is made, so a check that
+    # rejected a workload's config would otherwise show only as a failed
+    # benchmark run
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    for name in workloads.NAMES:
+        workloads.build(name, workloads.DEFAULT_SEED)
+        workloads.setup(name, workloads.DEFAULT_SEED)
+
+
 def test_workload_attributes_resolve():
     names = _package_names(PERFBENCH / "workloads.py")
     assert {mod for mod, _ in names} >= {"bench", "inverse", "stability"}
