@@ -8,6 +8,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -139,10 +140,12 @@ class BenchConfig:
         if not steps > target.r:
             raise ConfigError(f"trajectory has {steps} steps; it needs more than "
                               f"the target's relative degree r = {target.r}")
-        if self.x0 is not None and len(self.x0) != target.n:
-            raise ConfigError(f"x0 must have {target.n} entries, got {self.x0!r}")
-        if not 0 < self.u_max <= math.inf:
-            raise ConfigError(f"u_max must be positive or inf, got {self.u_max}")
+        if self.x0 is not None and not (
+                np.ndim(self.x0) == 1 and len(self.x0) == target.n
+                and all(isinstance(v, Real) and math.isfinite(v) for v in self.x0)):
+            raise ConfigError(f"x0 must be {target.n} finite numbers, got {self.x0!r}")
+        if not (isinstance(self.u_max, Real) and 0 < self.u_max <= math.inf):
+            raise ConfigError(f"u_max must be positive or inf, got {self.u_max!r}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         try:

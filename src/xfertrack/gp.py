@@ -1,24 +1,24 @@
 """Sliding-window Gaussian process regression with an explicit polynomial basis.
 
 The model keeps the latest N observations (xi, e) and fits
-
-    e(xi) ~ h(xi)' beta + GP(0, k_se)
-
-where h collects polynomial basis functions {1, xi_i, xi_i^2} (no cross
-terms) and beta has prior N(c, tau^2 I), which keeps the fit well-posed
-even when the window holds fewer samples than basis terms. With the basis
-folded into the covariance, C = K + sigma_2^2 I + tau^2 H H', one Cholesky
+e(xi) ~ h(xi)' beta + GP(0, k_se), where h collects the basis functions
+{1, xi_i, xi_i^2} (no cross terms) and beta has prior N(c, tau^2 I), which
+keeps the fit well-posed on a window with fewer samples than basis terms.
+With the basis folded into C = K + sigma_2^2 I + tau^2 H H', one Cholesky
 factor of C per window change gives the log marginal likelihood and the
 posterior (GPML section 2.7 with B = tau^2 I, b = c): a = C^-1 (y - H c),
-beta = c + tau^2 H' a and mean(xi) = h(xi)' beta + k(xi)' a.
+beta = c + tau^2 H' a and mean(xi) = h(xi)' beta + k(xi)' a. LAPACK
+(potrf, potrs, trtrs) is called directly: at window sizes of tens,
+scipy.linalg's checked wrappers cost several times the routine they wrap.
 
-The N x N factorizations and solves call LAPACK (potrf, potrs, trtrs)
-directly: at window sizes of tens, scipy.linalg's checked wrappers cost
-several times the routine they wrap, and give the same bits.
+A refit of the hyperparameters is spread over the observes that follow it,
+a bounded number of likelihood evaluations each (GpWindowModel.fit_hyperparams),
+so that no control step waits for a whole fit.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from dataclasses import dataclass
@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
-from scipy.optimize import minimize
 
 logger = logging.getLogger(__name__)
 
@@ -58,10 +57,9 @@ class GpHyperparams:
 
 @dataclass
 class GpCfg:
-    """Settings of a GpWindowModel, and the `gp` section of a benchmark
-    config, checked here once. The *0 fields are the starting
-    GpHyperparams; a refit moves the hyperparameters from there. The basis
-    term (basis, tau^2) stays fixed."""
+    """Settings of a GpWindowModel and the `gp` section of a benchmark
+    config, checked here once. The *0 fields are the starting GpHyperparams,
+    which a refit moves; the basis term (basis, tau^2) stays fixed."""
 
     capacity: int = 15                  # window size N
     basis: str = "quadratic"            # one of BASIS_KINDS
@@ -73,7 +71,7 @@ class GpCfg:
     length_scale0: float = GpHyperparams.length_scale
     signal_variance0: float = GpHyperparams.signal_variance
     noise_variance0: float = GpHyperparams.noise_variance
-    max_fit_evals: int = 100            # L-BFGS-B maxfun per refit
+    max_fit_evals: int = 100            # hard cap of likelihood evaluations per refit
 
     def __post_init__(self):
         if not (self.capacity >= 1 and float(self.capacity).is_integer()):
@@ -128,24 +126,9 @@ def basis_features(X: np.ndarray, kind: str) -> np.ndarray:
     return np.hstack(cols)
 
 
-def basis_derivative(xi: np.ndarray, kind: str, dim: int) -> np.ndarray:
-    """d h(xi) / d xi_dim for the same basis layout."""
-    d = xi.shape[0]
-    if kind == "none":
-        return np.zeros(0)
-    m = {"constant": 1, "linear": 1 + d, "quadratic": 1 + 2 * d}[kind]
-    out = np.zeros(m)
-    if kind in ("linear", "quadratic"):
-        out[1 + dim] = 1.0
-    if kind == "quadratic":
-        out[1 + d + dim] = 2.0 * xi[dim]
-    return out
-
-
 def _chol_with_jitter(M: np.ndarray):
-    """Lower Cholesky factor of M + jitter*I, doubling jitter up to MAX_JITTER.
-
-    The jitter goes onto M's diagonal in place. potrf may factor a matrix
+    """Lower Cholesky factor of M + jitter*I, doubling jitter up to MAX_JITTER;
+    the jitter goes onto M's diagonal in place. potrf may factor a matrix
     with an infinite diagonal without complaint, so a non-finite M raises
     LinAlgError up front."""
     if not np.isfinite(M).all():
@@ -191,12 +174,11 @@ class GpWindowModel:
         self.rejected_count = 0
         self._since_fit = 0
         self._cache = None  # _Factor of the current window
-        self._last_factor = None  # of the latest log_marginal_likelihood call
+        self._refit = None  # the refit under way, a _refit_steps generator
         self._query = None  # (xi bytes, k(xi, X)) of the latest query
-        # Latest basis coefficient estimate and the prior mean c of the next
-        # factorization. Directions the window cannot identify (collinear
-        # inputs on a converged trajectory) so hold their last value
-        # instead of drifting toward zero.
+        # Latest basis coefficients, also the prior mean c of the next
+        # factorization, so directions the window cannot identify (collinear
+        # inputs on a converged trajectory) hold instead of drifting to zero.
         self._beta = np.zeros(self._H.shape[1])
 
     # -- window bookkeeping -------------------------------------------------
@@ -207,11 +189,8 @@ class GpWindowModel:
 
     @property
     def full(self) -> bool:
-        """True once the sliding window holds capacity observations.
-
-        Downstream consumers treat this as the warm-up boundary: the
-        transfer controller keeps its correction off until the window is
-        full, because a part-filled window supports the posterior mean
+        """True once the window holds capacity observations: the warm-up
+        boundary, since a part-filled window supports the posterior mean
         but not yet a trustworthy input derivative."""
         return self.size >= self.cfg.capacity
 
@@ -235,7 +214,8 @@ class GpWindowModel:
         self._tau2HH = self.cfg.basis_prior_variance * (self._H @ self._H.T)
         self.observation_count += 1
         self._since_fit += 1
-        if (self.cfg.optimize and self.size >= self.cfg.min_fit_size
+        if self._refit is not None or (
+                self.cfg.optimize and self.size >= self.cfg.min_fit_size
                 and self._since_fit >= self.cfg.refit_stride):
             self.fit_hyperparams()
         else:
@@ -245,10 +225,9 @@ class GpWindowModel:
     # -- factorization ------------------------------------------------------
 
     def _factorize(self, hyper: GpHyperparams) -> _Factor:
-        """Factor C = K + sigma_2^2 I + tau^2 H H' for the current window,
-        with the outputs centered on the prior mean H c of the basis term.
-        Raises LinAlgError when C is not finite, or not positive definite
-        at MAX_JITTER."""
+        """Factor C = K + sigma_2^2 I + tau^2 H H' for the current window, the
+        outputs centered on the basis prior mean H c. LinAlgError when C is
+        not finite, or not positive definite at MAX_JITTER."""
         sq = _scaled_sq_dist(self._X, self._X, hyper.length_scale)
         K = hyper.signal_variance * np.exp(-0.5 * sq)
         C = K.copy()
@@ -258,20 +237,14 @@ class GpWindowModel:
         L, jitter = _chol_with_jitter(C)
         return _Factor(L, jitter, dpotrs(L, y, lower=1)[0], y, K, sq)
 
-    def _refresh(self, f: _Factor | None = None):
-        """Cache the factorization of the current window, f when it is
-        already at hand."""
+    def _refresh(self):
+        """Cache the factorization of the current window."""
         self._query = None
         if self.size == 0:
             self._cache = None
             return
-        self._cache = f = self._factorize(self.hyper) if f is None else f
+        self._cache = f = self._factorize(self.hyper)
         self._beta = self._beta + self.cfg.basis_prior_variance * (self._H.T @ f.a)
-
-    @property
-    def factor(self) -> np.ndarray | None:
-        """Lower Cholesky factor of K + tau^2 H H' + (sigma_2^2 + jitter) I."""
-        return None if self._cache is None else self._cache.L.copy()
 
     @property
     def jitter(self) -> float | None:
@@ -280,8 +253,7 @@ class GpWindowModel:
     # -- prediction ---------------------------------------------------------
 
     def _as_input(self, xi) -> np.ndarray:
-        """xi as a flat array; ValueError unless it has the model's
-        dimension."""
+        """xi as a flat array; ValueError unless it has the model's dimension."""
         xi = np.asarray(xi, dtype=float).reshape(-1)
         if xi.shape != (self.dim,):
             raise ValueError(f"expected {self.dim}-dimensional input, got {xi.shape}")
@@ -310,18 +282,16 @@ class GpWindowModel:
         return mean, max(var, 0.0)
 
     def _query_kernel(self, xi: np.ndarray) -> np.ndarray:
-        """k(xi, X) on the current window. The controller asks predict and
-        mean_derivative at the same query, so the latest one is kept until
-        the next _refresh."""
+        """k(xi, X) on the current window, kept until the next _refresh: the
+        controller asks predict and mean_derivative at the same query."""
         key = xi.tobytes()
         if self._query is None or self._query[0] != key:
             self._query = key, _kernel_matrix(xi[None, :], self._X, self.hyper)[0]
         return self._query[1]
 
     def mean_derivative(self, xi, dim: int) -> float:
-        """d mean / d xi_dim at xi, combining kernel and basis terms.
-
-        Zero on an empty window, matching predict's zero mean."""
+        """d mean / d xi_dim at xi, combining kernel and basis terms; zero on
+        an empty window, matching predict's zero mean."""
         xi = self._checked_query(xi)
         if not 0 <= dim < self.dim:
             raise ValueError(f"dim must be in 0..{self.dim - 1}")
@@ -331,7 +301,11 @@ class GpWindowModel:
         dks = -((xi[dim] - self._X[:, dim]) / self.hyper.length_scale ** 2) * ks
         out = float(dks @ self._cache.a)
         if self._beta.size:
-            dh = basis_derivative(xi, self.cfg.basis, dim)
+            dh = np.zeros(self._beta.size)  # d h(xi) / d xi_dim
+            if self.cfg.basis != "constant":
+                dh[1 + dim] = 1.0
+            if self.cfg.basis == "quadratic":
+                dh[1 + self.dim + dim] = 2.0 * xi[dim]
             out += float(dh @ self._beta)
         return out
 
@@ -339,99 +313,125 @@ class GpWindowModel:
 
     def log_marginal_likelihood(self, hyper: GpHyperparams | None = None,
                                 grad: bool = False):
-        """Marginal log-likelihood of the window with beta integrated out.
-
-        With grad=True, returns (value, gradient), the gradient taken with
-        respect to (log l, log sigma_1^2, log sigma_2^2) (GPML eq. 5.9). A
-        covariance that cannot be factorized gives -inf (and a zero
-        gradient).
-        """
+        """Marginal log-likelihood of the window with beta integrated out;
+        with grad=True, (value, gradient in log l, log sigma_1^2, log
+        sigma_2^2) (GPML eq. 5.9). A covariance that cannot be factorized
+        gives -inf (and a zero gradient)."""
         if self.size == 0:
             raise ValueError("empty window")
         hyper = hyper or self.hyper
         try:
             f = self._factorize(hyper)
         except LinAlgError:
-            f = None
-        self._last_factor = f
-        if f is None:
             return (-math.inf, np.zeros(3)) if grad else -math.inf
-        val = float(-0.5 * f.y @ f.a - np.sum(np.log(np.diag(f.L)))
+        val = float(-0.5 * f.y @ f.a - np.log(f.L.diagonal()).sum()
                     - 0.5 * self.size * math.log(2.0 * math.pi))
         if not grad:
             return val
         # d val / d theta = 1/2 tr(Q dC/d theta) with Q = a a' - C^-1 and
         # dC/d theta = K * sq, K, sigma_2^2 I (elementwise products)
-        Q = np.outer(f.a, f.a) - dpotrs(f.L, np.eye(self.size), lower=1)[0]
+        Q = f.a[:, None] * f.a - dpotrs(f.L, np.eye(self.size), lower=1)[0]
         QK = Q * f.K
-        return val, 0.5 * np.array([np.sum(QK * f.sq), np.sum(QK),
-                                    hyper.noise_variance * np.trace(Q)])
+        return val, 0.5 * np.array([(QK * f.sq).sum(), QK.sum(),
+                                    hyper.noise_variance * Q.trace()])
 
     def fit_hyperparams(self) -> GpHyperparams:
-        """Maximize the marginal likelihood over (l, sigma_1^2[, sigma_2^2]).
+        """Run the next slice of the refit, at most ceil(max_fit_evals /
+        refit_stride) likelihood evaluations, starting one if none is under
+        way, and refresh the window. A refit takes effect when it ends:
+        within refit_stride slices, in this call when the stride is 1."""
+        if self._refit is None:
+            if self.size < 2:
+                self._refresh()
+                return self.hyper
+            self._refit = self._refit_steps()
+            next(self._refit)  # up to the first evaluation
+            self._since_fit = 0
+        try:
+            for _ in range(math.ceil(self.cfg.max_fit_evals / self.cfg.refit_stride)):
+                next(self._refit)
+        except StopIteration as done:
+            self._refit, self.hyper = None, done.value
+        self._refresh()
+        return self.hyper
 
-        Bounded L-BFGS-B over log-parameters on the analytic likelihood
-        gradient. max_fit_evals is scipy's maxfun, which is checked between
-        iterations, so one fit may overshoot it by a line search. The
-        better of the start and the optimizer's result is kept, so the
-        likelihood never degrades. The box is LENGTH_SCALE_BOUNDS,
-        SIGNAL_VARIANCE_BOUNDS and NOISE_VARIANCE_BOUNDS.
-
-        Each point is evaluated once: the objective depends on theta only
-        through the hyperparameters it maps to, so it is memoized on those
-        (neighbouring thetas may round to the same ones), and the
-        factorization kept at the accepted point is the one its evaluation
-        computed.
-        """
-        if self.size < 2:
-            self._refresh()
-            return self.hyper
-        bounds = [LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS]
-        theta0 = [math.log(self.hyper.length_scale),
-                  math.log(self.hyper.signal_variance)]
-        if self.cfg.fit_noise:
-            bounds.append(NOISE_VARIANCE_BOUNDS)
-            nv0 = min(max(self.hyper.noise_variance, NOISE_VARIANCE_BOUNDS[0]),
-                      NOISE_VARIANCE_BOUNDS[1])
-            theta0.append(math.log(nv0))
-        lb = [math.log(lo) for lo, _ in bounds]
-        ub = [math.log(hi) for _, hi in bounds]
-        theta0 = np.clip(np.asarray(theta0), lb, ub)
+    def _refit_steps(self):
+        """A refit from the current hyperparameters, in log space within the
+        *_BOUNDS, on a copy of the window (observe shifts _X and _y in place):
+        yields before each likelihood evaluation, returns the GpHyperparams."""
+        frozen = copy.copy(self)
+        for name in ("_X", "_y", "_H", "_tau2HH", "_beta"):
+            setattr(frozen, name, getattr(self, name).copy())
+        h, n = self.hyper, 3 if self.cfg.fit_noise else 2
+        lo, hi = np.array([LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS,
+                           NOISE_VARIANCE_BOUNDS][:n]).T
+        start = [h.length_scale, h.signal_variance, h.noise_variance][:n]
 
         def hyper_of(theta):
-            ls = math.exp(theta[0])
-            sv = math.exp(theta[1])
-            nv = math.exp(theta[2]) if self.cfg.fit_noise else self.hyper.noise_variance
-            return GpHyperparams(ls, sv, nv)
-
-        memo = {}  # GpHyperparams -> (objective, gradient, factor or None)
-
-        def evaluate(theta):
-            hyper = hyper_of(theta)
-            if hyper not in memo:
-                val, g = self.log_marginal_likelihood(hyper, grad=True)
-                memo[hyper] = ((-val, -g[:theta.size], self._last_factor)
-                               if np.isfinite(val) else
-                               (1e30, np.zeros(theta.size), None))
-            return memo[hyper]
+            nv = math.exp(theta[2]) if n == 3 else h.noise_variance
+            return GpHyperparams(math.exp(theta[0]), math.exp(theta[1]), nv)
 
         def objective(theta):
-            val, g, _ = evaluate(theta)
-            return val, g.copy()  # scipy may write into the gradient
+            val, g = frozen.log_marginal_likelihood(hyper_of(theta), grad=True)
+            return -val, -g[:n]
 
-        res = minimize(objective, theta0, jac=True, method="L-BFGS-B",
-                       bounds=list(zip(lb, ub)),
-                       options={"maxfun": self.cfg.max_fit_evals})
-        best_theta, best_f = res.x, float(res.fun)
-        f0, _, _ = evaluate(theta0)
-        if f0 < best_f:
-            best_theta, best_f = theta0, f0
-        factor = None
-        if np.isfinite(best_f) and best_f < 1e30:
-            self.hyper = hyper_of(best_theta)
-            factor = memo.get(self.hyper, (None, None, None))[2]
-        else:
+        theta = yield from _projected_bfgs(objective, np.log(np.clip(start, lo, hi)),
+                                           np.log(lo), np.log(hi),
+                                           self.cfg.max_fit_evals)
+        if theta is None:
             logger.warning("hyperparameter fit failed; keeping previous values")
-        self._since_fit = 0
-        self._refresh(factor)
-        return self.hyper
+            return h
+        return hyper_of(theta)
+
+
+def _projected_bfgs(fun, x, lb, ub, max_evals, pgtol=1e-5, ftol=2.2e-9,
+                    line_trials=4):
+    """Minimize fun(x) -> (value, gradient) in the box [lb, ub] from x, in at
+    most max_evals evaluations: damped BFGS on the coordinates no bound holds,
+    backtracking projected line search. Yields before each evaluation; returns
+    the best point (only a lower value moves it), or None if fun is not finite
+    at x. Stops on a projected gradient below pgtol, line_trials failed trials
+    in one search, or a relative decrease below ftol by a step along -gradient."""
+    yield
+    f, g = fun(x)
+    if not np.isfinite(f):
+        return None
+    evals, M = 1, None  # M estimates the Hessian
+    while evals < max_evals and np.abs(np.clip(x - g, lb, ub) - x).max() > pgtol:
+        free = ~(((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0)))
+        d = np.where(free, -g, 0.0)
+        if M is not None:
+            d[free] = np.linalg.solve(M[np.ix_(free, free)], d[free])
+        # a step moves no coordinate by more than 1, nor past the point where
+        # the last moving one reaches its bound (beyond, all trials coincide)
+        moving = d != 0
+        t = min(1.0 / max(1.0, np.abs(d).max()),
+                ((np.where(d > 0, ub, lb) - x)[moving] / d[moving]).max())
+        for _ in range(line_trials):
+            xt = np.clip(x + t * d, lb, ub)
+            if evals == max_evals or (xt == x).all():
+                return x
+            yield
+            ft, gt = fun(xt)
+            evals += 1
+            slope = g @ (xt - x)
+            if ft <= f + 1e-4 * slope:
+                break
+            # the minimum of the quadratic through f, slope and ft, in [0.1, 0.5] t
+            t *= min(0.5, max(0.1, -slope / (2.0 * (ft - f - slope))))
+        else:
+            return x
+        s, y, steepest = xt - x, gt - g, M is None
+        if steepest:
+            M = np.eye(x.size) * (y @ y / (s @ y) if s @ y > 0 else 1.0)
+        Ms, sMs = M @ s, s @ M @ s
+        if s @ y < 0.2 * sMs:  # Powell's damping keeps M positive definite
+            r = 0.8 * sMs / (sMs - s @ y)
+            y = r * y + (1.0 - r) * Ms
+        M += np.outer(y, y) / (s @ y) - np.outer(Ms, Ms) / sMs
+        if f - ft <= ftol * max(abs(f), abs(ft), 1.0):
+            if steepest:
+                return xt
+            M = None  # stalled: retry from the gradient, as M's scale may be stale
+        x, f, g = xt, ft, gt
+    return x

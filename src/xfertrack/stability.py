@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .systems import EPS_GAIN, LtiSystem
 
@@ -110,6 +109,9 @@ def fit_prediction_budget(residual_log):
     beta3-optimal points (the first stage alone is degenerate whenever the
     regressors are nonzero). Solved as two small LPs.
     """
+    # imported here so that importing the package does not load scipy.optimize
+    from scipy.optimize import linprog
+
     data = np.asarray(list(residual_log), dtype=float)
     if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] == 0:
         raise ValueError("residual log must be a nonempty sequence of "

@@ -193,7 +193,8 @@ def test_criterion_7_property_suites(bench_config):
     H = basis_features(X, gp.cfg.basis)
     target_mat = (K + gp.cfg.basis_prior_variance * H @ H.T
                   + (gp.hyper.noise_variance + gp.jitter) * np.eye(len(X)))
-    rel = (np.linalg.norm(gp.factor @ gp.factor.T - target_mat)
+    L = gp._cache.L
+    rel = (np.linalg.norm(L @ L.T - target_mat)
            / np.linalg.norm(target_mat))
     checks.append(("cholesky reconstruction", rel <= 1e-10))
 

@@ -236,7 +236,7 @@ def test_bundled_report_digest_pinned(bench_report):
     # the full bundled comparison, MLP training included, is bit-identical
     # to the recorded run; a change that moves it must say so
     assert bench_report.digest() == (
-        "9c7cac4dcc86acd74c526bee65ef260a0b1d33507e0e3d51228d9a1267e67fd5")
+        "84ad1d4e630abd6ee8e959397b798aeeefb697e971b3ec0b05ea124dbd0b8c82")
 
 
 def test_online_improves_on_offline(bench_report):
@@ -273,11 +273,11 @@ def test_analytic_comparison_digests_pinned(tmp_path):
     # that moves these values updates them and says so
     rep = run_comparison(short_config(duration=4.0), out_dir=tmp_path)
     assert rep.digest() == (
-        "6b6e7c306f93710dcfd010dae07d547aab5d1536ece70c743d46071573537b18")
+        "cb9a0c2ac18657a8edf896c8e86e8040c701f53022671a89abf593b7974aee81")
     csv_sha256 = {
         "baseline": "ba6f3fb88c73f14d896e1ca35636585f6df7cb7fc8604f46031e39456f4a0cd5",
         "offline": "014effe75b410a3f99bf7df3d93ee7d647a84279fff9b9e02946087fa669208f",
-        "online": "76594837942e56e54858d319c4394eac0055b7f87ae94debaac5557ed3a5558b",
+        "online": "1957d85843812e98c1b7d78bd2bce454153c62290e8175b9e14bd90c24d90f22",
     }
     for name, want in csv_sha256.items():
         data = (tmp_path / f"{name}_steps.csv").read_bytes()

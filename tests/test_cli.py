@@ -116,6 +116,9 @@ TRACKING = ("simulate", "compare", "sweep-alpha")
 @pytest.mark.parametrize("command, field, value", [
     *[(c, "u_max", float("nan")) for c in TRACKING],
     *[(c, "x0", [0.0, 0.0, 0.0]) for c in ("simulate", "sweep-alpha")],
+    ("compare", "x0", [float("nan"), 0.0]),
+    ("simulate", "x0", 5),
+    ("simulate", "u_max", "big"),
     *[(c, "seed", 1.5) for c in TRACKING + ("train-inverse",)],
     ("sweep-alpha", "sweep_alphas", [0.0, float("nan")]),
     ("sweep-alpha", "sweep_alphas", 3),

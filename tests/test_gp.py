@@ -1,15 +1,23 @@
 """Sliding-window GP: kernel values, window bookkeeping, factorization,
 derivatives, hyperparameter fitting."""
 
+import copy
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
-from xfertrack.gp import (BASIS_KINDS, GpCfg, GpHyperparams, GpWindowModel,
-                          _kernel_matrix, basis_features)
+import xfertrack
+from xfertrack.bench import default_benchmark_config, run_strategy
+from xfertrack.gp import (BASIS_KINDS, LENGTH_SCALE_BOUNDS, NOISE_VARIANCE_BOUNDS,
+                          SIGNAL_VARIANCE_BOUNDS, GpCfg, GpHyperparams,
+                          GpWindowModel, _kernel_matrix, basis_features)
 
 from helpers import hyper_cfg, kernel
 
@@ -113,7 +121,7 @@ def test_duplicate_inputs_still_factorize():
                                 noise_variance0=1e-6))
     for _ in range(6):
         gp.observe([1.0, 1.0], 0.5)
-    assert gp.factor is not None
+    assert gp._cache is not None
     m, v = gp.predict([1.0, 1.0])
     assert np.isfinite(m) and np.isfinite(v)
 
@@ -333,7 +341,7 @@ def test_factorization_reconstructs_covariance():
     H = basis_features(X, gp.cfg.basis)
     target = (K + gp.cfg.basis_prior_variance * H @ H.T
               + (gp.hyper.noise_variance + gp.jitter) * np.eye(len(X)))
-    L = gp.factor
+    L = gp._cache.L
     err = np.linalg.norm(L @ L.T - target) / np.linalg.norm(target)
     assert err <= 1e-10
 
@@ -376,8 +384,8 @@ def test_likelihood_gradient_matches_finite_differences(basis, fit_noise):
 
 
 def test_fit_budget_stops_early_without_degrading(monkeypatch):
-    # max_fit_evals is checked between iterations: a budget of 5 ends the
-    # fit after at most one more line search, well before an uncapped fit
+    # max_fit_evals is a hard cap on likelihood evaluations: a budget of 5
+    # ends the fit there, well before an uncapped fit
     calls = []
     lml = GpWindowModel.log_marginal_likelihood
 
@@ -402,14 +410,15 @@ def test_fit_budget_stops_early_without_degrading(monkeypatch):
             evals[budget] = len(calls)
             assert gp.log_marginal_likelihood() >= before - 1e-9
         assert evals[5] < evals[100]
-        assert evals[5] <= 5 + 20 + 1  # budget, one line search, the start guard
+        assert evals[5] <= 5
 
 
 @pytest.mark.parametrize("basis", BASIS_KINDS)
 def test_refit_evaluates_each_point_once(basis, monkeypatch):
-    # L-BFGS-B revisits points and the start guard re-checks the start;
-    # none of that reaches the likelihood twice, and the factor kept at
-    # the accepted point is bit for bit the one a fresh refresh computes
+    # the optimizer evaluates the start once and never repeats a trial
+    # point (steps that round away end the fit), and a finished refit
+    # refreshes the window exactly once: the factor and coefficients it
+    # leaves are bit for bit those of one refresh from the prior mean
     points = []
     lml = GpWindowModel.log_marginal_likelihood
 
@@ -433,17 +442,18 @@ def test_refit_evaluates_each_point_once(basis, monkeypatch):
         center = gp._beta  # the prior mean the fit factors with
         gp.fit_hyperparams()
         assert points and len(set(points)) == len(points)
-        L, jitter, beta = gp.factor, gp.jitter, gp._beta
+        L, jitter, beta = gp._cache.L, gp.jitter, gp._beta
         gp._beta = center
         gp._refresh()
-        assert L.tobytes() == gp.factor.tobytes()
+        assert L.tobytes() == gp._cache.L.tobytes()
         assert jitter == gp.jitter
         assert beta.tobytes() == gp._beta.tobytes()
 
 
 def test_optimizer_never_degrades_likelihood():
-    # basis "none" keeps the objective independent of the coefficient
-    # centering, so before/after values are directly comparable
+    # the optimizer moves only to points of higher likelihood, so the start
+    # stays a candidate; basis "none" keeps the objective independent of
+    # the coefficient centering, so before/after values are comparable
     rng = np.random.default_rng(4)
     for trial in range(8):
         gp = GpWindowModel(2, GpCfg(capacity=15, optimize=False, fit_noise=True,
@@ -456,6 +466,146 @@ def test_optimizer_never_degrades_likelihood():
         gp.fit_hyperparams()
         after = gp.log_marginal_likelihood()
         assert after >= before - 1e-9
+
+
+def _evaluations_per_observe(monkeypatch):
+    """Patch GpWindowModel so that each observe appends the number of
+    likelihood evaluations it made, on frozen copies included, to a list."""
+    per_observe, calls = [], []
+    lml, observe = GpWindowModel.log_marginal_likelihood, GpWindowModel.observe
+
+    def counted_lml(self, *args, **kwargs):
+        calls.append(1)
+        return lml(self, *args, **kwargs)
+
+    def counted_observe(self, *args, **kwargs):
+        calls.clear()
+        out = observe(self, *args, **kwargs)
+        per_observe.append(len(calls))
+        return out
+
+    monkeypatch.setattr(GpWindowModel, "log_marginal_likelihood", counted_lml)
+    monkeypatch.setattr(GpWindowModel, "observe", counted_observe)
+    return per_observe
+
+
+def test_sliced_refit_bounds_evaluations_per_observe_on_bundled_run(monkeypatch):
+    # the deadline proxy that does not depend on the host: with the bundled
+    # stride of 25 no control step runs more than ceil(100 / 25) = 4
+    # evaluations, and refits that need more go on in the next observe
+    per_observe = _evaluations_per_observe(monkeypatch)
+    cfg = default_benchmark_config(inverse_mode="analytic")
+    cfg = replace(cfg, trajectory=replace(cfg.trajectory, duration_s=4.0))
+    assert (cfg.gp.refit_stride, cfg.gp.max_fit_evals) == (25, 100)
+    assert not run_strategy(cfg, "online").aborted
+    assert max(per_observe) == 4
+    assert any(a == 4 and b > 0 for a, b in zip(per_observe, per_observe[1:]))
+
+
+@pytest.mark.parametrize("basis", BASIS_KINDS)
+def test_sliced_refit_bounds_evaluations_per_observe(basis, monkeypatch):
+    per_observe = _evaluations_per_observe(monkeypatch)
+    rng = np.random.default_rng(40 + BASIS_KINDS.index(basis))
+    for trial in range(4):
+        cfg = GpCfg(capacity=15, refit_stride=int(rng.integers(2, 30)), basis=basis,
+                    fit_noise=bool(trial % 2), noise_variance0=1e-4,
+                    max_fit_evals=int(rng.integers(1, 120)))
+        gp = GpWindowModel(2, cfg)
+        x = rng.standard_normal(2)
+        per_observe.clear()
+        for _ in range(200):
+            x = 0.9 * x + 0.3 * rng.standard_normal(2)
+            gp.observe(x, float(np.sin(3 * x).sum()))
+        assert 0 < max(per_observe) <= math.ceil(cfg.max_fit_evals / cfg.refit_stride)
+
+
+def test_sliced_refit_applies_the_fit_of_its_frozen_window():
+    # a refit spread over the observes of a stride-25 model ends with the
+    # hyperparameters, bit for bit, that a stride-1 copy taken just before
+    # the observe that starts it fits at once; until then the old ones hold
+    rng = np.random.default_rng(21)
+    gp = GpWindowModel(2, GpCfg(capacity=15, refit_stride=25, noise_variance0=1e-4))
+    want, applied, sliced = None, 0, 0
+    x = rng.standard_normal(2)
+    for _ in range(600):
+        x = 0.9 * x + 0.3 * rng.standard_normal(2)
+        e = float(np.sin(3 * x).sum())
+        before, hyper = copy.deepcopy(gp) if gp._refit is None else None, gp.hyper
+        gp.observe(x, e)
+        if gp._since_fit == 0:  # a refit started in this observe
+            before.cfg = replace(before.cfg, refit_stride=1)
+            want = before.observe(x, e).hyper
+        if gp._refit is not None:
+            assert gp.hyper == hyper
+            sliced += gp._since_fit == 0
+        elif want is not None:
+            assert gp.hyper == want
+            want, applied = None, applied + 1
+    assert applied >= 20 and sliced >= 10
+
+
+def _scipy_fit(gp) -> float:
+    """The likelihood at scipy's L-BFGS-B maximum from the same start, in the
+    same box, under the same evaluation budget."""
+    from scipy.optimize import minimize
+    n, h = (3 if gp.cfg.fit_noise else 2), gp.hyper
+    bounds = np.log([LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS,
+                     NOISE_VARIANCE_BOUNDS][:n])
+
+    def hyper_of(t):
+        return GpHyperparams(math.exp(t[0]), math.exp(t[1]),
+                             math.exp(t[2]) if n == 3 else h.noise_variance)
+
+    def objective(t):
+        val, g = gp.log_marginal_likelihood(hyper_of(t), grad=True)
+        return -val, -g[:n]
+
+    t0 = np.log([h.length_scale, h.signal_variance, h.noise_variance][:n])
+    res = minimize(objective, t0, jac=True, method="L-BFGS-B", bounds=bounds,
+                   options={"maxfun": gp.cfg.max_fit_evals})
+    return gp.log_marginal_likelihood(hyper_of(res.x))
+
+
+def test_optimizer_reaches_scipy_lbfgsb_likelihood():
+    # scipy's L-BFGS-B as the oracle on well-conditioned windows (noise >=
+    # 1e-4). The fit ends no more than 2e-3 below scipy's log-likelihood,
+    # unless it ends at another local maximum: a point whose projected
+    # gradient is below 1e-3. Over 1,800 windows drawn this way, 10 (0.6%)
+    # ended at another maximum than scipy's, lower by up to 0.69; beyond
+    # 1e-6, 22% ended higher than scipy's and 4% lower.
+    rng = np.random.default_rng(17)
+    gains = []
+    for trial in range(48):
+        d, n = int(rng.integers(1, 4)), 2 + trial % 2
+        gp = GpWindowModel(d, GpCfg(
+            capacity=15, optimize=False, fit_noise=n == 3,
+            basis=BASIS_KINDS[trial % 4], length_scale0=float(rng.uniform(0.3, 3.0)),
+            noise_variance0=float(rng.uniform(1e-4, 1e-2))))
+        for _ in range(int(rng.integers(5, 16))):
+            x = rng.uniform(-2, 2, size=d)
+            gp.observe(x, float(np.sin(2 * x).sum() + 0.01 * rng.standard_normal()))
+        frozen = copy.deepcopy(gp)
+        best = _scipy_fit(frozen)
+        gp.fit_hyperparams()
+        got, grad = frozen.log_marginal_likelihood(gp.hyper, grad=True)
+        gains.append(got - best)
+        if got < best - 2e-3:
+            h = gp.hyper
+            theta = np.log([h.length_scale, h.signal_variance, h.noise_variance][:n])
+            lo, hi = np.log([LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS,
+                             NOISE_VARIANCE_BOUNDS][:n]).T
+            assert np.abs(np.clip(theta + grad[:n], lo, hi) - theta).max() <= 1e-3
+    assert np.median(gains) >= -1e-9
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the refit has its own optimizer and stability imports linprog where
+    # it is used, so importing the package does not pay for scipy.optimize
+    code = "import sys, xfertrack; print('scipy.optimize' in sys.modules)"
+    src = str(Path(xfertrack.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_length_scale_recovery_from_synthetic_data():
