@@ -19,9 +19,9 @@ from .stability import (AssumptionViolation, Lemma1Verdict, NotSchurStable,
                         assemble_budget, fit_prediction_budget, iss_gains,
                         lemma1_check, nonlinear_similarity, similarity,
                         stability_report)
-from .bench import (BenchConfig, ConfigError, GainCfg, Metrics,
-                    RunReport, StrategyResult, SystemCfg, TrajectoryCfg,
-                    alpha_sweep, config_digest, default_benchmark_config,
-                    metrics, run_comparison, run_strategy)
+from .bench import (BenchConfig, ConfigError, Metrics, RunReport,
+                    StrategyResult, SystemCfg, TrajectoryCfg, alpha_sweep,
+                    config_digest, default_benchmark_config, metrics,
+                    run_comparison, run_strategy)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -86,30 +86,13 @@ class TrajectoryCfg:
 
 
 @dataclass
-class GainCfg:
-    mode: str = "estimated"   # "estimated" | "fixed"
-    alpha: float = 1.0
-    floor: float = EstimatedGain.floor
-    cap: float = EstimatedGain.cap
-    smoothing: float | None = EstimatedGain.smoothing
-
-    def build(self):
-        if self.mode == "fixed":
-            return FixedGain(alpha=self.alpha)
-        if self.mode == "estimated":
-            return EstimatedGain(floor=self.floor, cap=self.cap,
-                                 smoothing=self.smoothing)
-        raise ConfigError(f"unknown gain mode {self.mode!r}")
-
-
-@dataclass
 class BenchConfig:
     source: SystemCfg
     target: SystemCfg
     trajectory: TrajectoryCfg = field(default_factory=TrajectoryCfg)
     gp: GpCfg = field(default_factory=GpCfg)
     mlp: TrainingConfig = field(default_factory=TrainingConfig)
-    gain: GainCfg = field(default_factory=GainCfg)
+    gain: EstimatedGain = field(default_factory=EstimatedGain)
     inverse_mode: str = "mlp"   # "mlp" | "analytic"
     strategy: str = "online"    # for the single-run entry point
     seed: int = 0
@@ -123,7 +106,7 @@ class BenchConfig:
         that build an object are built once, since building is their check."""
         for key, sub in (("source", SystemCfg), ("target", SystemCfg),
                          ("trajectory", TrajectoryCfg), ("gp", GpCfg),
-                         ("mlp", TrainingConfig), ("gain", GainCfg)):
+                         ("mlp", TrainingConfig), ("gain", EstimatedGain)):
             value = getattr(self, key)
             if isinstance(value, dict):
                 setattr(self, key, sub(**value))
@@ -135,7 +118,6 @@ class BenchConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         self.source.build()
         target = self.target.build()
-        self.gain.build()
         steps = self.trajectory.build().n_steps
         if not steps > target.r:
             raise ConfigError(f"trajectory has {steps} steps; it needs more than "
@@ -210,22 +192,20 @@ def default_benchmark_config(inverse_mode: str = "mlp") -> BenchConfig:
     """The bundled benchmark pair: second-order source and target with
     matched relative degree 1 and nearby zeros/poles.
 
-    The gain estimate is smoothed with factor 0.95 and GP hyperparameters
-    are refitted every 25 steps. The simulation is noise-free, so the
-    bundled config pins the GP noise variance at its floor and fits only
-    the length scale and signal variance online; fitting the noise level
-    too makes the refits jitter the basis coefficients through the
-    smoothed gain loop. Training seed 13 keeps the bundled MLP's
-    closed-loop error near the analytic inverse's; other seeds land
-    anywhere in roughly a 2x band around it.
+    The gain estimate is smoothed with factor 0.95 and the GP's length
+    scale and signal variance are refitted every 25 steps. The simulation
+    is noise-free, so the GP noise variance, which no refit moves, is set
+    to 1e-12. Training seed 13 keeps the bundled MLP's closed-loop error
+    near the analytic inverse's; other seeds land anywhere in roughly a 2x
+    band around it.
     """
     return BenchConfig(
         source=SystemCfg(a=[[0.0, 1.0], [-0.15, 0.8]], b=[0.0, 1.0], c=[-0.2, 1.0]),
         target=SystemCfg(a=[[0.0, 1.0], [-0.24, 1.0]], b=[0.0, 1.0], c=[-0.1, 1.0]),
         inverse_mode=inverse_mode,
         seed=13,
-        gain=GainCfg(mode="estimated", smoothing=0.95),
-        gp=GpCfg(refit_stride=25, fit_noise=False, noise_variance0=1e-12),
+        gain=EstimatedGain(smoothing=0.95),
+        gp=GpCfg(refit_stride=25, noise_variance0=1e-12),
     )
 
 
@@ -329,9 +309,8 @@ def run_strategy(cfg: BenchConfig, strategy: str, inverse=None,
         gp_model = gain = None
         if strategy == "online":
             gp_model = GpWindowModel(target.n + 2, cfg.gp)
-            gain = cfg.gain.build()
-            if alpha_override is not None:
-                gain = FixedGain(alpha=alpha_override)
+            gain = (cfg.gain if alpha_override is None
+                    else FixedGain(alpha=alpha_override))
         ctrl = TransferController(inverse, r=r, online=gp_model, gain=gain,
                                   u_max=cfg.u_max)
     else:

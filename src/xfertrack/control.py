@@ -14,7 +14,7 @@ import csv
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from numbers import Real
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -36,21 +36,25 @@ class FixedGain:
 
 @dataclass(frozen=True)
 class EstimatedGain:
-    """alpha = -1 / (d e_p / d u1), clamped to [floor, cap] by magnitude.
-
-    smoothing, when set, blends the new estimate with the previous one:
-    alpha <- smoothing * alpha_prev + (1 - smoothing) * alpha_new.
+    """alpha = -1 / (d e_p / d u1), clamped to [floor, cap] by magnitude and
+    blended with the previous gain, which starts at the floor:
+    alpha <- smoothing * alpha_prev + (1 - smoothing) * alpha_new. Also the
+    `gain` section of a benchmark config, checked here once.
     """
 
     floor: float = 0.05
     cap: float = 20.0
-    smoothing: Optional[float] = None
+    smoothing: float = 0.0
 
     def __post_init__(self):
+        for name in ("floor", "cap", "smoothing"):
+            value = getattr(self, name)
+            if not isinstance(value, Real):
+                raise ValueError(f"gain {name} must be a number, got {value!r}")
         if not 0 <= self.floor <= self.cap < math.inf:
             raise ValueError("gain floor and cap must be finite with "
                              f"0 <= floor <= cap, got {self.floor}, {self.cap}")
-        if self.smoothing is not None and not 0 <= self.smoothing < 1:
+        if not 0 <= self.smoothing < 1:
             raise ValueError(f"gain smoothing must be in [0, 1), got {self.smoothing}")
 
     def clamp(self, alpha: float) -> float:
@@ -78,7 +82,9 @@ class TransferController:
         self.gain = gain if gain is not None else EstimatedGain()
         self.u_max = float(u_max)
         self._pending = deque()
-        self._last_alpha = None
+        # the gain a degenerate estimate holds and the smoother starts from
+        self._last_alpha = (self.gain.floor if isinstance(self.gain, EstimatedGain)
+                            else None)
         if self.r < 1:
             raise ValueError("relative degree must be >= 1")
 
@@ -89,14 +95,9 @@ class TransferController:
         g = self.gain
         denom = self.online.mean_derivative(xi_query, u1_dim)
         if abs(denom) < EPS_GAIN_DENOMINATOR:
-            # degenerate estimate: hold the last valid gain, else the floor
-            return self._last_alpha if self._last_alpha is not None else g.floor
-        alpha = -1.0 / denom
-        if g.smoothing is not None and self._last_alpha is not None:
-            alpha = g.smoothing * self._last_alpha + (1.0 - g.smoothing) * g.clamp(alpha)
-            if alpha == 0.0:
-                alpha = g.floor
-        return g.clamp(alpha)
+            return self._last_alpha  # degenerate estimate: hold the last gain
+        alpha = g.clamp(-1.0 / denom)
+        return g.clamp(g.smoothing * self._last_alpha + (1.0 - g.smoothing) * alpha)
 
     def control_step(self, k: int, x, y_d_future: float, y_now: float) -> ControlDecision:
         """One control decision; also retires the r-step-old pending record."""
@@ -124,11 +125,6 @@ class TransferController:
                 self._last_alpha = alpha
                 u2 = alpha * e_p
                 u = u1 + u2
-            elif (isinstance(self.gain, EstimatedGain)
-                    and self.gain.smoothing is not None):
-                # seed the smoother so the first live gain starts at the
-                # floor instead of jumping straight to the raw estimate
-                self._last_alpha = self.gain.floor
         if not np.isfinite(u) or abs(u) > self.u_max:
             raise SimulationDiverged(
                 f"input guard tripped: |u|={abs(u):.3e} exceeds {self.u_max:.3e}", k)

@@ -1,9 +1,10 @@
-"""Sliding-window Gaussian process regression with an explicit polynomial basis.
+"""Sliding-window Gaussian process regression with an explicit quadratic basis.
 
 The model keeps the latest N observations (xi, e) and fits
-e(xi) ~ h(xi)' beta + GP(0, k_se), where h collects the basis functions
-{1, xi_i, xi_i^2} (no cross terms) and beta has prior N(c, tau^2 I), which
-keeps the fit well-posed on a window with fewer samples than basis terms.
+e(xi) ~ h(xi)' beta + GP(0, k_se), where h(xi) = [1, xi, xi^2] (no cross
+terms, 2d + 1 functions) and beta has prior N(c, tau^2 I) with tau^2 =
+BASIS_PRIOR_VARIANCE, which keeps the fit well-posed on a window with fewer
+samples than basis terms.
 With the basis folded into C = K + sigma_2^2 I + tau^2 H H', one Cholesky
 factor of C per window change gives the log marginal likelihood and the
 posterior (GPML section 2.7 with B = tau^2 I, b = c): a = C^-1 (y - H c),
@@ -11,9 +12,10 @@ beta = c + tau^2 H' a and mean(xi) = h(xi)' beta + k(xi)' a. LAPACK
 (potrf, potrs, trtrs) is called directly: at window sizes of tens,
 scipy.linalg's checked wrappers cost several times the routine they wrap.
 
-A refit of the hyperparameters is spread over the observes that follow it,
-a bounded number of likelihood evaluations each (GpWindowModel.fit_hyperparams),
-so that no control step waits for a whole fit.
+A refit of the length scale and signal variance is spread over the
+observes that follow it, a bounded number of likelihood evaluations each
+(GpWindowModel.fit_hyperparams), so that no control step waits for a whole
+fit. The noise variance is not refit.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import copy
 import logging
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -32,17 +35,18 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_JITTER = 1e-10
 MAX_JITTER = 1e-6
-BASIS_KINDS = ("none", "constant", "linear", "quadratic")
+BASIS_PRIOR_VARIANCE = 1e4  # tau^2
+MIN_FIT_SIZE = 5  # no refit on a smaller window
 # box of the hyperparameter refit, applied in log space
 LENGTH_SCALE_BOUNDS = (1e-2, 1e3)
 SIGNAL_VARIANCE_BOUNDS = (1e-8, 1e4)
-NOISE_VARIANCE_BOUNDS = (1e-12, 1.0)
 
 
 @dataclass(frozen=True)
 class GpHyperparams:
-    """The kernel settings a refit fits: one length scale shared by every
-    input dimension and the two variances."""
+    """The kernel settings: one length scale shared by every input
+    dimension and the two variances. A refit fits l and sigma_1^2; sigma_2^2
+    keeps its configured value."""
 
     length_scale: float = 1.0      # l
     signal_variance: float = 1.0   # sigma_1^2
@@ -58,31 +62,23 @@ class GpHyperparams:
 @dataclass
 class GpCfg:
     """Settings of a GpWindowModel and the `gp` section of a benchmark
-    config, checked here once. The *0 fields are the starting GpHyperparams,
-    which a refit moves; the basis term (basis, tau^2) stays fixed."""
+    config, checked here once. length_scale0 and signal_variance0 start
+    the GpHyperparams that a refit moves; the basis is fixed."""
 
     capacity: int = 15                  # window size N
-    basis: str = "quadratic"            # one of BASIS_KINDS
     optimize: bool = True               # refit the hyperparameters online
-    fit_noise: bool = True              # refit sigma_2^2 too
     refit_stride: int = 1               # observations between refits
-    min_fit_size: int = 5               # no refit on a smaller window
-    basis_prior_variance: float = 1e4   # tau^2
     length_scale0: float = GpHyperparams.length_scale
     signal_variance0: float = GpHyperparams.signal_variance
-    noise_variance0: float = GpHyperparams.noise_variance
+    noise_variance0: float = GpHyperparams.noise_variance  # sigma_2^2, never refit
     max_fit_evals: int = 100            # hard cap of likelihood evaluations per refit
 
     def __post_init__(self):
-        if not (self.capacity >= 1 and float(self.capacity).is_integer()):
-            raise ValueError("capacity must be a whole number >= 1, "
-                             f"got {self.capacity}")
-        if self.basis not in BASIS_KINDS:
-            raise ValueError(f"basis must be one of {BASIS_KINDS}")
-        if not 0 < self.basis_prior_variance < math.inf:
-            raise ValueError("basis prior variance must be positive and finite")
-        if not self.max_fit_evals >= 1:
-            raise ValueError(f"max_fit_evals must be >= 1, got {self.max_fit_evals}")
+        for name in ("capacity", "refit_stride", "max_fit_evals"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and value >= 1
+                    and float(value).is_integer()):
+                raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
         self.hyper0  # building the starting GpHyperparams checks them
 
     @property
@@ -113,17 +109,9 @@ def _kernel_matrix(X, Z, hyper: GpHyperparams) -> np.ndarray:
     return hyper.signal_variance * np.exp(-0.5 * sq)
 
 
-def basis_features(X: np.ndarray, kind: str) -> np.ndarray:
-    """Explicit basis rows for inputs (N, d): {1}, {xi_i}, {xi_i^2} by kind."""
-    N, d = X.shape
-    if kind == "none":
-        return np.zeros((N, 0))
-    cols = [np.ones((N, 1))]
-    if kind in ("linear", "quadratic"):
-        cols.append(X)
-    if kind == "quadratic":
-        cols.append(X ** 2)
-    return np.hstack(cols)
+def basis_features(X: np.ndarray) -> np.ndarray:
+    """Explicit basis rows [1, xi, xi^2] for inputs (N, d)."""
+    return np.hstack([np.ones((X.shape[0], 1)), X, X ** 2])
 
 
 def _chol_with_jitter(M: np.ndarray):
@@ -168,7 +156,7 @@ class GpWindowModel:
 
         self._X = np.zeros((0, self.dim))
         self._y = np.zeros(0)
-        self._H = basis_features(self._X, self.cfg.basis)
+        self._H = basis_features(self._X)
         self._tau2HH = np.zeros((0, 0))  # tau^2 H H'
         self.observation_count = 0
         self.rejected_count = 0
@@ -210,12 +198,12 @@ class GpWindowModel:
         else:
             self._X = np.vstack([self._X, xi])
             self._y = np.concatenate([self._y, [float(e)]])
-        self._H = basis_features(self._X, self.cfg.basis)
-        self._tau2HH = self.cfg.basis_prior_variance * (self._H @ self._H.T)
+        self._H = basis_features(self._X)
+        self._tau2HH = BASIS_PRIOR_VARIANCE * (self._H @ self._H.T)
         self.observation_count += 1
         self._since_fit += 1
         if self._refit is not None or (
-                self.cfg.optimize and self.size >= self.cfg.min_fit_size
+                self.cfg.optimize and self.size >= MIN_FIT_SIZE
                 and self._since_fit >= self.cfg.refit_stride):
             self.fit_hyperparams()
         else:
@@ -244,7 +232,7 @@ class GpWindowModel:
             self._cache = None
             return
         self._cache = f = self._factorize(self.hyper)
-        self._beta = self._beta + self.cfg.basis_prior_variance * (self._H.T @ f.a)
+        self._beta = self._beta + BASIS_PRIOR_VARIANCE * (self._H.T @ f.a)
 
     @property
     def jitter(self) -> float | None:
@@ -273,10 +261,10 @@ class GpWindowModel:
             return 0.0, math.inf
         c = self._cache
         ks = self._query_kernel(xi)
-        hs = basis_features(xi[None, :], self.cfg.basis)[0]
+        hs = basis_features(xi[None, :])[0]
         mean = float(hs @ self._beta + ks @ c.a)
         # prior covariance of the folded model: k + tau^2 h' h
-        tau2 = self.cfg.basis_prior_variance
+        tau2 = BASIS_PRIOR_VARIANCE
         v = dtrtrs(c.L, ks + tau2 * (self._H @ hs), lower=1)[0]
         var = self.hyper.signal_variance + tau2 * float(hs @ hs) - float(v @ v)
         return mean, max(var, 0.0)
@@ -299,41 +287,30 @@ class GpWindowModel:
             return 0.0
         ks = self._query_kernel(xi)
         dks = -((xi[dim] - self._X[:, dim]) / self.hyper.length_scale ** 2) * ks
-        out = float(dks @ self._cache.a)
-        if self._beta.size:
-            dh = np.zeros(self._beta.size)  # d h(xi) / d xi_dim
-            if self.cfg.basis != "constant":
-                dh[1 + dim] = 1.0
-            if self.cfg.basis == "quadratic":
-                dh[1 + self.dim + dim] = 2.0 * xi[dim]
-            out += float(dh @ self._beta)
-        return out
+        dh = np.zeros(self._beta.size)  # d h(xi) / d xi_dim
+        dh[1 + dim] = 1.0
+        dh[1 + self.dim + dim] = 2.0 * xi[dim]
+        return float(dks @ self._cache.a) + float(dh @ self._beta)
 
     # -- hyperparameter fitting ----------------------------------------------
 
-    def log_marginal_likelihood(self, hyper: GpHyperparams | None = None,
-                                grad: bool = False):
-        """Marginal log-likelihood of the window with beta integrated out;
-        with grad=True, (value, gradient in log l, log sigma_1^2, log
-        sigma_2^2) (GPML eq. 5.9). A covariance that cannot be factorized
-        gives -inf (and a zero gradient)."""
+    def log_marginal_likelihood(self, hyper: GpHyperparams):
+        """(value, gradient in log l and log sigma_1^2) of the window's
+        marginal log-likelihood with beta integrated out (GPML eq. 5.9). A
+        covariance that cannot be factorized gives (-inf, zero gradient)."""
         if self.size == 0:
             raise ValueError("empty window")
-        hyper = hyper or self.hyper
         try:
             f = self._factorize(hyper)
         except LinAlgError:
-            return (-math.inf, np.zeros(3)) if grad else -math.inf
+            return -math.inf, np.zeros(2)
         val = float(-0.5 * f.y @ f.a - np.log(f.L.diagonal()).sum()
                     - 0.5 * self.size * math.log(2.0 * math.pi))
-        if not grad:
-            return val
         # d val / d theta = 1/2 tr(Q dC/d theta) with Q = a a' - C^-1 and
-        # dC/d theta = K * sq, K, sigma_2^2 I (elementwise products)
+        # dC/d theta = K * sq, K (elementwise products)
         Q = f.a[:, None] * f.a - dpotrs(f.L, np.eye(self.size), lower=1)[0]
         QK = Q * f.K
-        return val, 0.5 * np.array([(QK * f.sq).sum(), QK.sum(),
-                                    hyper.noise_variance * Q.trace()])
+        return val, 0.5 * np.array([(QK * f.sq).sum(), QK.sum()])
 
     def fit_hyperparams(self) -> GpHyperparams:
         """Run the next slice of the refit, at most ceil(max_fit_evals /
@@ -356,24 +333,26 @@ class GpWindowModel:
         return self.hyper
 
     def _refit_steps(self):
-        """A refit from the current hyperparameters, in log space within the
-        *_BOUNDS, on a copy of the window (observe shifts _X and _y in place):
-        yields before each likelihood evaluation, returns the GpHyperparams."""
+        """A refit of (log l, log sigma_1^2) from the current values, within
+        the *_BOUNDS, on a copy of the window (observe shifts _X and _y in
+        place): yields before each likelihood evaluation, returns the
+        GpHyperparams. sigma_2^2 stays at its configured value: the
+        simulation is noise-free, and a fitted noise level jitters the basis
+        coefficients through the smoothed gain loop."""
         frozen = copy.copy(self)
         for name in ("_X", "_y", "_H", "_tau2HH", "_beta"):
             setattr(frozen, name, getattr(self, name).copy())
-        h, n = self.hyper, 3 if self.cfg.fit_noise else 2
-        lo, hi = np.array([LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS,
-                           NOISE_VARIANCE_BOUNDS][:n]).T
-        start = [h.length_scale, h.signal_variance, h.noise_variance][:n]
+        h = self.hyper
+        lo, hi = np.array([LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS]).T
+        start = [h.length_scale, h.signal_variance]
 
         def hyper_of(theta):
-            nv = math.exp(theta[2]) if n == 3 else h.noise_variance
-            return GpHyperparams(math.exp(theta[0]), math.exp(theta[1]), nv)
+            return GpHyperparams(math.exp(theta[0]), math.exp(theta[1]),
+                                 h.noise_variance)
 
         def objective(theta):
-            val, g = frozen.log_marginal_likelihood(hyper_of(theta), grad=True)
-            return -val, -g[:n]
+            val, g = frozen.log_marginal_likelihood(hyper_of(theta))
+            return -val, -g
 
         theta = yield from _projected_bfgs(objective, np.log(np.clip(start, lo, hi)),
                                            np.log(lo), np.log(hi),

@@ -22,7 +22,8 @@ import numpy as np
 from xfertrack.bench import run_comparison
 from xfertrack.control import (EstimatedGain, TransferController,
                                track_trajectory)
-from xfertrack.gp import GpCfg, GpHyperparams, GpWindowModel, basis_features
+from xfertrack.gp import (BASIS_PRIOR_VARIANCE, GpCfg, GpHyperparams,
+                          GpWindowModel, basis_features)
 from xfertrack.inverse import (AnalyticInverse, InverseDataset, TrainingConfig,
                                train_mlp)
 from xfertrack.stability import (assemble_budget, fit_prediction_budget,
@@ -190,8 +191,8 @@ def test_criterion_7_property_suites(bench_config):
         gp.observe(rng.standard_normal(3), float(rng.standard_normal()))
     X = gp._X
     K = np.array([[kernel(p, q, gp.hyper) for q in X] for p in X])
-    H = basis_features(X, gp.cfg.basis)
-    target_mat = (K + gp.cfg.basis_prior_variance * H @ H.T
+    H = basis_features(X)
+    target_mat = (K + BASIS_PRIOR_VARIANCE * H @ H.T
                   + (gp.hyper.noise_variance + gp.jitter) * np.eye(len(X)))
     L = gp._cache.L
     rel = (np.linalg.norm(L @ L.T - target_mat)

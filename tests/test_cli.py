@@ -305,22 +305,30 @@ def test_out_of_range_mlp_section_is_config_error(tmp_path, capsys, field, value
     assert not (tmp_path / "inverse_model.npz").exists()
 
 
-@pytest.mark.parametrize("section, values", [
-    ("gain", dict(mode="fixed", alpha=float("nan"))),
-    ("gain", dict(mode="fixed", alpha=float("inf"))),
-    ("gain", dict(floor=float("nan"))),
-    ("gain", dict(floor=-1.0)),
-    ("gain", dict(cap=float("inf"))),
-    ("gain", dict(floor=5.0, cap=1.0)),
-    ("gain", dict(smoothing=float("nan"))),
-    ("gain", dict(smoothing=1.0)),
-    ("gain", dict(smoothing=-0.1)),
-    ("gp", dict(max_fit_evals=0)),
-    ("gp", dict(max_fit_evals=-3))],
+@pytest.mark.parametrize("section, values, named", [
+    # the gain section is EstimatedGain, which has no mode or alpha; the
+    # YAML lists keys sorted, so alpha is the first one named
+    ("gain", dict(mode="fixed", alpha=float("nan")), "argument 'alpha'"),
+    ("gain", dict(mode="fixed", alpha=float("inf")), "argument 'alpha'"),
+    ("gain", dict(floor=float("nan")), "gain floor"),
+    ("gain", dict(floor=-1.0), "gain floor"),
+    ("gain", dict(floor=None), "gain floor must be a number"),
+    ("gain", dict(cap=float("inf")), "gain floor and cap"),
+    ("gain", dict(floor=5.0, cap=1.0), "gain floor and cap"),
+    ("gain", dict(smoothing=float("nan")), "gain smoothing"),
+    ("gain", dict(smoothing=1.0), "gain smoothing"),
+    ("gain", dict(smoothing=-0.1), "gain smoothing"),
+    ("gain", dict(smoothing=None), "gain smoothing must be a number"),
+    ("gp", dict(max_fit_evals=0), "max_fit_evals"),
+    ("gp", dict(max_fit_evals=-3), "max_fit_evals"),
+    ("gp", dict(refit_stride=0), "refit_stride"),
+    ("gp", dict(refit_stride=-5), "refit_stride")],
     ids=["fixed-alpha-nan", "fixed-alpha-inf", "floor-nan", "floor-negative",
-         "cap-inf", "cap-below-floor", "smoothing-nan", "smoothing-1",
-         "smoothing-negative", "max_fit_evals-0", "max_fit_evals-neg"])
-def test_bad_gain_or_refit_budget_is_config_error(tmp_path, capsys, section, values):
+         "floor-null", "cap-inf", "cap-below-floor", "smoothing-nan",
+         "smoothing-1", "smoothing-negative", "smoothing-null", "max_fit_evals-0",
+         "max_fit_evals-neg", "refit_stride-0", "refit_stride-neg"])
+def test_bad_gain_or_refit_budget_is_config_error(tmp_path, capsys, section,
+                                                  values, named):
     cfg = default_benchmark_config(inverse_mode="analytic")
     cfg = replace(cfg, trajectory=replace(cfg.trajectory, duration_s=0.3))
     path = write_raw_config(tmp_path, cfg, section, **values)
@@ -328,7 +336,7 @@ def test_bad_gain_or_refit_budget_is_config_error(tmp_path, capsys, section, val
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err
-    assert ("max_fit_evals" if section == "gp" else "gain") in err
+    assert named in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare", "sweep-alpha"])
@@ -345,7 +353,10 @@ def test_bad_gp_section_fails_before_training(tmp_path, capsys, monkeypatch,
                             **{field: value})
     code = main([command, "--config", str(path), "--out-dir", str(tmp_path)])
     assert code == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if field in ("basis", "basis_prior_variance"):  # keys the gp section dropped
+        assert f"unexpected keyword argument '{field}'" in err
     assert trained == []
 
 

@@ -15,7 +15,8 @@ from scipy.linalg import LinAlgError
 
 import xfertrack
 from xfertrack.bench import default_benchmark_config, run_strategy
-from xfertrack.gp import (BASIS_KINDS, LENGTH_SCALE_BOUNDS, NOISE_VARIANCE_BOUNDS,
+from xfertrack import gp as gp_module
+from xfertrack.gp import (BASIS_PRIOR_VARIANCE, LENGTH_SCALE_BOUNDS,
                           SIGNAL_VARIANCE_BOUNDS, GpCfg, GpHyperparams,
                           GpWindowModel, _kernel_matrix, basis_features)
 
@@ -69,23 +70,27 @@ def test_hyperparams_validation():
         GpHyperparams(length_scale=1.0, signal_variance=0.0)
     with pytest.raises(ValueError):
         GpHyperparams(length_scale=1.0, noise_variance=-1e-9)
-    with pytest.raises(ValueError):
-        GpCfg(basis="cubic")
     for bad in (dict(length_scale=math.nan), dict(signal_variance=math.inf),
                 dict(noise_variance=math.inf), dict(noise_variance=math.nan)):
         with pytest.raises(ValueError, match="finite"):
             GpHyperparams(**bad)
-    with pytest.raises(ValueError, match="finite"):
-        GpWindowModel(2, GpCfg(basis_prior_variance=math.inf))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("refit_stride", 0), ("refit_stride", -5), ("refit_stride", 2.5),
+    ("refit_stride", None), ("max_fit_evals", 0), ("max_fit_evals", 1.5)])
+def test_refit_schedule_is_whole_numbers(field, value):
+    # a stride of 0 divided by zero in the first refit, and a negative one
+    # gave a negative slice budget that left the hyperparameters unfitted
+    with pytest.raises(ValueError, match=f"{field} must be a whole number >= 1"):
+        GpWindowModel(2, GpCfg(**{field: value}))
 
 
 def test_basis_feature_layout():
     X = np.array([[1.0, 2.0], [0.5, -1.0]])
-    H = basis_features(X, "quadratic")
+    H = basis_features(X)
+    assert H.shape == (2, 5)
     np.testing.assert_allclose(H[0], [1.0, 1.0, 2.0, 1.0, 4.0])
-    assert basis_features(X, "none").shape == (2, 0)
-    assert basis_features(X, "constant").shape == (2, 1)
-    assert basis_features(X, "linear").shape == (2, 3)
 
 
 # -- window bookkeeping --------------------------------------------------------
@@ -127,11 +132,11 @@ def test_duplicate_inputs_still_factorize():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_nonfinite_covariance_is_a_factorization_failure():
+def test_nonfinite_covariance_is_a_factorization_failure(monkeypatch):
     # tau^2 |h|^2 overflows: C = [[inf]] must fail like an indefinite C,
     # not factor to [[inf]] and predict NaN
-    gp = GpWindowModel(2, GpCfg(capacity=5, optimize=False,
-                                basis_prior_variance=1e308))
+    monkeypatch.setattr(gp_module, "BASIS_PRIOR_VARIANCE", 1e308)
+    gp = GpWindowModel(2, GpCfg(capacity=5, optimize=False))
     with pytest.raises(LinAlgError, match="not finite"):
         gp.observe([10.0, 10.0], 0.5)
 
@@ -162,7 +167,7 @@ def test_empty_window_cold_start():
     assert var == math.inf
     assert gp.mean_derivative([0.0, 0.0, 0.0], 0) == 0.0
     with pytest.raises(ValueError, match="empty"):
-        gp.log_marginal_likelihood()
+        gp.log_marginal_likelihood(gp.hyper)
 
 
 def test_interpolation_limit_at_observed_inputs():
@@ -201,15 +206,15 @@ def test_affine_window_recovered_through_basis():
         assert abs(mean - (w @ q + c)) <= 1e-6
 
 
-def gpml_posterior(X, y, xs, hyper, basis, tau2, b, jitter):
+def gpml_posterior(X, y, xs, hyper, tau2, b, jitter):
     """Mean and variance of h' beta + f at xs and the coefficient estimate,
     by GPML eqs. 2.41-2.42 with B = tau2 I and prior mean b, solved densely.
     K_y carries the model's jitter, which its factor adds to the diagonal."""
     K = np.array([[kernel(p, q, hyper) for q in X] for p in X])
     Ky = K + (hyper.noise_variance + jitter) * np.eye(len(X))
-    H = basis_features(X, basis)  # (n, m), the transpose of GPML's H
+    H = basis_features(X)  # (n, m), the transpose of GPML's H
     ks = np.array([kernel(p, xs, hyper) for p in X])
-    hs = basis_features(xs[None, :], basis)[0]
+    hs = basis_features(xs[None, :])[0]
     Ky_inv_H = np.linalg.solve(Ky, H)
     A = np.eye(H.shape[1]) / tau2 + H.T @ Ky_inv_H
     beta = np.linalg.solve(A, H.T @ np.linalg.solve(Ky, y) + b / tau2)
@@ -220,34 +225,32 @@ def gpml_posterior(X, y, xs, hyper, basis, tau2, b, jitter):
     return mean, var, beta
 
 
-@pytest.mark.parametrize("basis", ["none", "constant", "linear", "quadratic"])
-def test_prediction_matches_explicit_basis_posterior(basis):
+def test_prediction_matches_explicit_basis_posterior(monkeypatch):
     # the folded-covariance posterior equals the two-stage explicit-basis
     # one; the prior mean b of each window is the previous window's
-    # coefficient estimate (zero for the first), as the model re-centers
+    # coefficient estimate (zero for the first), as the model re-centers.
+    # tau^2 is drawn at random too, set through the module constant
     rng = np.random.default_rng(21)
     for _ in range(25):
         d = int(rng.integers(1, 5))
         n = int(rng.integers(3, 16))
         tau2 = float(10 ** rng.uniform(0, 4))
+        monkeypatch.setattr(gp_module, "BASIS_PRIOR_VARIANCE", tau2)
         hyper = GpHyperparams(
             length_scale=float(rng.uniform(0.5, 3.0)),
             signal_variance=float(rng.uniform(0.3, 3.0)),
             noise_variance=float(rng.uniform(1e-4, 1e-2)))
-        gp = GpWindowModel(d, hyper_cfg(hyper, capacity=15, basis=basis,
-                                        basis_prior_variance=tau2, optimize=False))
+        gp = GpWindowModel(d, hyper_cfg(hyper, capacity=15, optimize=False))
         X = rng.standard_normal((n, d))
         y = rng.standard_normal(n)
-        b = np.zeros(basis_features(X[:1], basis).shape[1])
+        b = np.zeros(2 * d + 1)
         for j in range(n):
             if j:
-                b = gpml_posterior(X[:j], y[:j], X[0], hyper, basis, tau2, b,
-                                   gp.jitter)[2]
+                b = gpml_posterior(X[:j], y[:j], X[0], hyper, tau2, b, gp.jitter)[2]
             gp.observe(X[j], y[j])
         for _ in range(5):
             xs = 1.5 * rng.standard_normal(d)
-            mean, var, _ = gpml_posterior(X, y, xs, hyper, basis, tau2, b,
-                                          gp.jitter)
+            mean, var, _ = gpml_posterior(X, y, xs, hyper, tau2, b, gp.jitter)
             got_mean, got_var = gp.predict(xs)
             assert abs(got_mean - mean) <= 1e-6 * max(1.0, abs(mean))
             assert abs(got_var - var) <= 1e-6 * max(1e-2, var)
@@ -277,15 +280,13 @@ def test_mean_derivative_matches_finite_differences():
         assert abs(analytic - fd) <= 1e-4 * max(abs(fd), 1e-8)
 
 
-@pytest.mark.parametrize("basis", BASIS_KINDS)
-def test_query_memo_never_stale(basis):
+def test_query_memo_never_stale():
     # predict and mean_derivative share k(xi, X) at a repeated query; after
     # every observe (slides and refits included) and explicit refit, each
     # result must equal a recomputation with the memo cleared, and the memo
     # must hold _kernel_matrix on the current window and hyperparameters
-    rng = np.random.default_rng(BASIS_KINDS.index(basis))
-    gp = GpWindowModel(3, GpCfg(capacity=6, refit_stride=4, max_fit_evals=10,
-                                basis=basis))
+    rng = np.random.default_rng(3)
+    gp = GpWindowModel(3, GpCfg(capacity=6, refit_stride=4, max_fit_evals=10))
     queries = [rng.standard_normal(3) for _ in range(3)]
 
     def recomputed(method, *args):
@@ -338,8 +339,8 @@ def test_factorization_reconstructs_covariance():
                       noise_variance0=1e-5)
     X = gp._X
     K = np.array([[kernel(a, b, gp.hyper) for b in X] for a in X])
-    H = basis_features(X, gp.cfg.basis)
-    target = (K + gp.cfg.basis_prior_variance * H @ H.T
+    H = basis_features(X)
+    target = (K + BASIS_PRIOR_VARIANCE * H @ H.T
               + (gp.hyper.noise_variance + gp.jitter) * np.eye(len(X)))
     L = gp._cache.L
     err = np.linalg.norm(L @ L.T - target) / np.linalg.norm(target)
@@ -349,14 +350,10 @@ def test_factorization_reconstructs_covariance():
 # -- hyperparameter fitting ----------------------------------------------------
 
 
-@pytest.mark.parametrize("fit_noise", [True, False])
-@pytest.mark.parametrize("basis", ["none", "constant", "linear", "quadratic"])
-def test_likelihood_gradient_matches_finite_differences(basis, fit_noise):
-    # the fit's parameters: log l, log sigma_1^2 and, with fit_noise,
-    # log sigma_2^2; noise >= 1e-4 keeps the windows well-conditioned and
-    # the jitter fixed across the perturbations
+def test_likelihood_gradient_matches_finite_differences():
+    # the fit's parameters: log l and log sigma_1^2; noise >= 1e-4 keeps the
+    # windows well-conditioned and the jitter fixed across the perturbations
     rng = np.random.default_rng(12)
-    n_params = 3 if fit_noise else 2
     h = 1e-3  # the basis prior (tau^2 = 1e4) makes smaller steps round off
     for _ in range(25):
         d = int(rng.integers(1, 5))
@@ -364,28 +361,26 @@ def test_likelihood_gradient_matches_finite_differences(basis, fit_noise):
             length_scale=float(rng.uniform(0.5, 3.0)),
             signal_variance=float(rng.uniform(0.3, 3.0)),
             noise_variance=float(rng.uniform(1e-4, 1e-2)))
-        gp = GpWindowModel(d, hyper_cfg(hyper, capacity=15, optimize=False,
-                                        fit_noise=fit_noise, basis=basis))
+        gp = GpWindowModel(d, hyper_cfg(hyper, capacity=15, optimize=False))
         for _ in range(int(rng.integers(3, 16))):
             gp.observe(rng.standard_normal(d), float(rng.standard_normal()))
-        value, grad = gp.log_marginal_likelihood(grad=True)
-        assert value == gp.log_marginal_likelihood()
-        theta = np.log([hyper.length_scale, hyper.signal_variance,
-                        hyper.noise_variance])
+        grad = gp.log_marginal_likelihood(hyper)[1]
+        theta = np.log([hyper.length_scale, hyper.signal_variance])
 
         def lml(t):
             return gp.log_marginal_likelihood(replace(
-                hyper, length_scale=math.exp(t[0]), signal_variance=math.exp(t[1]),
-                noise_variance=math.exp(t[2])))
+                hyper, length_scale=math.exp(t[0]),
+                signal_variance=math.exp(t[1])))[0]
 
-        fd = [(lml(theta + h * e) - lml(theta - h * e)) / (2 * h)
-              for e in np.eye(3)[:n_params]]
-        np.testing.assert_allclose(grad[:n_params], fd, rtol=1e-3, atol=1e-3)
+        fd = [(lml(theta + h * e) - lml(theta - h * e)) / (2 * h) for e in np.eye(2)]
+        np.testing.assert_allclose(grad, fd, rtol=1e-3, atol=1e-3)
 
 
 def test_fit_budget_stops_early_without_degrading(monkeypatch):
     # max_fit_evals is a hard cap on likelihood evaluations: a budget of 5
-    # ends the fit there, well before an uncapped fit
+    # ends the fit there, well before an uncapped fit. The objective depends
+    # on the coefficient centering, so the likelihoods compare at the one
+    # the fit used
     calls = []
     lml = GpWindowModel.log_marginal_likelihood
 
@@ -400,21 +395,22 @@ def test_fit_budget_stops_early_without_degrading(monkeypatch):
             rng = np.random.default_rng(seed)
             gp = GpWindowModel(2, GpCfg(capacity=15, optimize=False,
                                         max_fit_evals=budget, length_scale0=1.0,
-                                        noise_variance0=1e-4, basis="none"))
+                                        noise_variance0=1e-4))
             for _ in range(15):
                 xi = rng.uniform(-3, 3, size=2)
                 gp.observe(xi, float(np.cos(xi[0]) + 0.3 * xi[1]))
-            before = gp.log_marginal_likelihood()
+            center = gp._beta
+            before = gp.log_marginal_likelihood(gp.hyper)[0]
             calls.clear()
             gp.fit_hyperparams()
             evals[budget] = len(calls)
-            assert gp.log_marginal_likelihood() >= before - 1e-9
+            gp._beta = center
+            assert gp.log_marginal_likelihood(gp.hyper)[0] >= before - 1e-9
         assert evals[5] < evals[100]
         assert evals[5] <= 5
 
 
-@pytest.mark.parametrize("basis", BASIS_KINDS)
-def test_refit_evaluates_each_point_once(basis, monkeypatch):
+def test_refit_evaluates_each_point_once(monkeypatch):
     # the optimizer evaluates the start once and never repeats a trial
     # point (steps that round away end the fit), and a finished refit
     # refreshes the window exactly once: the factor and coefficients it
@@ -422,18 +418,16 @@ def test_refit_evaluates_each_point_once(basis, monkeypatch):
     points = []
     lml = GpWindowModel.log_marginal_likelihood
 
-    def recorded(self, hyper=None, grad=False):
-        points.append((hyper.length_scale, hyper.signal_variance,
-                       hyper.noise_variance))
-        return lml(self, hyper, grad)
+    def recorded(self, hyper):
+        points.append((hyper.length_scale, hyper.signal_variance))
+        return lml(self, hyper)
 
     monkeypatch.setattr(GpWindowModel, "log_marginal_likelihood", recorded)
     rng = np.random.default_rng(31)
     for trial in range(10):
         d = int(rng.integers(1, 5))
         gp = GpWindowModel(d, GpCfg(capacity=15, optimize=False,
-                                    fit_noise=bool(trial % 2),
-                                    noise_variance0=1e-6, basis=basis))
+                                    noise_variance0=1e-6))
         x = 0.1 * rng.standard_normal(d)
         for _ in range(int(rng.integers(5, 16))):
             x = 0.9 * x + 0.05 * rng.standard_normal(d)
@@ -452,20 +446,20 @@ def test_refit_evaluates_each_point_once(basis, monkeypatch):
 
 def test_optimizer_never_degrades_likelihood():
     # the optimizer moves only to points of higher likelihood, so the start
-    # stays a candidate; basis "none" keeps the objective independent of
-    # the coefficient centering, so before/after values are comparable
+    # stays a candidate; the objective depends on the coefficient centering,
+    # so before/after values compare at the one the fit used
     rng = np.random.default_rng(4)
     for trial in range(8):
-        gp = GpWindowModel(2, GpCfg(capacity=15, optimize=False, fit_noise=True,
-                                    length_scale0=1.0, noise_variance0=1e-4,
-                                    basis="none"))
+        gp = GpWindowModel(2, GpCfg(capacity=15, optimize=False,
+                                    length_scale0=1.0, noise_variance0=1e-4))
         for _ in range(12):
             xi = rng.uniform(-3, 3, size=2)
             gp.observe(xi, float(np.cos(xi[0]) + 0.3 * xi[1]))
-        before = gp.log_marginal_likelihood()
+        center = gp._beta
+        before = gp.log_marginal_likelihood(gp.hyper)[0]
         gp.fit_hyperparams()
-        after = gp.log_marginal_likelihood()
-        assert after >= before - 1e-9
+        gp._beta = center
+        assert gp.log_marginal_likelihood(gp.hyper)[0] >= before - 1e-9
 
 
 def _evaluations_per_observe(monkeypatch):
@@ -502,14 +496,12 @@ def test_sliced_refit_bounds_evaluations_per_observe_on_bundled_run(monkeypatch)
     assert any(a == 4 and b > 0 for a, b in zip(per_observe, per_observe[1:]))
 
 
-@pytest.mark.parametrize("basis", BASIS_KINDS)
-def test_sliced_refit_bounds_evaluations_per_observe(basis, monkeypatch):
+def test_sliced_refit_bounds_evaluations_per_observe(monkeypatch):
     per_observe = _evaluations_per_observe(monkeypatch)
-    rng = np.random.default_rng(40 + BASIS_KINDS.index(basis))
+    rng = np.random.default_rng(43)
     for trial in range(4):
-        cfg = GpCfg(capacity=15, refit_stride=int(rng.integers(2, 30)), basis=basis,
-                    fit_noise=bool(trial % 2), noise_variance0=1e-4,
-                    max_fit_evals=int(rng.integers(1, 120)))
+        cfg = GpCfg(capacity=15, refit_stride=int(rng.integers(2, 30)),
+                    noise_variance0=1e-4, max_fit_evals=int(rng.integers(1, 120)))
         gp = GpWindowModel(2, cfg)
         x = rng.standard_normal(2)
         per_observe.clear()
@@ -548,22 +540,20 @@ def _scipy_fit(gp) -> float:
     """The likelihood at scipy's L-BFGS-B maximum from the same start, in the
     same box, under the same evaluation budget."""
     from scipy.optimize import minimize
-    n, h = (3 if gp.cfg.fit_noise else 2), gp.hyper
-    bounds = np.log([LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS,
-                     NOISE_VARIANCE_BOUNDS][:n])
+    h = gp.hyper
+    bounds = np.log([LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS])
 
     def hyper_of(t):
-        return GpHyperparams(math.exp(t[0]), math.exp(t[1]),
-                             math.exp(t[2]) if n == 3 else h.noise_variance)
+        return GpHyperparams(math.exp(t[0]), math.exp(t[1]), h.noise_variance)
 
     def objective(t):
-        val, g = gp.log_marginal_likelihood(hyper_of(t), grad=True)
-        return -val, -g[:n]
+        val, g = gp.log_marginal_likelihood(hyper_of(t))
+        return -val, -g
 
-    t0 = np.log([h.length_scale, h.signal_variance, h.noise_variance][:n])
+    t0 = np.log([h.length_scale, h.signal_variance])
     res = minimize(objective, t0, jac=True, method="L-BFGS-B", bounds=bounds,
                    options={"maxfun": gp.cfg.max_fit_evals})
-    return gp.log_marginal_likelihood(hyper_of(res.x))
+    return gp.log_marginal_likelihood(hyper_of(res.x))[0]
 
 
 def test_optimizer_reaches_scipy_lbfgsb_likelihood():
@@ -576,10 +566,9 @@ def test_optimizer_reaches_scipy_lbfgsb_likelihood():
     rng = np.random.default_rng(17)
     gains = []
     for trial in range(48):
-        d, n = int(rng.integers(1, 4)), 2 + trial % 2
+        d = int(rng.integers(1, 4))
         gp = GpWindowModel(d, GpCfg(
-            capacity=15, optimize=False, fit_noise=n == 3,
-            basis=BASIS_KINDS[trial % 4], length_scale0=float(rng.uniform(0.3, 3.0)),
+            capacity=15, optimize=False, length_scale0=float(rng.uniform(0.3, 3.0)),
             noise_variance0=float(rng.uniform(1e-4, 1e-2))))
         for _ in range(int(rng.integers(5, 16))):
             x = rng.uniform(-2, 2, size=d)
@@ -587,14 +576,12 @@ def test_optimizer_reaches_scipy_lbfgsb_likelihood():
         frozen = copy.deepcopy(gp)
         best = _scipy_fit(frozen)
         gp.fit_hyperparams()
-        got, grad = frozen.log_marginal_likelihood(gp.hyper, grad=True)
+        got, grad = frozen.log_marginal_likelihood(gp.hyper)
         gains.append(got - best)
         if got < best - 2e-3:
-            h = gp.hyper
-            theta = np.log([h.length_scale, h.signal_variance, h.noise_variance][:n])
-            lo, hi = np.log([LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS,
-                             NOISE_VARIANCE_BOUNDS][:n]).T
-            assert np.abs(np.clip(theta + grad[:n], lo, hi) - theta).max() <= 1e-3
+            theta = np.log([gp.hyper.length_scale, gp.hyper.signal_variance])
+            lo, hi = np.log([LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS]).T
+            assert np.abs(np.clip(theta + grad, lo, hi) - theta).max() <= 1e-3
     assert np.median(gains) >= -1e-9
 
 
@@ -618,24 +605,12 @@ def test_length_scale_recovery_from_synthetic_data():
         X = rng.uniform(-5, 5, size=(15, 1))
         K = np.array([[kernel(a, b, hyp_true) for b in X] for a in X])
         y = rng.multivariate_normal(np.zeros(15), K + 1e-10 * np.eye(15))
-        gp = GpWindowModel(1, GpCfg(capacity=15, optimize=False, fit_noise=False,
-                                    length_scale0=1.0, noise_variance0=1e-8,
-                                    basis="none"))
+        gp = GpWindowModel(1, GpCfg(capacity=15, optimize=False,
+                                    length_scale0=1.0, noise_variance0=1e-8))
         for xi, e in zip(X, y):
             gp.observe(xi, float(e))
         gp.fit_hyperparams()
         assert 1.0 <= gp.hyper.length_scale <= 3.0
-
-
-def test_zero_outputs_drive_signal_variance_to_floor():
-    rng = np.random.default_rng(7)
-    gp = GpWindowModel(2, GpCfg(capacity=15, optimize=False, fit_noise=False,
-                                length_scale0=1.0, noise_variance0=1e-6,
-                                basis="none"))
-    for _ in range(15):
-        gp.observe(rng.standard_normal(2), 0.0)
-    gp.fit_hyperparams()
-    assert gp.hyper.signal_variance <= 1e-6
 
 
 def test_fixed_hyper_mode_skips_optimization():
@@ -651,10 +626,8 @@ def test_fixed_hyper_mode_skips_optimization():
 
 def test_refit_stride_controls_schedule():
     rng = np.random.default_rng(9)
-    per_step = GpWindowModel(1, GpCfg(capacity=15, optimize=True, refit_stride=1,
-                                      min_fit_size=5))
-    strided = GpWindowModel(1, GpCfg(capacity=15, optimize=True, refit_stride=50,
-                                     min_fit_size=5))
+    per_step = GpWindowModel(1, GpCfg(capacity=15, optimize=True, refit_stride=1))
+    strided = GpWindowModel(1, GpCfg(capacity=15, optimize=True, refit_stride=50))
     xs = rng.uniform(-2, 2, size=20)
     for x in xs:
         per_step.observe([float(x)], float(np.sin(x)))
