@@ -9,13 +9,17 @@ With the basis folded into C = K + sigma_2^2 I + tau^2 H H', one Cholesky
 factor of C per window change gives the log marginal likelihood and the
 posterior (GPML section 2.7 with B = tau^2 I, b = c): a = C^-1 (y - H c),
 beta = c + tau^2 H' a and mean(xi) = h(xi)' beta + k(xi)' a. LAPACK
-(potrf, potrs, trtrs) is called directly: at window sizes of tens,
+(potrf, potrs, potri, trtrs) is called directly: at window sizes of tens,
 scipy.linalg's checked wrappers cost several times the routine they wrap.
 
-A refit of the length scale and signal variance is spread over the
-observes that follow it, a bounded number of likelihood evaluations each
-(GpWindowModel.fit_hyperparams), so that no control step waits for a whole
-fit. The noise variance is not refit.
+The window lives in preallocated arrays that observe shifts in place, one
+new row per observation: X, y, the basis rows H, X / l and the squared row
+norms of X / l, which predict reads. A refit of the length scale and signal
+variance is spread over the observes that follow it, a bounded number of
+likelihood evaluations each (GpWindowModel.fit_hyperparams), so that no
+control step waits for a whole fit. It evaluates the window it started on,
+whose (l, sigma_1^2)-free terms it builds once. The noise variance is not
+refit.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 
 logger = logging.getLogger(__name__)
 
@@ -79,7 +83,13 @@ class GpCfg:
             if not (isinstance(value, Real) and value >= 1
                     and float(value).is_integer()):
                 raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
-        self.hyper0  # building the starting GpHyperparams checks them
+        for name, least in (("length_scale0", "positive"),
+                            ("signal_variance0", "positive"),
+                            ("noise_variance0", "nonnegative")):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and value < math.inf
+                    and (value > 0 or (value == 0 and least == "nonnegative"))):
+                raise ValueError(f"{name} must be {least} and finite, got {value!r}")
 
     @property
     def hyper0(self) -> GpHyperparams:
@@ -88,15 +98,15 @@ class GpCfg:
                              self.noise_variance0)
 
 
-def _scaled_sq_dist(X, Z, ls: float) -> np.ndarray:
-    """Squared distances between the rows of X / ls and Z / ls; X is Z
-    scales and squares the rows once."""
+def _scaled(X, ls: float):
+    """X / ls and the squared norms of its rows."""
     Xs = X / ls
-    nx = (Xs ** 2).sum(axis=1)
-    Zs, nz = Xs, nx
-    if Z is not X:
-        Zs = Z / ls
-        nz = (Zs ** 2).sum(axis=1)
+    return Xs, (Xs ** 2).sum(axis=1)
+
+
+def _sq_dist(Xs, nx, Zs, nz) -> np.ndarray:
+    """Squared distances between the rows of Xs and Zs, whose squared row
+    norms are nx and nz."""
     # 2.0 * Xs is its own array, so the product stays a gemm even when
     # Zs is Xs: numpy would switch Xs @ Xs.T to syrk, which rounds differently
     sq = nx[:, None] + nz[None, :] - 2.0 * Xs @ Zs.T
@@ -104,14 +114,9 @@ def _scaled_sq_dist(X, Z, ls: float) -> np.ndarray:
     return sq
 
 
-def _kernel_matrix(X, Z, hyper: GpHyperparams) -> np.ndarray:
-    sq = _scaled_sq_dist(X, Z, hyper.length_scale)
-    return hyper.signal_variance * np.exp(-0.5 * sq)
-
-
 def basis_features(X: np.ndarray) -> np.ndarray:
     """Explicit basis rows [1, xi, xi^2] for inputs (N, d)."""
-    return np.hstack([np.ones((X.shape[0], 1)), X, X ** 2])
+    return np.concatenate((np.ones((X.shape[0], 1)), X, X ** 2), axis=1)
 
 
 def _chol_with_jitter(M: np.ndarray):
@@ -141,39 +146,71 @@ class _Factor(NamedTuple):
     L: np.ndarray   # lower Cholesky factor of C + jitter I
     jitter: float
     a: np.ndarray   # C^-1 (y - H c)
-    y: np.ndarray   # y - H c: the outputs centered on the basis prior mean
     K: np.ndarray
-    sq: np.ndarray  # scaled squared distances, K = sigma_1^2 exp(-sq / 2)
+
+
+def _factor(sq, hyper: GpHyperparams, tau2HH, y) -> _Factor:
+    """Factor C = K + sigma_2^2 I + tau^2 H H' of a window whose inputs have
+    scaled squared distances sq and whose outputs, centered on the basis
+    prior mean, are y. LinAlgError when C is not finite, or not positive
+    definite at MAX_JITTER."""
+    K = hyper.signal_variance * np.exp(-0.5 * sq)
+    C = K.copy()
+    C.reshape(-1)[::sq.shape[0] + 1] += hyper.noise_variance
+    C += tau2HH
+    L, jitter = _chol_with_jitter(C)
+    return _Factor(L, jitter, dpotrs(L, y, lower=1)[0], K)
+
+
+class _WindowTerms(NamedTuple):
+    """The parts of a window's likelihood that (l, sigma_1^2) leave alone."""
+
+    dist: np.ndarray    # squared distances between the inputs, unscaled
+    tau2HH: np.ndarray  # tau^2 H H'
+    y: np.ndarray       # y - H c: the outputs centered on the basis prior mean
+
+
+def _window_rows(buffer: str) -> property:
+    """The rows of a window buffer that hold observations, oldest first."""
+    return property(lambda self: getattr(self, buffer)[:self._n])
 
 
 class GpWindowModel:
     """Online error predictor over a sliding window of recent observations."""
+
+    # the window: inputs X, outputs y, basis rows H, X / l and the squared
+    # row norms of X / l, each the live rows of a buffer of capacity rows
+    _X, _y, _H, _Xs, _nx = map(_window_rows, ("_Xbuf", "_ybuf", "_Hbuf",
+                                              "_Xsbuf", "_nxbuf"))
 
     def __init__(self, dim: int, cfg: GpCfg | None = None):
         self.cfg = GpCfg() if cfg is None else cfg
         self.dim = int(dim)
         self.hyper = self.cfg.hyper0
 
-        self._X = np.zeros((0, self.dim))
-        self._y = np.zeros(0)
-        self._H = basis_features(self._X)
+        cap, m = int(self.cfg.capacity), 2 * self.dim + 1
+        self._n = 0
+        self._Xbuf, self._Xsbuf = np.zeros((cap, self.dim)), np.zeros((cap, self.dim))
+        self._ybuf, self._nxbuf = np.zeros(cap), np.zeros(cap)
+        self._Hbuf = np.zeros((cap, m))
         self._tau2HH = np.zeros((0, 0))  # tau^2 H H'
         self.observation_count = 0
         self.rejected_count = 0
         self._since_fit = 0
         self._cache = None  # _Factor of the current window
         self._refit = None  # the refit under way, a _refit_steps generator
-        self._query = None  # (xi bytes, k(xi, X)) of the latest query
+        self._query = None  # (xi bytes, k(xi, X), h(xi)) of the latest query
+        self._terms = None  # a refit's frozen copy: the _WindowTerms it evaluates
         # Latest basis coefficients, also the prior mean c of the next
         # factorization, so directions the window cannot identify (collinear
         # inputs on a converged trajectory) hold instead of drifting to zero.
-        self._beta = np.zeros(self._H.shape[1])
+        self._beta = np.zeros(m)
 
     # -- window bookkeeping -------------------------------------------------
 
     @property
     def size(self) -> int:
-        return self._X.shape[0]
+        return self._n
 
     @property
     def full(self) -> bool:
@@ -185,20 +222,21 @@ class GpWindowModel:
     def observe(self, xi, e: float) -> "GpWindowModel":
         """Insert one observation, evicting the oldest beyond capacity."""
         xi = self._as_input(xi)
-        if not (np.isfinite(xi).all() and np.isfinite(e)):
+        if not (np.isfinite(xi).all() and math.isfinite(e)):
             self.rejected_count += 1
             logger.warning("rejected non-finite observation (total rejected: %d)",
                            self.rejected_count)
             return self
-        if self.size == self.cfg.capacity:
-            self._X[:-1] = self._X[1:]
-            self._X[-1] = xi
-            self._y[:-1] = self._y[1:]
-            self._y[-1] = float(e)
-        else:
-            self._X = np.vstack([self._X, xi])
-            self._y = np.concatenate([self._y, [float(e)]])
-        self._H = basis_features(self._X)
+        n = self._n
+        if n == self.cfg.capacity:
+            n -= 1
+            for buf in (self._Xbuf, self._ybuf, self._Hbuf, self._Xsbuf, self._nxbuf):
+                buf[:-1] = buf[1:]
+        self._n = n + 1
+        row = xi[None, :]
+        xs, nx = _scaled(row, self.hyper.length_scale)
+        self._Xbuf[n], self._ybuf[n], self._Hbuf[n] = xi, e, basis_features(row)[0]
+        self._Xsbuf[n], self._nxbuf[n] = xs[0], nx[0]
         self._tau2HH = BASIS_PRIOR_VARIANCE * (self._H @ self._H.T)
         self.observation_count += 1
         self._since_fit += 1
@@ -212,27 +250,16 @@ class GpWindowModel:
 
     # -- factorization ------------------------------------------------------
 
-    def _factorize(self, hyper: GpHyperparams) -> _Factor:
-        """Factor C = K + sigma_2^2 I + tau^2 H H' for the current window, the
-        outputs centered on the basis prior mean H c. LinAlgError when C is
-        not finite, or not positive definite at MAX_JITTER."""
-        sq = _scaled_sq_dist(self._X, self._X, hyper.length_scale)
-        K = hyper.signal_variance * np.exp(-0.5 * sq)
-        C = K.copy()
-        C.reshape(-1)[::self.size + 1] += hyper.noise_variance
-        C += self._tau2HH
-        y = self._y - self._H @ self._beta
-        L, jitter = _chol_with_jitter(C)
-        return _Factor(L, jitter, dpotrs(L, y, lower=1)[0], y, K, sq)
-
     def _refresh(self):
         """Cache the factorization of the current window."""
         self._query = None
         if self.size == 0:
             self._cache = None
             return
-        self._cache = f = self._factorize(self.hyper)
-        self._beta = self._beta + BASIS_PRIOR_VARIANCE * (self._H.T @ f.a)
+        Xs, nx, H = self._Xs, self._nx, self._H
+        self._cache = f = _factor(_sq_dist(Xs, nx, Xs, nx), self.hyper,
+                                  self._tau2HH, self._y - H @ self._beta)
+        self._beta = self._beta + BASIS_PRIOR_VARIANCE * (H.T @ f.a)
 
     @property
     def jitter(self) -> float | None:
@@ -260,8 +287,7 @@ class GpWindowModel:
         if self.size == 0:
             return 0.0, math.inf
         c = self._cache
-        ks = self._query_kernel(xi)
-        hs = basis_features(xi[None, :])[0]
+        ks, hs = self._query_terms(xi)
         mean = float(hs @ self._beta + ks @ c.a)
         # prior covariance of the folded model: k + tau^2 h' h
         tau2 = BASIS_PRIOR_VARIANCE
@@ -269,13 +295,16 @@ class GpWindowModel:
         var = self.hyper.signal_variance + tau2 * float(hs @ hs) - float(v @ v)
         return mean, max(var, 0.0)
 
-    def _query_kernel(self, xi: np.ndarray) -> np.ndarray:
-        """k(xi, X) on the current window, kept until the next _refresh: the
-        controller asks predict and mean_derivative at the same query."""
+    def _query_terms(self, xi: np.ndarray) -> tuple:
+        """k(xi, X) and the basis row h(xi), kept until the next _refresh:
+        the controller asks predict and mean_derivative at the same query."""
         key = xi.tobytes()
         if self._query is None or self._query[0] != key:
-            self._query = key, _kernel_matrix(xi[None, :], self._X, self.hyper)[0]
-        return self._query[1]
+            row = xi[None, :]
+            sq = _sq_dist(*_scaled(row, self.hyper.length_scale), self._Xs, self._nx)
+            self._query = (key, self.hyper.signal_variance * np.exp(-0.5 * sq[0]),
+                           basis_features(row)[0])
+        return self._query[1:]
 
     def mean_derivative(self, xi, dim: int) -> float:
         """d mean / d xi_dim at xi, combining kernel and basis terms; zero on
@@ -285,7 +314,7 @@ class GpWindowModel:
             raise ValueError(f"dim must be in 0..{self.dim - 1}")
         if self.size == 0:
             return 0.0
-        ks = self._query_kernel(xi)
+        ks = self._query_terms(xi)[0]
         dks = -((xi[dim] - self._X[:, dim]) / self.hyper.length_scale ** 2) * ks
         dh = np.zeros(self._beta.size)  # d h(xi) / d xi_dim
         dh[1 + dim] = 1.0
@@ -294,23 +323,40 @@ class GpWindowModel:
 
     # -- hyperparameter fitting ----------------------------------------------
 
+    def _window_terms(self) -> _WindowTerms:
+        """The current window's terms, centered on the current coefficients."""
+        Xn = _scaled(self._X, 1.0)
+        return _WindowTerms(_sq_dist(*Xn, *Xn), self._tau2HH,
+                            self._y - self._H @ self._beta)
+
     def log_marginal_likelihood(self, hyper: GpHyperparams):
         """(value, gradient in log l and log sigma_1^2) of the window's
         marginal log-likelihood with beta integrated out (GPML eq. 5.9). A
         covariance that cannot be factorized gives (-inf, zero gradient)."""
-        if self.size == 0:
-            raise ValueError("empty window")
+        terms = self._terms
+        if terms is None:
+            if self.size == 0:
+                raise ValueError("empty window")
+            terms = self._window_terms()
+        n = terms.y.size
+        sq = terms.dist / hyper.length_scale ** 2
         try:
-            f = self._factorize(hyper)
+            f = _factor(sq, hyper, terms.tau2HH, terms.y)
         except LinAlgError:
             return -math.inf, np.zeros(2)
-        val = float(-0.5 * f.y @ f.a - np.log(f.L.diagonal()).sum()
-                    - 0.5 * self.size * math.log(2.0 * math.pi))
-        # d val / d theta = 1/2 tr(Q dC/d theta) with Q = a a' - C^-1 and
-        # dC/d theta = K * sq, K (elementwise products)
-        Q = f.a[:, None] * f.a - dpotrs(f.L, np.eye(self.size), lower=1)[0]
-        QK = Q * f.K
-        return val, 0.5 * np.array([(QK * f.sq).sum(), QK.sum()])
+        val = (-0.5 * float(terms.y @ f.a) - float(np.log(f.L.diagonal()).sum())
+               - 0.5 * n * math.log(2.0 * math.pi))
+        # d val / d theta = 1/2 sum(Q * dC/d theta) with Q = a a' - C^-1 and
+        # dC/d theta = K * sq, K (elementwise products), all symmetric. potri
+        # leaves C^-1 in the lower triangle of a Fortran-ordered array, zeros
+        # above; its transpose is C-ordered, and with the diagonal halved,
+        # twice that triangle sums like C^-1 against a symmetric matrix
+        QK = dpotri(f.L, lower=1, overwrite_c=1)[0].T
+        QK.reshape(-1)[::n + 1] *= 0.5
+        QK *= -2.0
+        QK += f.a[:, None] * f.a
+        QK *= f.K
+        return val, 0.5 * np.array([np.vdot(QK, sq), QK.sum()])
 
     def fit_hyperparams(self) -> GpHyperparams:
         """Run the next slice of the refit, at most ceil(max_fit_evals /
@@ -329,22 +375,23 @@ class GpWindowModel:
                 next(self._refit)
         except StopIteration as done:
             self._refit, self.hyper = None, done.value
+            self._Xs[:], self._nx[:] = _scaled(self._X, self.hyper.length_scale)
         self._refresh()
         return self.hyper
 
     def _refit_steps(self):
         """A refit of (log l, log sigma_1^2) from the current values, within
-        the *_BOUNDS, on a copy of the window (observe shifts _X and _y in
-        place): yields before each likelihood evaluation, returns the
-        GpHyperparams. sigma_2^2 stays at its configured value: the
+        the *_BOUNDS, on a frozen copy that evaluates the window's terms as
+        they are now (observe shifts the window in place; the copy reads
+        only its terms): yields before each likelihood evaluation, returns
+        the GpHyperparams. sigma_2^2 stays at its configured value: the
         simulation is noise-free, and a fitted noise level jitters the basis
         coefficients through the smoothed gain loop."""
-        frozen = copy.copy(self)
-        for name in ("_X", "_y", "_H", "_tau2HH", "_beta"):
-            setattr(frozen, name, getattr(self, name).copy())
-        h = self.hyper
-        lo, hi = np.array([LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS]).T
-        start = [h.length_scale, h.signal_variance]
+        frozen, h = copy.copy(self), self.hyper
+        frozen._terms = self._window_terms()
+        # the box in log space: lower bounds (l, sigma_1^2), then upper ones
+        lb, ub = zip(*(map(math.log, bounds)
+                       for bounds in (LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS)))
 
         def hyper_of(theta):
             return GpHyperparams(math.exp(theta[0]), math.exp(theta[1]),
@@ -352,11 +399,12 @@ class GpWindowModel:
 
         def objective(theta):
             val, g = frozen.log_marginal_likelihood(hyper_of(theta))
-            return -val, -g
+            g0, g1 = g.tolist()
+            return -val, (-g0, -g1)
 
-        theta = yield from _projected_bfgs(objective, np.log(np.clip(start, lo, hi)),
-                                           np.log(lo), np.log(hi),
-                                           self.cfg.max_fit_evals)
+        theta = yield from _projected_bfgs(
+            objective, (math.log(h.length_scale), math.log(h.signal_variance)),
+            lb, ub, self.cfg.max_fit_evals)
         if theta is None:
             logger.warning("hyperparameter fit failed; keeping previous values")
             return h
@@ -365,49 +413,75 @@ class GpWindowModel:
 
 def _projected_bfgs(fun, x, lb, ub, max_evals, pgtol=1e-5, ftol=2.2e-9,
                     line_trials=4):
-    """Minimize fun(x) -> (value, gradient) in the box [lb, ub] from x, in at
-    most max_evals evaluations: damped BFGS on the coordinates no bound holds,
-    backtracking projected line search. Yields before each evaluation; returns
-    the best point (only a lower value moves it), or None if fun is not finite
-    at x. Stops on a projected gradient below pgtol, line_trials failed trials
-    in one search, or a relative decrease below ftol by a step along -gradient."""
+    """Minimize fun(x) -> (value, gradient) over pairs of floats x in the box
+    [lb, ub] from x projected into it, in at most max_evals evaluations:
+    damped BFGS on the coordinates no bound holds, backtracking projected
+    line search. Yields before each evaluation; returns the best point (only
+    a lower value moves it), or None if fun is not finite at x. Stops on a
+    projected gradient below pgtol, line_trials failed trials in one search,
+    or a relative decrease below ftol by a step along -gradient. Points,
+    gradients and steps are tuples and the Hessian estimate M is (m00, m01,
+    m11): at two parameters, numpy's per-call cost would exceed the
+    arithmetic."""
+
+    def clip(p):
+        return min(max(p[0], lb[0]), ub[0]), min(max(p[1], lb[1]), ub[1])
+
+    x = clip(x)
     yield
     f, g = fun(x)
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         return None
-    evals, M = 1, None  # M estimates the Hessian
-    while evals < max_evals and np.abs(np.clip(x - g, lb, ub) - x).max() > pgtol:
-        free = ~(((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0)))
-        d = np.where(free, -g, 0.0)
-        if M is not None:
-            d[free] = np.linalg.solve(M[np.ix_(free, free)], d[free])
+    evals, M = 1, None
+    while evals < max_evals:
+        pg = clip((x[0] - g[0], x[1] - g[1]))
+        if max(abs(pg[0] - x[0]), abs(pg[1] - x[1])) <= pgtol:
+            break
+        free = [not ((xi <= lo and gi > 0) or (xi >= hi and gi < 0))
+                for xi, gi, lo, hi in zip(x, g, lb, ub)]
+        d = [-gi if fi else 0.0 for gi, fi in zip(g, free)]
+        if M is not None:  # solve M d = -g on the free coordinates
+            m00, m01, m11 = M
+            if all(free):
+                det = m00 * m11 - m01 * m01
+                d = [(m11 * d[0] - m01 * d[1]) / det, (m00 * d[1] - m01 * d[0]) / det]
+            else:
+                d = [d[0] / m00, d[1] / m11]
         # a step moves no coordinate by more than 1, nor past the point where
         # the last moving one reaches its bound (beyond, all trials coincide)
-        moving = d != 0
-        t = min(1.0 / max(1.0, np.abs(d).max()),
-                ((np.where(d > 0, ub, lb) - x)[moving] / d[moving]).max())
+        t = min(1.0 / max(1.0, abs(d[0]), abs(d[1])),
+                max(((hi if di > 0 else lo) - xi) / di
+                    for di, xi, lo, hi in zip(d, x, lb, ub) if di != 0))
         for _ in range(line_trials):
-            xt = np.clip(x + t * d, lb, ub)
-            if evals == max_evals or (xt == x).all():
+            xt = clip((x[0] + t * d[0], x[1] + t * d[1]))
+            if evals == max_evals or xt == x:
                 return x
             yield
             ft, gt = fun(xt)
             evals += 1
-            slope = g @ (xt - x)
+            s = (xt[0] - x[0], xt[1] - x[1])
+            slope = g[0] * s[0] + g[1] * s[1]
             if ft <= f + 1e-4 * slope:
                 break
             # the minimum of the quadratic through f, slope and ft, in [0.1, 0.5] t
             t *= min(0.5, max(0.1, -slope / (2.0 * (ft - f - slope))))
         else:
             return x
-        s, y, steepest = xt - x, gt - g, M is None
+        y, steepest = (gt[0] - g[0], gt[1] - g[1]), M is None
+        sy = s[0] * y[0] + s[1] * y[1]
         if steepest:
-            M = np.eye(x.size) * (y @ y / (s @ y) if s @ y > 0 else 1.0)
-        Ms, sMs = M @ s, s @ M @ s
-        if s @ y < 0.2 * sMs:  # Powell's damping keeps M positive definite
-            r = 0.8 * sMs / (sMs - s @ y)
-            y = r * y + (1.0 - r) * Ms
-        M += np.outer(y, y) / (s @ y) - np.outer(Ms, Ms) / sMs
+            m = (y[0] * y[0] + y[1] * y[1]) / sy if sy > 0 else 1.0
+            M = (m, 0.0, m)
+        m00, m01, m11 = M
+        Ms = (m00 * s[0] + m01 * s[1], m01 * s[0] + m11 * s[1])
+        sMs = s[0] * Ms[0] + s[1] * Ms[1]
+        if sy < 0.2 * sMs:  # Powell's damping keeps M positive definite
+            r = 0.8 * sMs / (sMs - sy)
+            y = (r * y[0] + (1.0 - r) * Ms[0], r * y[1] + (1.0 - r) * Ms[1])
+            sy = s[0] * y[0] + s[1] * y[1]
+        M = (m00 + y[0] * y[0] / sy - Ms[0] * Ms[0] / sMs,
+             m01 + y[0] * y[1] / sy - Ms[0] * Ms[1] / sMs,
+             m11 + y[1] * y[1] / sy - Ms[1] * Ms[1] / sMs)
         if f - ft <= ftol * max(abs(f), abs(ft), 1.0):
             if steepest:
                 return xt

@@ -9,6 +9,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -228,17 +229,29 @@ class TrainingConfig:
     subsample: int = 10             # stride over each run's training pairs
 
     def __post_init__(self):
+        # counts are stored as ints: training uses them as range bounds,
+        # slice steps and array shapes, where 2.0 fails as surely as 2.5
         for name in ("epochs", "batch_size", "patience", "subsample"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"mlp.{name} must be >= 1, got {getattr(self, name)}")
-        if not all(size >= 1 for size in self.hidden):
-            raise ValueError(f"mlp.hidden must be layer sizes >= 1, got {self.hidden}")
+            value = getattr(self, name)
+            if not _whole(value):
+                raise ValueError(f"mlp.{name} must be a whole number >= 1, got {value!r}")
+            setattr(self, name, int(value))
+        if not (isinstance(self.hidden, (list, tuple))
+                and all(_whole(size) for size in self.hidden)):
+            raise ValueError(f"mlp.hidden must be layer sizes that are whole "
+                             f"numbers >= 1, got {self.hidden!r}")
+        self.hidden = [int(size) for size in self.hidden]
         if not 0 < self.val_fraction < 1:
             raise ValueError(f"mlp.val_fraction must be in (0, 1), got {self.val_fraction}")
         for name in ("learning_rate", "train_duration_s"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"mlp.{name} must be positive and finite, "
                                  f"got {getattr(self, name)}")
+
+
+def _whole(value) -> bool:
+    """True for a whole number >= 1, of any numeric type."""
+    return isinstance(value, Real) and value >= 1 and float(value).is_integer()
 
 
 def init_mlp(model: MlpInverseModel, rng) -> np.ndarray:

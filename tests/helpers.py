@@ -70,13 +70,23 @@ def random_stable_system(rng, n: int = 2) -> LtiSystem:
 
 def kernel(xi, xj, hyper: GpHyperparams) -> float:
     """Squared-exponential kernel sigma_1^2 exp(-1/2 sum ((xi-xj)/l)^2), one
-    pair at a time: the oracle that gp._kernel_matrix is checked against."""
+    pair at a time."""
     a = np.asarray(xi, dtype=float)
     b = np.asarray(xj, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     d = (a - b) / hyper.length_scale
     return float(hyper.signal_variance * np.exp(-0.5 * np.dot(d, d)))
+
+
+def kernel_matrix(X, Z, hyper: GpHyperparams) -> np.ndarray:
+    """k(X, Z) from scratch, in the model's arithmetic: the rows scaled by
+    l and their squared norms summed, then |x|^2 + |z|^2 - 2 x'z as a gemm.
+    The oracle that GpWindowModel's stored X / l and row norms must match
+    bit for bit."""
+    Xs, Zs = X / hyper.length_scale, Z / hyper.length_scale
+    sq = (Xs ** 2).sum(axis=1)[:, None] + (Zs ** 2).sum(axis=1)[None, :] - 2.0 * Xs @ Zs.T
+    return hyper.signal_variance * np.exp(-0.5 * np.maximum(sq, 0.0))
 
 
 class AffineErrorOracle:

@@ -225,7 +225,7 @@ def test_bundled_report_digest_pinned(bench_report):
     # the full bundled comparison, MLP training included, is bit-identical
     # to the recorded run; a change that moves it must say so
     assert bench_report.digest() == (
-        "61fbd8e964aaddb15c4d2b949af2eedace704d8bebb6beb19222ddb1999a417b")
+        "053555c33802f36b5dd9dd1437589adb5b8aee79ea2f37a67b6e6b5d1ce7f33e")
 
 
 def test_bundled_strategies_digest_pinned(bench_report):
@@ -233,7 +233,7 @@ def test_bundled_strategies_digest_pinned(bench_report):
     # change to the config schema moves the report digest but not this one
     payload = bench.canonical_json(bench_report.strategies).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "a07054b6246ccf5487f063d5d1545fc687dc6b7bf9f2b186d004d6802086dc1a")
+        "1b7bf7fe3b2a92975753e24ddb7c28c90c5a010c70e21d76c17de9bde15fdd11")
 
 
 def test_online_improves_on_offline(bench_report):
@@ -270,11 +270,11 @@ def test_analytic_comparison_digests_pinned(tmp_path):
     # that moves these values updates them and says so
     rep = run_comparison(short_config(duration=4.0), out_dir=tmp_path)
     assert rep.digest() == (
-        "9ac148210f9cd7d7aaf32d1b564d9943082520a3258883841d217e29d9de1e64")
+        "1a0b361a6d71478d5c988f3d050a63a4ec38c427ee8be5ecbc97c50752ea0193")
     csv_sha256 = {
         "baseline": "ba6f3fb88c73f14d896e1ca35636585f6df7cb7fc8604f46031e39456f4a0cd5",
         "offline": "014effe75b410a3f99bf7df3d93ee7d647a84279fff9b9e02946087fa669208f",
-        "online": "1957d85843812e98c1b7d78bd2bce454153c62290e8175b9e14bd90c24d90f22",
+        "online": "729fc247d99d4272b4403f5bbb03fb8b75ba98e66d2f3256320b0b2c2aace1fd",
     }
     for name, want in csv_sha256.items():
         data = (tmp_path / f"{name}_steps.csv").read_bytes()

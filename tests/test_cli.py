@@ -343,7 +343,7 @@ def test_bad_gain_or_refit_budget_is_config_error(tmp_path, capsys, section,
 @pytest.mark.parametrize("field, value", [
     ("capacity", 0), ("capacity", 2.5), ("basis", "cubic"), ("max_fit_evals", 0),
     ("basis_prior_variance", -1.0), ("length_scale0", -1.0),
-    ("noise_variance0", float("nan"))])
+    ("noise_variance0", float("nan")), ("signal_variance0", 0.0)])
 def test_bad_gp_section_fails_before_training(tmp_path, capsys, monkeypatch,
                                               command, field, value):
     trained = []
@@ -357,6 +357,27 @@ def test_bad_gp_section_fails_before_training(tmp_path, capsys, monkeypatch,
     assert "config error" in err
     if field in ("basis", "basis_prior_variance"):  # keys the gp section dropped
         assert f"unexpected keyword argument '{field}'" in err
+    else:
+        assert f"{field} must be" in err
+    assert trained == []
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 2.5), ("batch_size", 1.5), ("subsample", 2.5), ("patience", 2.5),
+    ("hidden", [20.5]), ("hidden", 20)])
+def test_fractional_mlp_count_fails_before_training(tmp_path, capsys, monkeypatch,
+                                                    field, value):
+    # these once ended compare in a TypeError or IndexError after the
+    # baseline had run, trained a truncated layer ([20.5]), or were reported
+    # as "bad config structure" without the field's name (20)
+    trained = []
+    monkeypatch.setattr(bench, "train_mlp",
+                        lambda *args, **kwargs: trained.append(1))
+    path = write_raw_config(tmp_path, default_benchmark_config(), "mlp",
+                            **{field: value})
+    code = main(["compare", "--config", str(path), "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert f"mlp.{field} must be" in capsys.readouterr().err
     assert trained == []
 
 

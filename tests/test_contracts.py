@@ -2,10 +2,12 @@
 
 Tier-1 runs only this directory, so these checks are what notices when a
 deletion under src/ breaks perfbench/ or a demo. They read the other
-trees and edit nothing there.
+trees and edit nothing there; the fast demos also run end to end.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -79,3 +81,17 @@ def test_demo_imports_exist(demo):
                 for a in node.names]
     assert imported
     assert [n for n in imported if not hasattr(xfertrack, n)] == []
+
+
+# 02 and 04 take several seconds each and stay manual, which keeps the
+# suite well inside criterion 7's time bound; 03 runs the bundled refit
+@pytest.mark.parametrize("demo", ["01_exact_tracking.py", "03_online_error_prediction.py",
+                                  "05_csv_ingestion.py"])
+def test_fast_demo_runs(demo, tmp_path):
+    # TMPDIR holds the CSV that demo 05 writes
+    path = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "TMPDIR": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    out = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr

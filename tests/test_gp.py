@@ -1,6 +1,7 @@
 """Sliding-window GP: kernel values, window bookkeeping, factorization,
 derivatives, hyperparameter fitting."""
 
+import contextlib
 import copy
 import math
 import os
@@ -12,15 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrs
 
 import xfertrack
 from xfertrack.bench import default_benchmark_config, run_strategy
 from xfertrack import gp as gp_module
 from xfertrack.gp import (BASIS_PRIOR_VARIANCE, LENGTH_SCALE_BOUNDS,
                           SIGNAL_VARIANCE_BOUNDS, GpCfg, GpHyperparams,
-                          GpWindowModel, _kernel_matrix, basis_features)
+                          GpWindowModel, basis_features)
 
-from helpers import hyper_cfg, kernel
+from helpers import hyper_cfg, kernel, kernel_matrix
 
 
 def filled_model(rng, dim=3, n=15, **kwargs):
@@ -284,7 +286,7 @@ def test_query_memo_never_stale():
     # predict and mean_derivative share k(xi, X) at a repeated query; after
     # every observe (slides and refits included) and explicit refit, each
     # result must equal a recomputation with the memo cleared, and the memo
-    # must hold _kernel_matrix on the current window and hyperparameters
+    # must hold kernel_matrix on the current window and hyperparameters
     rng = np.random.default_rng(3)
     gp = GpWindowModel(3, GpCfg(capacity=6, refit_stride=4, max_fit_evals=10))
     queries = [rng.standard_normal(3) for _ in range(3)]
@@ -307,7 +309,7 @@ def test_query_memo_never_stale():
                             else ("mean_derivative", (q, int(rng.integers(3)))))
             got = getattr(gp, method)(*args)
             assert np.array_equal(gp._query[1],
-                                  _kernel_matrix(q[None, :], gp._X, gp.hyper)[0])
+                                  kernel_matrix(q[None, :], gp._X, gp.hyper)[0])
             assert got == recomputed(method, *args)
 
 
@@ -374,6 +376,96 @@ def test_likelihood_gradient_matches_finite_differences():
 
         fd = [(lml(theta + h * e) - lml(theta - h * e)) / (2 * h) for e in np.eye(2)]
         np.testing.assert_allclose(grad, fd, rtol=1e-3, atol=1e-3)
+
+
+def _random_window(rng, n, noise, spread):
+    """A filled n-sample window of a smooth function of 2-4 inputs spread
+    uniformly in +-spread, at random hyperparameters of the given noise."""
+    d = int(rng.integers(2, 5))
+    hyper = GpHyperparams(length_scale=float(rng.uniform(0.5, 2.0)),
+                          signal_variance=float(rng.uniform(0.3, 3.0)),
+                          noise_variance=noise)
+    gp = GpWindowModel(d, hyper_cfg(hyper, capacity=n, optimize=False))
+    for _ in range(n):
+        xi = rng.uniform(-spread, spread, size=d)
+        gp.observe(xi, float(np.sin(xi).sum() + 0.1 * rng.standard_normal()))
+    return gp
+
+
+def _explicit_inverse_gradient(gp):
+    """The likelihood gradient with C^-1 formed as potrs(L, I), from the
+    factor the model evaluates its likelihood with."""
+    terms = gp._window_terms()
+    sq = terms.dist / gp.hyper.length_scale ** 2
+    f = gp_module._factor(sq, gp.hyper, terms.tau2HH, terms.y)
+    QK = (np.outer(f.a, f.a) - dpotrs(f.L, np.eye(gp.size), lower=1)[0]) * f.K
+    return 0.5 * np.array([(QK * sq).sum(), QK.sum()])
+
+
+@pytest.mark.parametrize("n", [15, 120])
+def test_likelihood_gradient_matches_explicit_inverse(n):
+    # the gradient reads C^-1 from potri's triangle; the explicit potrs(L, I)
+    # inverse of the same factor gives the same gradient to rtol 1e-8
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        gp = _random_window(rng, n, float(rng.uniform(1e-4, 1e-2)), 1.0)
+        grad = gp.log_marginal_likelihood(gp.hyper)[1]
+        want = _explicit_inverse_gradient(gp)
+        np.testing.assert_allclose(grad, want, rtol=1e-8, atol=1e-8 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("n", [15, 120])
+def test_likelihood_gradient_matches_fourth_order_differences(n, monkeypatch):
+    # a fourth-order central difference at rtol 1e-8 needs a likelihood
+    # accurate to about 1e-12: tau^2 = 1 and noise >= 1e-2 give that. At
+    # the module's tau^2 = 1e4 the folded covariance rounds the likelihood
+    # to about 1e-9, and differences agree only to about 1e-5
+    monkeypatch.setattr(gp_module, "BASIS_PRIOR_VARIANCE", 1.0)
+    rng = np.random.default_rng(n + 1)
+    h = 1e-3
+    for _ in range(10):
+        gp = _random_window(rng, n, float(rng.uniform(1e-2, 1e-1)), 2.0)
+        grad = gp.log_marginal_likelihood(gp.hyper)[1]
+        theta = np.log([gp.hyper.length_scale, gp.hyper.signal_variance])
+
+        def lml(t):
+            return gp.log_marginal_likelihood(replace(
+                gp.hyper, length_scale=math.exp(t[0]),
+                signal_variance=math.exp(t[1])))[0]
+
+        fd = [(8 * (lml(theta + h * e) - lml(theta - h * e))
+               - (lml(theta + 2 * h * e) - lml(theta - 2 * h * e))) / (12 * h)
+              for e in np.eye(2)]
+        np.testing.assert_allclose(grad, fd, rtol=1e-8, atol=1e-8 * np.abs(grad).max())
+
+
+def test_frozen_refit_copy_evaluates_like_the_live_model(monkeypatch):
+    # a refit evaluates a frozen copy of the window it started on, while the
+    # live window slides on; each evaluation equals, bit for bit, the live
+    # model's on that window and those hyperparameters
+    calls = []
+    lml = GpWindowModel.log_marginal_likelihood
+
+    def recorded(self, hyper):
+        out = lml(self, hyper)
+        calls.append((hyper, out))
+        return out
+
+    rng = np.random.default_rng(14)
+    gp = filled_model(rng, dim=2, noise_variance0=1e-4)
+    live = copy.deepcopy(gp)
+    steps = gp._refit_steps()
+    monkeypatch.setattr(GpWindowModel, "log_marginal_likelihood", recorded)
+    with contextlib.suppress(StopIteration):
+        while True:
+            next(steps)  # the next evaluation runs after this slide
+            xi = rng.standard_normal(2)
+            gp.observe(xi, float(np.sin(xi).sum()))
+    monkeypatch.undo()
+    assert len(calls) >= 5
+    for hyper, (val, grad) in calls:
+        want_val, want_grad = live.log_marginal_likelihood(hyper)
+        assert val == want_val and grad.tobytes() == want_grad.tobytes()
 
 
 def test_fit_budget_stops_early_without_degrading(monkeypatch):
@@ -494,6 +586,31 @@ def test_sliced_refit_bounds_evaluations_per_observe_on_bundled_run(monkeypatch)
     assert not run_strategy(cfg, "online").aborted
     assert max(per_observe) == 4
     assert any(a == 4 and b > 0 for a, b in zip(per_observe, per_observe[1:]))
+
+
+def test_every_requested_evaluation_is_a_counted_likelihood_call(monkeypatch):
+    # perfbench's gp.lml_evals counts calls to
+    # GpWindowModel.log_marginal_likelihood; it counts the refit's work only
+    # while each evaluation the optimizer requests is one such call
+    requested, counted = [], []
+    optimizer, lml = gp_module._projected_bfgs, GpWindowModel.log_marginal_likelihood
+
+    def counting_optimizer(fun, *args, **kwargs):
+        def counted_fun(x):
+            requested.append(1)
+            return fun(x)
+        return (yield from optimizer(counted_fun, *args, **kwargs))
+
+    def counted_lml(self, *args, **kwargs):
+        counted.append(1)
+        return lml(self, *args, **kwargs)
+
+    monkeypatch.setattr(gp_module, "_projected_bfgs", counting_optimizer)
+    monkeypatch.setattr(GpWindowModel, "log_marginal_likelihood", counted_lml)
+    cfg = default_benchmark_config(inverse_mode="analytic")
+    cfg = replace(cfg, trajectory=replace(cfg.trajectory, duration_s=4.0))
+    assert not run_strategy(cfg, "online").aborted
+    assert len(requested) == len(counted) > 100
 
 
 def test_sliced_refit_bounds_evaluations_per_observe(monkeypatch):
