@@ -24,14 +24,14 @@ e_p = res.log.column("e_p")
 e_star = res.log.column("e_p_star")
 alpha = res.log.column("alpha")
 
-print("prediction audit at selected steps (window capacity is 15):\n")
+fill = cfg.gp.capacity  # the correction starts once the window is full
+print(f"prediction audit at selected steps (window capacity is {fill}):\n")
 print(f"{'k':>6} {'e_p (GP)':>13} {'e_p exact':>13} {'|diff|':>10} {'alpha':>7}")
-for kk in (1, 5, 14, 15, 30, 100, 1000, len(k) - 1):
+for kk in (1, 5, fill - 1, fill, 30, 100, 1000, len(k) - 1):
     i = int(kk)
     print(f"{i:>6} {e_p[i]:>13.3e} {e_star[i]:>13.3e} "
           f"{abs(e_p[i] - e_star[i]):>10.1e} {alpha[i]:>7.3f}")
 
-fill = max(15, 1)
 early = slice(1, fill)
 late = slice(fill, None)
 rms = lambda v: float(np.sqrt(np.mean(v ** 2)))

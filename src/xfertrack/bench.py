@@ -30,6 +30,11 @@ class ConfigError(ValueError):
     """Malformed or inconsistent benchmark configuration."""
 
 
+def _finite(value) -> bool:
+    """True for a real number that is neither infinite nor NaN."""
+    return isinstance(value, Real) and math.isfinite(value)
+
+
 @dataclass
 class SystemCfg:
     a: list
@@ -67,15 +72,26 @@ class TrajectoryCfg:
             if not 0 < self.duration_s < math.inf:
                 raise ConfigError("duration_s must be positive and finite, "
                                   f"got {self.duration_s}")
-            if not (len(self.amplitudes) == len(self.periods_s) == len(self.phases)):
-                raise ConfigError("sinusoid component lists must align")
-            if any(p <= 0 for p in self.periods_s):
-                raise ConfigError("periods must be positive")
-            return SinusoidTrajectory(
-                amplitudes=tuple(self.amplitudes),
-                angular_freqs=tuple(2.0 * math.pi / p for p in self.periods_s),
-                phases=tuple(self.phases), offset=self.offset,
-                dt=self.dt, duration=self.duration_s)
+            for name in ("amplitudes", "periods_s", "phases"):
+                values = getattr(self, name)
+                if not (isinstance(values, (list, tuple)) and all(map(_finite, values))):
+                    raise ConfigError(f"{name} must be a list of finite numbers, "
+                                      f"got {values!r}")
+            if not _finite(self.offset):
+                raise ConfigError(f"offset must be a finite number, got {self.offset!r}")
+            freqs = [2.0 * math.pi / p if p > 0 else math.nan for p in self.periods_s]
+            if not all(map(math.isfinite, freqs)):
+                raise ConfigError("periods_s must be positive, with finite "
+                                  f"frequencies, got {self.periods_s!r}")
+            try:
+                return SinusoidTrajectory(
+                    amplitudes=tuple(self.amplitudes),
+                    angular_freqs=tuple(freqs),
+                    phases=tuple(self.phases), offset=self.offset,
+                    dt=self.dt, duration=self.duration_s)
+            except ValueError as err:  # dt and duration_s are checked above
+                raise ConfigError(f"amplitudes, periods_s and phases must align: "
+                                  f"{err}") from err
         if self.kind == "csv":
             if not self.csv_path:
                 raise ConfigError("csv trajectory needs csv_path")
@@ -124,7 +140,7 @@ class BenchConfig:
                               f"the target's relative degree r = {target.r}")
         if self.x0 is not None and not (
                 np.ndim(self.x0) == 1 and len(self.x0) == target.n
-                and all(isinstance(v, Real) and math.isfinite(v) for v in self.x0)):
+                and all(map(_finite, self.x0))):
             raise ConfigError(f"x0 must be {target.n} finite numbers, got {self.x0!r}")
         if not (isinstance(self.u_max, Real) and 0 < self.u_max <= math.inf):
             raise ConfigError(f"u_max must be positive or inf, got {self.u_max!r}")

@@ -9,22 +9,22 @@ With the basis folded into C = K + sigma_2^2 I + tau^2 H H', one Cholesky
 factor of C per window change gives the log marginal likelihood and the
 posterior (GPML section 2.7 with B = tau^2 I, b = c): a = C^-1 (y - H c),
 beta = c + tau^2 H' a and mean(xi) = h(xi)' beta + k(xi)' a. LAPACK
-(potrf, potrs, potri, trtrs) is called directly: at window sizes of tens,
+(potrf, potrs, trtri, trtrs) is called directly: at window sizes of tens,
 scipy.linalg's checked wrappers cost several times the routine they wrap.
 
 The window lives in preallocated arrays that observe shifts in place, one
-new row per observation: X, y, the basis rows H, X / l and the squared row
-norms of X / l, which predict reads. A refit of the length scale and signal
-variance is spread over the observes that follow it, a bounded number of
-likelihood evaluations each (GpWindowModel.fit_hyperparams), so that no
-control step waits for a whole fit. It evaluates the window it started on,
-whose (l, sigma_1^2)-free terms it builds once. The noise variance is not
-refit.
+new row per observation: X, y, the basis rows H and the squared row norms
+of X. Each window change forms the unscaled squared distances D and
+tau^2 H H' as new arrays; factorizations and queries divide distances by
+l^2. A refit of the length scale and signal variance is spread over the
+observes that follow it, a bounded number of likelihood evaluations each
+(GpWindowModel.fit_hyperparams), so that no control step waits for a whole
+fit. It evaluates the D and tau^2 H H' of the window it started on, which
+later observes replace rather than change. The noise variance is not refit.
 """
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 from dataclasses import dataclass
@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 
 logger = logging.getLogger(__name__)
 
@@ -78,6 +78,8 @@ class GpCfg:
     max_fit_evals: int = 100            # hard cap of likelihood evaluations per refit
 
     def __post_init__(self):
+        if not isinstance(self.optimize, bool):
+            raise ValueError(f"optimize must be true or false, got {self.optimize!r}")
         for name in ("capacity", "refit_stride", "max_fit_evals"):
             value = getattr(self, name)
             if not (isinstance(value, Real) and value >= 1
@@ -98,18 +100,12 @@ class GpCfg:
                              self.noise_variance0)
 
 
-def _scaled(X, ls: float):
-    """X / ls and the squared norms of its rows."""
-    Xs = X / ls
-    return Xs, (Xs ** 2).sum(axis=1)
-
-
-def _sq_dist(Xs, nx, Zs, nz) -> np.ndarray:
-    """Squared distances between the rows of Xs and Zs, whose squared row
+def _sq_dist(X, nx, Z, nz) -> np.ndarray:
+    """Squared distances between the rows of X and Z, whose squared row
     norms are nx and nz."""
-    # 2.0 * Xs is its own array, so the product stays a gemm even when
-    # Zs is Xs: numpy would switch Xs @ Xs.T to syrk, which rounds differently
-    sq = nx[:, None] + nz[None, :] - 2.0 * Xs @ Zs.T
+    # 2.0 * X is its own array, so the product stays a gemm even when Z is
+    # X: numpy would switch X @ X.T to syrk, which rounds differently
+    sq = nx[:, None] + nz[None, :] - 2.0 * X @ Z.T
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -149,25 +145,24 @@ class _Factor(NamedTuple):
     K: np.ndarray
 
 
-def _factor(sq, hyper: GpHyperparams, tau2HH, y) -> _Factor:
-    """Factor C = K + sigma_2^2 I + tau^2 H H' of a window whose inputs have
-    scaled squared distances sq and whose outputs, centered on the basis
-    prior mean, are y. LinAlgError when C is not finite, or not positive
-    definite at MAX_JITTER."""
-    K = hyper.signal_variance * np.exp(-0.5 * sq)
-    C = K.copy()
-    C.reshape(-1)[::sq.shape[0] + 1] += hyper.noise_variance
-    C += tau2HH
-    L, jitter = _chol_with_jitter(C)
-    return _Factor(L, jitter, dpotrs(L, y, lower=1)[0], K)
-
-
 class _WindowTerms(NamedTuple):
     """The parts of a window's likelihood that (l, sigma_1^2) leave alone."""
 
-    dist: np.ndarray    # squared distances between the inputs, unscaled
+    dist: np.ndarray    # D: squared distances between the inputs, unscaled
     tau2HH: np.ndarray  # tau^2 H H'
     y: np.ndarray       # y - H c: the outputs centered on the basis prior mean
+
+
+def _factor(hyper: GpHyperparams, terms: _WindowTerms) -> _Factor:
+    """Factor C = K + sigma_2^2 I + tau^2 H H' of the window with terms.
+    LinAlgError when C is not finite, or not positive definite at
+    MAX_JITTER."""
+    K = hyper.signal_variance * np.exp(-0.5 * (terms.dist / hyper.length_scale ** 2))
+    C = K.copy()
+    C.reshape(-1)[::K.shape[0] + 1] += hyper.noise_variance
+    C += terms.tau2HH
+    L, jitter = _chol_with_jitter(C)
+    return _Factor(L, jitter, dpotrs(L, terms.y, lower=1)[0], K)
 
 
 def _window_rows(buffer: str) -> property:
@@ -178,10 +173,9 @@ def _window_rows(buffer: str) -> property:
 class GpWindowModel:
     """Online error predictor over a sliding window of recent observations."""
 
-    # the window: inputs X, outputs y, basis rows H, X / l and the squared
-    # row norms of X / l, each the live rows of a buffer of capacity rows
-    _X, _y, _H, _Xs, _nx = map(_window_rows, ("_Xbuf", "_ybuf", "_Hbuf",
-                                              "_Xsbuf", "_nxbuf"))
+    # the window: inputs X, outputs y, basis rows H and the squared row
+    # norms of X, each the live rows of a buffer of capacity rows
+    _X, _y, _H, _nx = map(_window_rows, ("_Xbuf", "_ybuf", "_Hbuf", "_nxbuf"))
 
     def __init__(self, dim: int, cfg: GpCfg | None = None):
         self.cfg = GpCfg() if cfg is None else cfg
@@ -190,17 +184,15 @@ class GpWindowModel:
 
         cap, m = int(self.cfg.capacity), 2 * self.dim + 1
         self._n = 0
-        self._Xbuf, self._Xsbuf = np.zeros((cap, self.dim)), np.zeros((cap, self.dim))
+        self._Xbuf, self._Hbuf = np.zeros((cap, self.dim)), np.zeros((cap, m))
         self._ybuf, self._nxbuf = np.zeros(cap), np.zeros(cap)
-        self._Hbuf = np.zeros((cap, m))
-        self._tau2HH = np.zeros((0, 0))  # tau^2 H H'
+        self._D = self._tau2HH = np.zeros((0, 0))  # replaced, never written into
         self.observation_count = 0
         self.rejected_count = 0
         self._since_fit = 0
         self._cache = None  # _Factor of the current window
         self._refit = None  # the refit under way, a _refit_steps generator
         self._query = None  # (xi bytes, k(xi, X), h(xi)) of the latest query
-        self._terms = None  # a refit's frozen copy: the _WindowTerms it evaluates
         # Latest basis coefficients, also the prior mean c of the next
         # factorization, so directions the window cannot identify (collinear
         # inputs on a converged trajectory) hold instead of drifting to zero.
@@ -230,13 +222,13 @@ class GpWindowModel:
         n = self._n
         if n == self.cfg.capacity:
             n -= 1
-            for buf in (self._Xbuf, self._ybuf, self._Hbuf, self._Xsbuf, self._nxbuf):
+            for buf in (self._Xbuf, self._ybuf, self._Hbuf, self._nxbuf):
                 buf[:-1] = buf[1:]
         self._n = n + 1
         row = xi[None, :]
-        xs, nx = _scaled(row, self.hyper.length_scale)
         self._Xbuf[n], self._ybuf[n], self._Hbuf[n] = xi, e, basis_features(row)[0]
-        self._Xsbuf[n], self._nxbuf[n] = xs[0], nx[0]
+        self._nxbuf[n] = (row ** 2).sum(axis=1)[0]
+        self._D = _sq_dist(self._X, self._nx, self._X, self._nx)
         self._tau2HH = BASIS_PRIOR_VARIANCE * (self._H @ self._H.T)
         self.observation_count += 1
         self._since_fit += 1
@@ -256,10 +248,8 @@ class GpWindowModel:
         if self.size == 0:
             self._cache = None
             return
-        Xs, nx, H = self._Xs, self._nx, self._H
-        self._cache = f = _factor(_sq_dist(Xs, nx, Xs, nx), self.hyper,
-                                  self._tau2HH, self._y - H @ self._beta)
-        self._beta = self._beta + BASIS_PRIOR_VARIANCE * (H.T @ f.a)
+        self._cache = f = _factor(self.hyper, self._window_terms())
+        self._beta = self._beta + BASIS_PRIOR_VARIANCE * (self._H.T @ f.a)
 
     @property
     def jitter(self) -> float | None:
@@ -301,8 +291,9 @@ class GpWindowModel:
         key = xi.tobytes()
         if self._query is None or self._query[0] != key:
             row = xi[None, :]
-            sq = _sq_dist(*_scaled(row, self.hyper.length_scale), self._Xs, self._nx)
-            self._query = (key, self.hyper.signal_variance * np.exp(-0.5 * sq[0]),
+            sq = _sq_dist(row, (row ** 2).sum(axis=1), self._X, self._nx)[0]
+            sq /= self.hyper.length_scale ** 2
+            self._query = (key, self.hyper.signal_variance * np.exp(-0.5 * sq),
                            basis_features(row)[0])
         return self._query[1:]
 
@@ -325,38 +316,33 @@ class GpWindowModel:
 
     def _window_terms(self) -> _WindowTerms:
         """The current window's terms, centered on the current coefficients."""
-        Xn = _scaled(self._X, 1.0)
-        return _WindowTerms(_sq_dist(*Xn, *Xn), self._tau2HH,
-                            self._y - self._H @ self._beta)
+        return _WindowTerms(self._D, self._tau2HH, self._y - self._H @ self._beta)
 
-    def log_marginal_likelihood(self, hyper: GpHyperparams):
-        """(value, gradient in log l and log sigma_1^2) of the window's
-        marginal log-likelihood with beta integrated out (GPML eq. 5.9). A
-        covariance that cannot be factorized gives (-inf, zero gradient)."""
-        terms = self._terms
+    def log_marginal_likelihood(self, hyper: GpHyperparams,
+                                terms: _WindowTerms | None = None):
+        """(value, gradient in log l and log sigma_1^2) of the marginal
+        log-likelihood with beta integrated out (GPML eq. 5.9) of the window
+        with terms, by default the current one. A covariance that cannot be
+        factorized gives (-inf, zero gradient)."""
         if terms is None:
             if self.size == 0:
                 raise ValueError("empty window")
             terms = self._window_terms()
-        n = terms.y.size
-        sq = terms.dist / hyper.length_scale ** 2
         try:
-            f = _factor(sq, hyper, terms.tau2HH, terms.y)
+            f = _factor(hyper, terms)
         except LinAlgError:
             return -math.inf, np.zeros(2)
         val = (-0.5 * float(terms.y @ f.a) - float(np.log(f.L.diagonal()).sum())
-               - 0.5 * n * math.log(2.0 * math.pi))
+               - 0.5 * terms.y.size * math.log(2.0 * math.pi))
         # d val / d theta = 1/2 sum(Q * dC/d theta) with Q = a a' - C^-1 and
-        # dC/d theta = K * sq, K (elementwise products), all symmetric. potri
-        # leaves C^-1 in the lower triangle of a Fortran-ordered array, zeros
-        # above; its transpose is C-ordered, and with the diagonal halved,
-        # twice that triangle sums like C^-1 against a symmetric matrix
-        QK = dpotri(f.L, lower=1, overwrite_c=1)[0].T
-        QK.reshape(-1)[::n + 1] *= 0.5
-        QK *= -2.0
-        QK += f.a[:, None] * f.a
+        # dC/d theta = K * D / l^2, K (elementwise products). C^-1 = W' W
+        # with W = L^-1: potri's lauum step rounds differently with the
+        # number of BLAS threads, trtri and the product do not
+        W = dtrtri(f.L, lower=1)[0]
+        QK = f.a[:, None] * f.a - W.T @ W
         QK *= f.K
-        return val, 0.5 * np.array([np.vdot(QK, sq), QK.sum()])
+        return val, 0.5 * np.array([np.vdot(QK, terms.dist) / hyper.length_scale ** 2,
+                                    QK.sum()])
 
     def fit_hyperparams(self) -> GpHyperparams:
         """Run the next slice of the refit, at most ceil(max_fit_evals /
@@ -375,20 +361,17 @@ class GpWindowModel:
                 next(self._refit)
         except StopIteration as done:
             self._refit, self.hyper = None, done.value
-            self._Xs[:], self._nx[:] = _scaled(self._X, self.hyper.length_scale)
         self._refresh()
         return self.hyper
 
     def _refit_steps(self):
         """A refit of (log l, log sigma_1^2) from the current values, within
-        the *_BOUNDS, on a frozen copy that evaluates the window's terms as
-        they are now (observe shifts the window in place; the copy reads
-        only its terms): yields before each likelihood evaluation, returns
-        the GpHyperparams. sigma_2^2 stays at its configured value: the
-        simulation is noise-free, and a fitted noise level jitters the basis
-        coefficients through the smoothed gain loop."""
-        frozen, h = copy.copy(self), self.hyper
-        frozen._terms = self._window_terms()
+        the *_BOUNDS, of the window's terms as they are now: yields before
+        each likelihood evaluation, returns the GpHyperparams. sigma_2^2
+        stays at its configured value: the simulation is noise-free, and a
+        fitted noise level jitters the basis coefficients through the
+        smoothed gain loop."""
+        terms, h = self._window_terms(), self.hyper
         # the box in log space: lower bounds (l, sigma_1^2), then upper ones
         lb, ub = zip(*(map(math.log, bounds)
                        for bounds in (LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS)))
@@ -398,7 +381,7 @@ class GpWindowModel:
                                  h.noise_variance)
 
         def objective(theta):
-            val, g = frozen.log_marginal_likelihood(hyper_of(theta))
+            val, g = self.log_marginal_likelihood(hyper_of(theta), terms)
             g0, g1 = g.tolist()
             return -val, (-g0, -g1)
 

@@ -80,13 +80,13 @@ def kernel(xi, xj, hyper: GpHyperparams) -> float:
 
 
 def kernel_matrix(X, Z, hyper: GpHyperparams) -> np.ndarray:
-    """k(X, Z) from scratch, in the model's arithmetic: the rows scaled by
-    l and their squared norms summed, then |x|^2 + |z|^2 - 2 x'z as a gemm.
-    The oracle that GpWindowModel's stored X / l and row norms must match
-    bit for bit."""
-    Xs, Zs = X / hyper.length_scale, Z / hyper.length_scale
-    sq = (Xs ** 2).sum(axis=1)[:, None] + (Zs ** 2).sum(axis=1)[None, :] - 2.0 * Xs @ Zs.T
-    return hyper.signal_variance * np.exp(-0.5 * np.maximum(sq, 0.0))
+    """k(X, Z) from scratch, in the model's arithmetic: the unscaled squared
+    distances |x|^2 + |z|^2 - 2 x'z (the product a gemm), then divided by
+    l^2. The oracle that GpWindowModel's stored row norms and query kernel
+    must match bit for bit."""
+    sq = (X ** 2).sum(axis=1)[:, None] + (Z ** 2).sum(axis=1)[None, :] - 2.0 * X @ Z.T
+    return hyper.signal_variance * np.exp(-0.5 * (np.maximum(sq, 0.0)
+                                                  / hyper.length_scale ** 2))
 
 
 class AffineErrorOracle:

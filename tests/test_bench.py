@@ -3,12 +3,18 @@ reproducible reports, and the gain sweep."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import xfertrack
 from xfertrack import bench
 from xfertrack.bench import (BenchConfig, ConfigError, GpCfg, SystemCfg,
                              TrajectoryCfg, alpha_sweep,
@@ -92,6 +98,13 @@ def test_misaligned_sinusoid_lists():
 def test_nonpositive_period_rejected():
     with pytest.raises(ConfigError, match="period"):
         TrajectoryCfg(amplitudes=[1.0], periods_s=[0.0], phases=[0.0]).build()
+
+
+def test_period_with_infinite_frequency_rejected():
+    # 2 pi / 1e-320 overflows: the trajectory would be NaN and every
+    # strategy would abort
+    with pytest.raises(ConfigError, match="periods_s"):
+        TrajectoryCfg(amplitudes=[1.0], periods_s=[1e-320], phases=[0.0]).build()
 
 
 def test_csv_kind_requires_path():
@@ -225,7 +238,7 @@ def test_bundled_report_digest_pinned(bench_report):
     # the full bundled comparison, MLP training included, is bit-identical
     # to the recorded run; a change that moves it must say so
     assert bench_report.digest() == (
-        "053555c33802f36b5dd9dd1437589adb5b8aee79ea2f37a67b6e6b5d1ce7f33e")
+        "2a31b15acd109d31abf1d9e8ae963034f9bfc4f491ce35f7f96ed65c30c49d5b")
 
 
 def test_bundled_strategies_digest_pinned(bench_report):
@@ -233,7 +246,7 @@ def test_bundled_strategies_digest_pinned(bench_report):
     # change to the config schema moves the report digest but not this one
     payload = bench.canonical_json(bench_report.strategies).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "1b7bf7fe3b2a92975753e24ddb7c28c90c5a010c70e21d76c17de9bde15fdd11")
+        "7b6837fcc004ef2557962a61f6bbed81dd8428a43f3ea8f49a704d6e915a9de1")
 
 
 def test_online_improves_on_offline(bench_report):
@@ -270,15 +283,39 @@ def test_analytic_comparison_digests_pinned(tmp_path):
     # that moves these values updates them and says so
     rep = run_comparison(short_config(duration=4.0), out_dir=tmp_path)
     assert rep.digest() == (
-        "1a0b361a6d71478d5c988f3d050a63a4ec38c427ee8be5ecbc97c50752ea0193")
+        "8dedaa111ed5d0736ca217adf3c9eeacb645af972185595f9c5975ebfd203c72")
     csv_sha256 = {
         "baseline": "ba6f3fb88c73f14d896e1ca35636585f6df7cb7fc8604f46031e39456f4a0cd5",
         "offline": "014effe75b410a3f99bf7df3d93ee7d647a84279fff9b9e02946087fa669208f",
-        "online": "729fc247d99d4272b4403f5bbb03fb8b75ba98e66d2f3256320b0b2c2aace1fd",
+        "online": "ccdde827b879c3af38a576467cdf42b984dad21caf49c43a3f104fe38fd4ac1e",
     }
     for name, want in csv_sha256.items():
         data = (tmp_path / f"{name}_steps.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == want, name
+
+
+def test_results_do_not_depend_on_blas_thread_count(tmp_path):
+    # a short analytic comparison with refits gives the same report and
+    # online step log with one OpenBLAS thread as with two: the GP calls
+    # no routine whose rounding depends on how the work is split
+    code = textwrap.dedent("""
+        import sys
+        from dataclasses import replace
+        from xfertrack.bench import default_benchmark_config, run_comparison
+        cfg = default_benchmark_config(inverse_mode="analytic")
+        cfg = replace(cfg, trajectory=replace(cfg.trajectory, duration_s=2.0))
+        print(run_comparison(cfg, out_dir=sys.argv[1]).digest())
+    """)
+    src = str(Path(xfertrack.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / threads)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+        runs.append((out.stdout, (tmp_path / threads / "online_steps.csv").read_bytes()))
+    assert runs[0][0] == runs[1][0]
+    assert runs[0][1] == runs[1][1]
 
 
 def test_comparison_report_is_reproducible(tmp_path):

@@ -278,14 +278,21 @@ def test_excitation_divergence_exit_code(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("dt", float("nan")), ("dt", float("inf")), ("duration_s", float("inf"))])
+    ("dt", float("nan")), ("dt", float("inf")), ("duration_s", float("inf")),
+    ("amplitudes", [1.0, "x"]), ("amplitudes", [float("inf"), 1.0]),
+    ("periods_s", [float("nan"), 16.0]), ("phases", [0.0, float("inf")]),
+    ("offset", float("nan"))])
 def test_nonfinite_trajectory_timing_is_config_error(tmp_path, capsys,
                                                      field, value):
+    # a sinusoid component that is not a finite number once ended compare
+    # in an uncaught UFuncTypeError (exit 1) or aborted every strategy (exit 3)
     cfg = default_benchmark_config(inverse_mode="analytic")
     path = write_raw_config(tmp_path, cfg, "trajectory", **{field: value})
     code = main(["compare", "--config", str(path)])
     assert code == EXIT_CONFIG
-    assert f"{field} must be positive and finite" in capsys.readouterr().err
+    want = {"dt": "positive and finite", "duration_s": "positive and finite",
+            "offset": "a finite number"}.get(field, "a list of finite numbers")
+    assert f"{field} must be {want}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [
@@ -343,7 +350,8 @@ def test_bad_gain_or_refit_budget_is_config_error(tmp_path, capsys, section,
 @pytest.mark.parametrize("field, value", [
     ("capacity", 0), ("capacity", 2.5), ("basis", "cubic"), ("max_fit_evals", 0),
     ("basis_prior_variance", -1.0), ("length_scale0", -1.0),
-    ("noise_variance0", float("nan")), ("signal_variance0", 0.0)])
+    ("noise_variance0", float("nan")), ("signal_variance0", 0.0),
+    ("optimize", "false")])
 def test_bad_gp_section_fails_before_training(tmp_path, capsys, monkeypatch,
                                               command, field, value):
     trained = []

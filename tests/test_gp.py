@@ -397,15 +397,16 @@ def _explicit_inverse_gradient(gp):
     factor the model evaluates its likelihood with."""
     terms = gp._window_terms()
     sq = terms.dist / gp.hyper.length_scale ** 2
-    f = gp_module._factor(sq, gp.hyper, terms.tau2HH, terms.y)
+    f = gp_module._factor(gp.hyper, terms)
     QK = (np.outer(f.a, f.a) - dpotrs(f.L, np.eye(gp.size), lower=1)[0]) * f.K
     return 0.5 * np.array([(QK * sq).sum(), QK.sum()])
 
 
 @pytest.mark.parametrize("n", [15, 120])
 def test_likelihood_gradient_matches_explicit_inverse(n):
-    # the gradient reads C^-1 from potri's triangle; the explicit potrs(L, I)
-    # inverse of the same factor gives the same gradient to rtol 1e-8
+    # the gradient forms C^-1 as W' W with W = trtri(L); the explicit
+    # potrs(L, I) inverse of the same factor gives the same gradient to
+    # rtol 1e-8
     rng = np.random.default_rng(n)
     for _ in range(10):
         gp = _random_window(rng, n, float(rng.uniform(1e-4, 1e-2)), 1.0)
@@ -439,20 +440,20 @@ def test_likelihood_gradient_matches_fourth_order_differences(n, monkeypatch):
         np.testing.assert_allclose(grad, fd, rtol=1e-8, atol=1e-8 * np.abs(grad).max())
 
 
-def test_frozen_refit_copy_evaluates_like_the_live_model(monkeypatch):
-    # a refit evaluates a frozen copy of the window it started on, while the
-    # live window slides on; each evaluation equals, bit for bit, the live
-    # model's on that window and those hyperparameters
+def test_refit_evaluates_the_window_it_started_on(monkeypatch):
+    # a refit evaluates the window it started on, while the live window
+    # slides on: each evaluation equals, bit for bit, a copy's taken when
+    # the refit started, at those hyperparameters
     calls = []
     lml = GpWindowModel.log_marginal_likelihood
 
-    def recorded(self, hyper):
-        out = lml(self, hyper)
+    def recorded(self, hyper, terms=None):
+        out = lml(self, hyper, terms)
         calls.append((hyper, out))
         return out
 
     rng = np.random.default_rng(14)
-    gp = filled_model(rng, dim=2, noise_variance0=1e-4)
+    gp = filled_model(rng, dim=2, noise_variance0=1e-4, length_scale0=1.3)
     live = copy.deepcopy(gp)
     steps = gp._refit_steps()
     monkeypatch.setattr(GpWindowModel, "log_marginal_likelihood", recorded)
@@ -466,6 +467,33 @@ def test_frozen_refit_copy_evaluates_like_the_live_model(monkeypatch):
     for hyper, (val, grad) in calls:
         want_val, want_grad = live.log_marginal_likelihood(hyper)
         assert val == want_val and grad.tobytes() == want_grad.tobytes()
+
+
+def test_refit_factors_the_covariance_that_refresh_factors(monkeypatch):
+    # one factorization path per window change: at the current
+    # hyperparameters, a refit's first evaluation factors the same C, bit
+    # for bit, as _refresh on the window the refit starts on
+    factors = []
+    factor = gp_module._factor
+
+    def recorded(*args):
+        factors.append(factor(*args))
+        return factors[-1]
+
+    monkeypatch.setattr(gp_module, "_factor", recorded)
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        gp = filled_model(rng, dim=int(rng.integers(1, 5)), noise_variance0=1e-6,
+                          length_scale0=float(rng.uniform(0.3, 3.0)))
+        factors.clear()
+        gp._refresh()
+        steps = gp._refit_steps()
+        with contextlib.suppress(StopIteration):
+            next(steps), next(steps)  # up to and through the first evaluation
+        refreshed, evaluated = factors[:2]
+        assert refreshed.jitter == evaluated.jitter
+        assert refreshed.K.tobytes() == evaluated.K.tobytes()
+        assert refreshed.L.tobytes() == evaluated.L.tobytes()
 
 
 def test_fit_budget_stops_early_without_degrading(monkeypatch):
@@ -510,9 +538,9 @@ def test_refit_evaluates_each_point_once(monkeypatch):
     points = []
     lml = GpWindowModel.log_marginal_likelihood
 
-    def recorded(self, hyper):
+    def recorded(self, hyper, terms=None):
         points.append((hyper.length_scale, hyper.signal_variance))
-        return lml(self, hyper)
+        return lml(self, hyper, terms)
 
     monkeypatch.setattr(GpWindowModel, "log_marginal_likelihood", recorded)
     rng = np.random.default_rng(31)
@@ -556,7 +584,7 @@ def test_optimizer_never_degrades_likelihood():
 
 def _evaluations_per_observe(monkeypatch):
     """Patch GpWindowModel so that each observe appends the number of
-    likelihood evaluations it made, on frozen copies included, to a list."""
+    likelihood evaluations it made, those of a refit included, to a list."""
     per_observe, calls = [], []
     lml, observe = GpWindowModel.log_marginal_likelihood, GpWindowModel.observe
 
