@@ -8,7 +8,6 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,8 @@ from .control import (EstimatedGain, FixedGain, StepLog, TransferController,
 from .gp import GpCfg, GpWindowModel
 from .inverse import (AnalyticInverse, InverseDataset, TrainingConfig,
                       build_inverse_dataset, train_mlp)
-from .systems import LtiSystem, SimulationDiverged, simulate
+from .systems import (LtiSystem, SimulationDiverged, finite_number, simulate,
+                      whole_number)
 from .trajectory import (SinusoidTrajectory, ingest_csv_trajectory,
                          training_references)
 
@@ -28,11 +28,6 @@ REPORT_VERSION = "1"
 
 class ConfigError(ValueError):
     """Malformed or inconsistent benchmark configuration."""
-
-
-def _finite(value) -> bool:
-    """True for a real number that is neither infinite nor NaN."""
-    return isinstance(value, Real) and math.isfinite(value)
 
 
 @dataclass
@@ -66,18 +61,19 @@ class TrajectoryCfg:
     value_column: str = "yd"
 
     def build(self):
-        if not 0 < self.dt < math.inf:
-            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not (finite_number(self.dt) and self.dt > 0):
+            raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
         if self.kind == "sinusoid":
-            if not 0 < self.duration_s < math.inf:
+            if not (finite_number(self.duration_s) and self.duration_s > 0):
                 raise ConfigError("duration_s must be positive and finite, "
-                                  f"got {self.duration_s}")
+                                  f"got {self.duration_s!r}")
             for name in ("amplitudes", "periods_s", "phases"):
                 values = getattr(self, name)
-                if not (isinstance(values, (list, tuple)) and all(map(_finite, values))):
+                if not (isinstance(values, (list, tuple))
+                        and all(map(finite_number, values))):
                     raise ConfigError(f"{name} must be a list of finite numbers, "
                                       f"got {values!r}")
-            if not _finite(self.offset):
+            if not finite_number(self.offset):
                 raise ConfigError(f"offset must be a finite number, got {self.offset!r}")
             freqs = [2.0 * math.pi / p if p > 0 else math.nan for p in self.periods_s]
             if not all(map(math.isfinite, freqs)):
@@ -140,11 +136,11 @@ class BenchConfig:
                               f"the target's relative degree r = {target.r}")
         if self.x0 is not None and not (
                 np.ndim(self.x0) == 1 and len(self.x0) == target.n
-                and all(map(_finite, self.x0))):
+                and all(map(finite_number, self.x0))):
             raise ConfigError(f"x0 must be {target.n} finite numbers, got {self.x0!r}")
-        if not (isinstance(self.u_max, Real) and 0 < self.u_max <= math.inf):
+        if not (self.u_max == math.inf or (finite_number(self.u_max) and self.u_max > 0)):
             raise ConfigError(f"u_max must be positive or inf, got {self.u_max!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (isinstance(self.seed, int) and whole_number(self.seed, least=0)):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         try:
             for alpha in self.sweep_alphas:
@@ -208,8 +204,8 @@ def default_benchmark_config(inverse_mode: str = "mlp") -> BenchConfig:
     """The bundled benchmark pair: second-order source and target with
     matched relative degree 1 and nearby zeros/poles.
 
-    The gain estimate is smoothed with factor 0.95 and the GP's length
-    scale and signal variance are refitted every 25 steps. The simulation
+    The gain estimate is smoothed with factor 0.95, and the GP refits its
+    length scale and signal variance on gp's fixed schedule. The simulation
     is noise-free, so the GP noise variance, which no refit moves, is set
     to 1e-12. Training seed 13 keeps the bundled MLP's closed-loop error
     near the analytic inverse's; other seeds land anywhere in roughly a 2x
@@ -221,7 +217,7 @@ def default_benchmark_config(inverse_mode: str = "mlp") -> BenchConfig:
         inverse_mode=inverse_mode,
         seed=13,
         gain=EstimatedGain(smoothing=0.95),
-        gp=GpCfg(refit_stride=25, noise_variance0=1e-12),
+        gp=GpCfg(noise_variance0=1e-12),
     )
 
 

@@ -14,11 +14,11 @@ import csv
 import math
 from collections import deque
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
+from .systems import finite_number
 # `step` is re-exported so instrumentation can patch control.step
 from .systems import SimTrace, SimulationDiverged, simulate, step  # noqa: F401
 
@@ -30,8 +30,8 @@ class FixedGain:
     alpha: float
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"gain alpha must be finite, got {self.alpha}")
+        if not finite_number(self.alpha):
+            raise ValueError(f"gain alpha must be a finite number, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,13 @@ class EstimatedGain:
     smoothing: float = 0.0
 
     def __post_init__(self):
-        for name in ("floor", "cap", "smoothing"):
-            value = getattr(self, name)
-            if not isinstance(value, Real):
-                raise ValueError(f"gain {name} must be a number, got {value!r}")
-        if not 0 <= self.floor <= self.cap < math.inf:
-            raise ValueError("gain floor and cap must be finite with "
-                             f"0 <= floor <= cap, got {self.floor}, {self.cap}")
-        if not 0 <= self.smoothing < 1:
-            raise ValueError(f"gain smoothing must be in [0, 1), got {self.smoothing}")
+        if not (finite_number(self.floor) and finite_number(self.cap)
+                and 0 <= self.floor <= self.cap):
+            raise ValueError("gain floor and cap must be finite numbers with "
+                             f"0 <= floor <= cap, got {self.floor!r}, {self.cap!r}")
+        if not (finite_number(self.smoothing) and 0 <= self.smoothing < 1):
+            raise ValueError("gain smoothing must be a number in [0, 1), "
+                             f"got {self.smoothing!r}")
 
     def clamp(self, alpha: float) -> float:
         """alpha with its magnitude clamped to [floor, cap]."""

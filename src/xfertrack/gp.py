@@ -16,11 +16,12 @@ The window lives in preallocated arrays that observe shifts in place, one
 new row per observation: X, y, the basis rows H and the squared row norms
 of X. Each window change forms the unscaled squared distances D and
 tau^2 H H' as new arrays; factorizations and queries divide distances by
-l^2. A refit of the length scale and signal variance is spread over the
-observes that follow it, a bounded number of likelihood evaluations each
-(GpWindowModel.fit_hyperparams), so that no control step waits for a whole
-fit. It evaluates the D and tau^2 H H' of the window it started on, which
-later observes replace rather than change. The noise variance is not refit.
+l^2. A refit of the length scale and signal variance, every REFIT_STRIDE
+observes, is spread over the observes that follow it, at most SLICE_EVALS
+likelihood evaluations each (GpWindowModel.fit_hyperparams), so that no
+control step waits for a whole fit. It evaluates the D and tau^2 H H' of
+the window it started on, which later observes replace rather than change.
+The noise variance is not refit.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
+
+from .systems import finite_number, whole_number
 
 logger = logging.getLogger(__name__)
 
@@ -41,6 +43,8 @@ DEFAULT_JITTER = 1e-10
 MAX_JITTER = 1e-6
 BASIS_PRIOR_VARIANCE = 1e4  # tau^2
 MIN_FIT_SIZE = 5  # no refit on a smaller window
+REFIT_STRIDE = 25  # observes from the start of one refit to the next
+SLICE_EVALS = 4  # evaluations per observe; a refit's hard cap is 25 * 4 = 100
 # box of the hyperparameter refit, applied in log space
 LENGTH_SCALE_BOUNDS = (1e-2, 1e3)
 SIGNAL_VARIANCE_BOUNDS = (1e-8, 1e4)
@@ -67,29 +71,25 @@ class GpHyperparams:
 class GpCfg:
     """Settings of a GpWindowModel and the `gp` section of a benchmark
     config, checked here once. length_scale0 and signal_variance0 start
-    the GpHyperparams that a refit moves; the basis is fixed."""
+    the GpHyperparams that a refit moves; the basis and the refit schedule
+    (REFIT_STRIDE, SLICE_EVALS) are fixed."""
 
     capacity: int = 15                  # window size N
     optimize: bool = True               # refit the hyperparameters online
-    refit_stride: int = 1               # observations between refits
     length_scale0: float = GpHyperparams.length_scale
     signal_variance0: float = GpHyperparams.signal_variance
     noise_variance0: float = GpHyperparams.noise_variance  # sigma_2^2, never refit
-    max_fit_evals: int = 100            # hard cap of likelihood evaluations per refit
 
     def __post_init__(self):
         if not isinstance(self.optimize, bool):
             raise ValueError(f"optimize must be true or false, got {self.optimize!r}")
-        for name in ("capacity", "refit_stride", "max_fit_evals"):
-            value = getattr(self, name)
-            if not (isinstance(value, Real) and value >= 1
-                    and float(value).is_integer()):
-                raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
+        if not whole_number(self.capacity):
+            raise ValueError(f"capacity must be a whole number >= 1, got {self.capacity!r}")
         for name, least in (("length_scale0", "positive"),
                             ("signal_variance0", "positive"),
                             ("noise_variance0", "nonnegative")):
             value = getattr(self, name)
-            if not (isinstance(value, Real) and value < math.inf
+            if not (finite_number(value)
                     and (value > 0 or (value == 0 and least == "nonnegative"))):
                 raise ValueError(f"{name} must be {least} and finite, got {value!r}")
 
@@ -234,7 +234,7 @@ class GpWindowModel:
         self._since_fit += 1
         if self._refit is not None or (
                 self.cfg.optimize and self.size >= MIN_FIT_SIZE
-                and self._since_fit >= self.cfg.refit_stride):
+                and self._since_fit >= REFIT_STRIDE):
             self.fit_hyperparams()
         else:
             self._refresh()
@@ -345,10 +345,10 @@ class GpWindowModel:
                                     QK.sum()])
 
     def fit_hyperparams(self) -> GpHyperparams:
-        """Run the next slice of the refit, at most ceil(max_fit_evals /
-        refit_stride) likelihood evaluations, starting one if none is under
-        way, and refresh the window. A refit takes effect when it ends:
-        within refit_stride slices, in this call when the stride is 1."""
+        """Run the next slice of the refit, at most SLICE_EVALS likelihood
+        evaluations, starting one if none is under way, and refresh the
+        window. A refit takes effect in the call where it ends, within
+        REFIT_STRIDE calls of the one that starts it."""
         if self._refit is None:
             if self.size < 2:
                 self._refresh()
@@ -357,7 +357,7 @@ class GpWindowModel:
             next(self._refit)  # up to the first evaluation
             self._since_fit = 0
         try:
-            for _ in range(math.ceil(self.cfg.max_fit_evals / self.cfg.refit_stride)):
+            for _ in range(SLICE_EVALS):
                 next(self._refit)
         except StopIteration as done:
             self._refit, self.hyper = None, done.value
@@ -387,7 +387,7 @@ class GpWindowModel:
 
         theta = yield from _projected_bfgs(
             objective, (math.log(h.length_scale), math.log(h.signal_variance)),
-            lb, ub, self.cfg.max_fit_evals)
+            lb, ub, REFIT_STRIDE * SLICE_EVALS)
         if theta is None:
             logger.warning("hyperparameter fit failed; keeping previous values")
             return h

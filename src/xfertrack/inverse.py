@@ -7,13 +7,11 @@ output r steps ahead on the system they were derived from.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
-from .systems import EPS_GAIN
+from .systems import EPS_GAIN, finite_number, whole_number
 
 logger = logging.getLogger(__name__)
 
@@ -233,25 +231,20 @@ class TrainingConfig:
         # slice steps and array shapes, where 2.0 fails as surely as 2.5
         for name in ("epochs", "batch_size", "patience", "subsample"):
             value = getattr(self, name)
-            if not _whole(value):
+            if not whole_number(value):
                 raise ValueError(f"mlp.{name} must be a whole number >= 1, got {value!r}")
             setattr(self, name, int(value))
         if not (isinstance(self.hidden, (list, tuple))
-                and all(_whole(size) for size in self.hidden)):
+                and all(map(whole_number, self.hidden))):
             raise ValueError(f"mlp.hidden must be layer sizes that are whole "
                              f"numbers >= 1, got {self.hidden!r}")
         self.hidden = [int(size) for size in self.hidden]
-        if not 0 < self.val_fraction < 1:
-            raise ValueError(f"mlp.val_fraction must be in (0, 1), got {self.val_fraction}")
+        if not (finite_number(self.val_fraction) and 0 < self.val_fraction < 1):
+            raise ValueError(f"mlp.val_fraction must be in (0, 1), got {self.val_fraction!r}")
         for name in ("learning_rate", "train_duration_s"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"mlp.{name} must be positive and finite, "
-                                 f"got {getattr(self, name)}")
-
-
-def _whole(value) -> bool:
-    """True for a whole number >= 1, of any numeric type."""
-    return isinstance(value, Real) and value >= 1 and float(value).is_integer()
+            value = getattr(self, name)
+            if not (finite_number(value) and value > 0):
+                raise ValueError(f"mlp.{name} must be positive and finite, got {value!r}")
 
 
 def init_mlp(model: MlpInverseModel, rng) -> np.ndarray:

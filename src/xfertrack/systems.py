@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,6 +24,17 @@ EPS_RELATIVE_DEGREE = 1e-9
 EPS_GAIN = 1e-12
 # tolerance for validating user-supplied lifted maps of nonlinear systems
 TOL_IO = 1e-6
+
+
+def finite_number(value) -> bool:
+    """True for a real number, other than a bool, that is neither infinite nor NaN."""
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def whole_number(value, least: int = 1) -> bool:
+    """True for a finite_number that is whole and >= least."""
+    return finite_number(value) and value >= least and float(value).is_integer()
 
 
 class IllDefinedRelativeDegree(ValueError):

@@ -58,17 +58,17 @@ def test_bundled_config_digests_pinned():
     # every report's config section hashes to these; a renamed, added or
     # dropped config field changes them
     assert config_digest(default_benchmark_config()) == (
-        "23e64bdcb6694920180f40fcb7a538391d4d1d9064a342ab9a0adbce82a598b2")
+        "57c911fee54371a71ea151631a65f49ada5b03abfacb6955428e1128112e86a3")
     assert config_digest(default_benchmark_config(inverse_mode="analytic")) == (
-        "4820faf1ab9e1482b12263d324521d4e958802199e9aebf87af1936e727b79f1")
+        "2fab1b7e4bf643c619c6c9601575a597b8f753feb68c4e2c66674a1fcbc2d793")
 
 
 def test_all_defaults_config_digest_pinned():
-    # the defaults the bundled config overrides (refit_stride,
-    # noise_variance0, smoothing, ...) are pinned here
+    # the defaults the bundled config overrides (noise_variance0,
+    # smoothing, ...) are pinned here
     b = default_benchmark_config()
     assert config_digest(BenchConfig(source=b.source, target=b.target)) == (
-        "d6425f3918ba2b2d1abf3df944a1f2b13faa72c3ae7fbdd6fe34063e7c106b52")
+        "2c97595b234a663fdb64d9030e94102c4290326afc536cecd6bfc916a882798e")
 
 
 def test_excitation_dataset_pinned():
@@ -238,7 +238,7 @@ def test_bundled_report_digest_pinned(bench_report):
     # the full bundled comparison, MLP training included, is bit-identical
     # to the recorded run; a change that moves it must say so
     assert bench_report.digest() == (
-        "2a31b15acd109d31abf1d9e8ae963034f9bfc4f491ce35f7f96ed65c30c49d5b")
+        "ccc05b0f09b45581d1421805b0c392afd977d2fabfcee3da175b367e1591ef9e")
 
 
 def test_bundled_strategies_digest_pinned(bench_report):
@@ -283,7 +283,7 @@ def test_analytic_comparison_digests_pinned(tmp_path):
     # that moves these values updates them and says so
     rep = run_comparison(short_config(duration=4.0), out_dir=tmp_path)
     assert rep.digest() == (
-        "8dedaa111ed5d0736ca217adf3c9eeacb645af972185595f9c5975ebfd203c72")
+        "ffc08f60dc8eca14d298e643e023d06bbb6ed099c355c4c68be90ebda001429a")
     csv_sha256 = {
         "baseline": "ba6f3fb88c73f14d896e1ca35636585f6df7cb7fc8604f46031e39456f4a0cd5",
         "offline": "014effe75b410a3f99bf7df3d93ee7d647a84279fff9b9e02946087fa669208f",

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from xfertrack import bench
-from xfertrack.bench import default_benchmark_config
+from xfertrack.bench import ConfigError, default_benchmark_config
 from xfertrack.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main)
 from xfertrack.inverse import MlpInverseModel
 
@@ -122,7 +122,10 @@ TRACKING = ("simulate", "compare", "sweep-alpha")
     *[(c, "seed", 1.5) for c in TRACKING + ("train-inverse",)],
     ("sweep-alpha", "sweep_alphas", [0.0, float("nan")]),
     ("sweep-alpha", "sweep_alphas", 3),
-    *[(c, "trajectory", dict(duration_s=0.0015)) for c in TRACKING]],
+    *[(c, "trajectory", dict(duration_s=0.0015)) for c in TRACKING],
+    # a bool is not a number here, although Python counts it as an int
+    ("simulate", "seed", True), ("compare", "x0", [True, 0.0]),
+    ("simulate", "u_max", True), ("sweep-alpha", "sweep_alphas", [0.0, True])],
     ids=lambda v: str(v).replace(" ", ""))
 def test_bad_top_level_field_fails_before_training(tmp_path, capsys, monkeypatch,
                                                    command, field, value):
@@ -281,11 +284,14 @@ def test_excitation_divergence_exit_code(tmp_path, capsys, command):
     ("dt", float("nan")), ("dt", float("inf")), ("duration_s", float("inf")),
     ("amplitudes", [1.0, "x"]), ("amplitudes", [float("inf"), 1.0]),
     ("periods_s", [float("nan"), 16.0]), ("phases", [0.0, float("inf")]),
-    ("offset", float("nan"))])
+    ("offset", float("nan")), ("dt", "x"), ("dt", None), ("dt", True),
+    ("duration_s", "48"), ("duration_s", None), ("offset", True)])
 def test_nonfinite_trajectory_timing_is_config_error(tmp_path, capsys,
                                                      field, value):
     # a sinusoid component that is not a finite number once ended compare
-    # in an uncaught UFuncTypeError (exit 1) or aborted every strategy (exit 3)
+    # in an uncaught UFuncTypeError (exit 1) or aborted every strategy (exit
+    # 3), and a dt or duration_s that is not a number in a "bad config
+    # structure" error, or a bare TypeError in code, that did not name it
     cfg = default_benchmark_config(inverse_mode="analytic")
     path = write_raw_config(tmp_path, cfg, "trajectory", **{field: value})
     code = main(["compare", "--config", str(path)])
@@ -293,6 +299,8 @@ def test_nonfinite_trajectory_timing_is_config_error(tmp_path, capsys,
     want = {"dt": "positive and finite", "duration_s": "positive and finite",
             "offset": "a finite number"}.get(field, "a list of finite numbers")
     assert f"{field} must be {want}" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=f"{field} must be {want}"):
+        replace(cfg, trajectory=replace(cfg.trajectory, **{field: value}))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -300,7 +308,10 @@ def test_nonfinite_trajectory_timing_is_config_error(tmp_path, capsys,
     ("val_fraction", 0.0), ("learning_rate", 0.0), ("learning_rate", -1e-3),
     ("learning_rate", float("nan")), ("learning_rate", float("inf")),
     ("hidden", [4, 0]), ("patience", 0), ("patience", -1),
-    ("train_duration_s", 0.0), ("train_duration_s", float("nan"))])
+    ("train_duration_s", 0.0), ("train_duration_s", float("nan")),
+    ("learning_rate", "1e-3"), ("learning_rate", None), ("val_fraction", "x"),
+    ("val_fraction", None), ("train_duration_s", "40"), ("train_duration_s", None),
+    ("epochs", True), ("learning_rate", True)])
 def test_out_of_range_mlp_section_is_config_error(tmp_path, capsys, field, value):
     cfg = default_benchmark_config()
     cfg = replace(cfg, mlp=replace(cfg.mlp, hidden=[4], epochs=2,
@@ -310,6 +321,8 @@ def test_out_of_range_mlp_section_is_config_error(tmp_path, capsys, field, value
     assert code == EXIT_CONFIG
     assert f"mlp.{field} must be" in capsys.readouterr().err
     assert not (tmp_path / "inverse_model.npz").exists()
+    with pytest.raises(ValueError, match=f"mlp.{field} must be"):
+        replace(cfg.mlp, **{field: value})
 
 
 @pytest.mark.parametrize("section, values, named", [
@@ -319,21 +332,25 @@ def test_out_of_range_mlp_section_is_config_error(tmp_path, capsys, field, value
     ("gain", dict(mode="fixed", alpha=float("inf")), "argument 'alpha'"),
     ("gain", dict(floor=float("nan")), "gain floor"),
     ("gain", dict(floor=-1.0), "gain floor"),
-    ("gain", dict(floor=None), "gain floor must be a number"),
+    ("gain", dict(floor=None), "gain floor and cap must be finite numbers"),
     ("gain", dict(cap=float("inf")), "gain floor and cap"),
     ("gain", dict(floor=5.0, cap=1.0), "gain floor and cap"),
     ("gain", dict(smoothing=float("nan")), "gain smoothing"),
     ("gain", dict(smoothing=1.0), "gain smoothing"),
     ("gain", dict(smoothing=-0.1), "gain smoothing"),
     ("gain", dict(smoothing=None), "gain smoothing must be a number"),
-    ("gp", dict(max_fit_evals=0), "max_fit_evals"),
-    ("gp", dict(max_fit_evals=-3), "max_fit_evals"),
-    ("gp", dict(refit_stride=0), "refit_stride"),
-    ("gp", dict(refit_stride=-5), "refit_stride")],
+    # keys the gp section dropped: the refit schedule is gp's constants
+    ("gp", dict(max_fit_evals=0), "unexpected keyword argument 'max_fit_evals'"),
+    ("gp", dict(max_fit_evals=-3), "unexpected keyword argument 'max_fit_evals'"),
+    ("gp", dict(refit_stride=0), "unexpected keyword argument 'refit_stride'"),
+    ("gp", dict(refit_stride=-5), "unexpected keyword argument 'refit_stride'"),
+    ("gain", dict(floor=True), "gain floor and cap must be finite numbers"),
+    ("gain", dict(smoothing=False), "gain smoothing must be a number")],
     ids=["fixed-alpha-nan", "fixed-alpha-inf", "floor-nan", "floor-negative",
          "floor-null", "cap-inf", "cap-below-floor", "smoothing-nan",
          "smoothing-1", "smoothing-negative", "smoothing-null", "max_fit_evals-0",
-         "max_fit_evals-neg", "refit_stride-0", "refit_stride-neg"])
+         "max_fit_evals-neg", "refit_stride-0", "refit_stride-neg", "floor-true",
+         "smoothing-false"])
 def test_bad_gain_or_refit_budget_is_config_error(tmp_path, capsys, section,
                                                   values, named):
     cfg = default_benchmark_config(inverse_mode="analytic")
@@ -351,7 +368,8 @@ def test_bad_gain_or_refit_budget_is_config_error(tmp_path, capsys, section,
     ("capacity", 0), ("capacity", 2.5), ("basis", "cubic"), ("max_fit_evals", 0),
     ("basis_prior_variance", -1.0), ("length_scale0", -1.0),
     ("noise_variance0", float("nan")), ("signal_variance0", 0.0),
-    ("optimize", "false")])
+    ("optimize", "false"), ("refit_stride", 25), ("capacity", True),
+    ("noise_variance0", False)])
 def test_bad_gp_section_fails_before_training(tmp_path, capsys, monkeypatch,
                                               command, field, value):
     trained = []
@@ -363,7 +381,8 @@ def test_bad_gp_section_fails_before_training(tmp_path, capsys, monkeypatch,
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err
-    if field in ("basis", "basis_prior_variance"):  # keys the gp section dropped
+    if field in ("basis", "basis_prior_variance", "max_fit_evals",
+                 "refit_stride"):  # keys the gp section dropped
         assert f"unexpected keyword argument '{field}'" in err
     else:
         assert f"{field} must be" in err

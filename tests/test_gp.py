@@ -19,10 +19,10 @@ import xfertrack
 from xfertrack.bench import default_benchmark_config, run_strategy
 from xfertrack import gp as gp_module
 from xfertrack.gp import (BASIS_PRIOR_VARIANCE, LENGTH_SCALE_BOUNDS,
-                          SIGNAL_VARIANCE_BOUNDS, GpCfg, GpHyperparams,
-                          GpWindowModel, basis_features)
+                          REFIT_STRIDE, SIGNAL_VARIANCE_BOUNDS, SLICE_EVALS,
+                          GpCfg, GpHyperparams, GpWindowModel, basis_features)
 
-from helpers import hyper_cfg, kernel, kernel_matrix
+from helpers import complete_refit, hyper_cfg, kernel, kernel_matrix
 
 
 def filled_model(rng, dim=3, n=15, **kwargs):
@@ -76,16 +76,6 @@ def test_hyperparams_validation():
                 dict(noise_variance=math.inf), dict(noise_variance=math.nan)):
         with pytest.raises(ValueError, match="finite"):
             GpHyperparams(**bad)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("refit_stride", 0), ("refit_stride", -5), ("refit_stride", 2.5),
-    ("refit_stride", None), ("max_fit_evals", 0), ("max_fit_evals", 1.5)])
-def test_refit_schedule_is_whole_numbers(field, value):
-    # a stride of 0 divided by zero in the first refit, and a negative one
-    # gave a negative slice budget that left the hyperparameters unfitted
-    with pytest.raises(ValueError, match=f"{field} must be a whole number >= 1"):
-        GpWindowModel(2, GpCfg(**{field: value}))
 
 
 def test_basis_feature_layout():
@@ -288,7 +278,7 @@ def test_query_memo_never_stale():
     # result must equal a recomputation with the memo cleared, and the memo
     # must hold kernel_matrix on the current window and hyperparameters
     rng = np.random.default_rng(3)
-    gp = GpWindowModel(3, GpCfg(capacity=6, refit_stride=4, max_fit_evals=10))
+    gp = GpWindowModel(3, GpCfg(capacity=6))
     queries = [rng.standard_normal(3) for _ in range(3)]
 
     def recomputed(method, *args):
@@ -497,10 +487,11 @@ def test_refit_factors_the_covariance_that_refresh_factors(monkeypatch):
 
 
 def test_fit_budget_stops_early_without_degrading(monkeypatch):
-    # max_fit_evals is a hard cap on likelihood evaluations: a budget of 5
-    # ends the fit there, well before an uncapped fit. The objective depends
-    # on the coefficient centering, so the likelihoods compare at the one
-    # the fit used
+    # REFIT_STRIDE * SLICE_EVALS is a hard cap on a refit's likelihood
+    # evaluations: at a stride of 2 the cap of 8 ends the fit there, well
+    # before one at the module's cap of 100. The objective depends on the
+    # coefficient centering, so the likelihoods compare at the one the fit
+    # used
     calls = []
     lml = GpWindowModel.log_marginal_likelihood
 
@@ -511,28 +502,27 @@ def test_fit_budget_stops_early_without_degrading(monkeypatch):
     monkeypatch.setattr(GpWindowModel, "log_marginal_likelihood", counted)
     for seed in range(4):
         evals = {}
-        for budget in (5, 100):
+        for stride in (2, REFIT_STRIDE):
+            monkeypatch.setattr(gp_module, "REFIT_STRIDE", stride)
             rng = np.random.default_rng(seed)
             gp = GpWindowModel(2, GpCfg(capacity=15, optimize=False,
-                                        max_fit_evals=budget, length_scale0=1.0,
-                                        noise_variance0=1e-4))
+                                        length_scale0=1.0, noise_variance0=1e-4))
             for _ in range(15):
                 xi = rng.uniform(-3, 3, size=2)
                 gp.observe(xi, float(np.cos(xi[0]) + 0.3 * xi[1]))
             center = gp._beta
             before = gp.log_marginal_likelihood(gp.hyper)[0]
             calls.clear()
-            gp.fit_hyperparams()
-            evals[budget] = len(calls)
+            complete_refit(gp)
+            evals[stride] = len(calls)
             gp._beta = center
             assert gp.log_marginal_likelihood(gp.hyper)[0] >= before - 1e-9
-        assert evals[5] < evals[100]
-        assert evals[5] <= 5
+        assert evals[2] <= 2 * SLICE_EVALS < evals[REFIT_STRIDE]
 
 
 def test_refit_evaluates_each_point_once(monkeypatch):
     # the optimizer evaluates the start once and never repeats a trial
-    # point (steps that round away end the fit), and a finished refit
+    # point (steps that round away end the fit), and each slice of a refit
     # refreshes the window exactly once: the factor and coefficients it
     # leaves are bit for bit those of one refresh from the prior mean
     points = []
@@ -553,15 +543,18 @@ def test_refit_evaluates_each_point_once(monkeypatch):
             x = 0.9 * x + 0.05 * rng.standard_normal(d)
             gp.observe(x, float(np.sin(x).sum()))
         points.clear()
-        center = gp._beta  # the prior mean the fit factors with
-        gp.fit_hyperparams()
+        while True:
+            center = gp._beta  # the prior mean the slice refreshes from
+            gp.fit_hyperparams()
+            L, jitter, beta = gp._cache.L, gp.jitter, gp._beta
+            gp._beta = center
+            gp._refresh()
+            assert L.tobytes() == gp._cache.L.tobytes()
+            assert jitter == gp.jitter
+            assert beta.tobytes() == gp._beta.tobytes()
+            if gp._refit is None:
+                break
         assert points and len(set(points)) == len(points)
-        L, jitter, beta = gp._cache.L, gp.jitter, gp._beta
-        gp._beta = center
-        gp._refresh()
-        assert L.tobytes() == gp._cache.L.tobytes()
-        assert jitter == gp.jitter
-        assert beta.tobytes() == gp._beta.tobytes()
 
 
 def test_optimizer_never_degrades_likelihood():
@@ -577,7 +570,7 @@ def test_optimizer_never_degrades_likelihood():
             gp.observe(xi, float(np.cos(xi[0]) + 0.3 * xi[1]))
         center = gp._beta
         before = gp.log_marginal_likelihood(gp.hyper)[0]
-        gp.fit_hyperparams()
+        complete_refit(gp)
         gp._beta = center
         assert gp.log_marginal_likelihood(gp.hyper)[0] >= before - 1e-9
 
@@ -604,13 +597,13 @@ def _evaluations_per_observe(monkeypatch):
 
 
 def test_sliced_refit_bounds_evaluations_per_observe_on_bundled_run(monkeypatch):
-    # the deadline proxy that does not depend on the host: with the bundled
-    # stride of 25 no control step runs more than ceil(100 / 25) = 4
-    # evaluations, and refits that need more go on in the next observe
+    # the deadline proxy that does not depend on the host: no control step
+    # runs more than SLICE_EVALS = 4 evaluations, and refits that need more
+    # go on in the next observe
     per_observe = _evaluations_per_observe(monkeypatch)
     cfg = default_benchmark_config(inverse_mode="analytic")
     cfg = replace(cfg, trajectory=replace(cfg.trajectory, duration_s=4.0))
-    assert (cfg.gp.refit_stride, cfg.gp.max_fit_evals) == (25, 100)
+    assert SLICE_EVALS == 4
     assert not run_strategy(cfg, "online").aborted
     assert max(per_observe) == 4
     assert any(a == 4 and b > 0 for a, b in zip(per_observe, per_observe[1:]))
@@ -642,43 +635,67 @@ def test_every_requested_evaluation_is_a_counted_likelihood_call(monkeypatch):
 
 
 def test_sliced_refit_bounds_evaluations_per_observe(monkeypatch):
-    per_observe = _evaluations_per_observe(monkeypatch)
+    # on windows of varied dimension, size, noise and data, and with refits
+    # asked for between observes too, no fit_hyperparams call runs more than
+    # SLICE_EVALS = 4 likelihood evaluations and no refit more than
+    # REFIT_STRIDE * SLICE_EVALS = 100
+    calls, per_call, per_refit = [], [], []
+    lml, fit = GpWindowModel.log_marginal_likelihood, GpWindowModel.fit_hyperparams
+
+    def counted_lml(self, *args, **kwargs):
+        calls.append(1)
+        return lml(self, *args, **kwargs)
+
+    def counted_fit(self):
+        if self._refit is None:
+            per_refit.append(0)
+        calls.clear()
+        out = fit(self)
+        per_call.append(len(calls))
+        per_refit[-1] += len(calls)
+        return out
+
+    monkeypatch.setattr(GpWindowModel, "log_marginal_likelihood", counted_lml)
+    monkeypatch.setattr(GpWindowModel, "fit_hyperparams", counted_fit)
     rng = np.random.default_rng(43)
-    for trial in range(4):
-        cfg = GpCfg(capacity=15, refit_stride=int(rng.integers(2, 30)),
-                    noise_variance0=1e-4, max_fit_evals=int(rng.integers(1, 120)))
-        gp = GpWindowModel(2, cfg)
-        x = rng.standard_normal(2)
-        per_observe.clear()
+    for trial in range(8):
+        d = int(rng.integers(1, 5))
+        gp = GpWindowModel(d, GpCfg(capacity=int(rng.integers(5, 41)),
+                                    noise_variance0=float(10 ** rng.uniform(-8, -2))))
+        x, freq = rng.standard_normal(d), rng.uniform(0.5, 4.0)
         for _ in range(200):
-            x = 0.9 * x + 0.3 * rng.standard_normal(2)
-            gp.observe(x, float(np.sin(3 * x).sum()))
-        assert 0 < max(per_observe) <= math.ceil(cfg.max_fit_evals / cfg.refit_stride)
+            x = 0.9 * x + 0.3 * rng.standard_normal(d)
+            gp.observe(x, float(np.sin(freq * x).sum()))
+            if rng.random() < 0.05:
+                gp.fit_hyperparams()
+    assert max(per_call) == SLICE_EVALS
+    assert max(per_refit) <= REFIT_STRIDE * SLICE_EVALS
+    assert max(per_refit) > 2 * SLICE_EVALS  # refits span several slices
 
 
 def test_sliced_refit_applies_the_fit_of_its_frozen_window():
-    # a refit spread over the observes of a stride-25 model ends with the
-    # hyperparameters, bit for bit, that a stride-1 copy taken just before
-    # the observe that starts it fits at once; until then the old ones hold
+    # a refit spread over the observes that follow the one that starts it
+    # ends with the hyperparameters, bit for bit, that a copy taken just
+    # before that observe reaches when it makes the same observe and then
+    # calls fit_hyperparams with no observe in between; until then the old
+    # ones hold
     rng = np.random.default_rng(21)
-    gp = GpWindowModel(2, GpCfg(capacity=15, refit_stride=25, noise_variance0=1e-4))
-    want, applied, sliced = None, 0, 0
+    gp = GpWindowModel(2, GpCfg(capacity=15, noise_variance0=1e-4))
+    want, applied = None, 0
     x = rng.standard_normal(2)
     for _ in range(600):
         x = 0.9 * x + 0.3 * rng.standard_normal(2)
         e = float(np.sin(3 * x).sum())
         before, hyper = copy.deepcopy(gp) if gp._refit is None else None, gp.hyper
         gp.observe(x, e)
-        if gp._since_fit == 0:  # a refit started in this observe
-            before.cfg = replace(before.cfg, refit_stride=1)
-            want = before.observe(x, e).hyper
         if gp._refit is not None:
+            if gp._since_fit == 0:  # a refit started in this observe
+                want = complete_refit(before.observe(x, e))
             assert gp.hyper == hyper
-            sliced += gp._since_fit == 0
         elif want is not None:
             assert gp.hyper == want
             want, applied = None, applied + 1
-    assert applied >= 20 and sliced >= 10
+    assert applied >= 20
 
 
 def _scipy_fit(gp) -> float:
@@ -697,7 +714,7 @@ def _scipy_fit(gp) -> float:
 
     t0 = np.log([h.length_scale, h.signal_variance])
     res = minimize(objective, t0, jac=True, method="L-BFGS-B", bounds=bounds,
-                   options={"maxfun": gp.cfg.max_fit_evals})
+                   options={"maxfun": REFIT_STRIDE * SLICE_EVALS})
     return gp.log_marginal_likelihood(hyper_of(res.x))[0]
 
 
@@ -720,7 +737,7 @@ def test_optimizer_reaches_scipy_lbfgsb_likelihood():
             gp.observe(x, float(np.sin(2 * x).sum() + 0.01 * rng.standard_normal()))
         frozen = copy.deepcopy(gp)
         best = _scipy_fit(frozen)
-        gp.fit_hyperparams()
+        complete_refit(gp)
         got, grad = frozen.log_marginal_likelihood(gp.hyper)
         gains.append(got - best)
         if got < best - 2e-3:
@@ -754,7 +771,7 @@ def test_length_scale_recovery_from_synthetic_data():
                                     length_scale0=1.0, noise_variance0=1e-8))
         for xi, e in zip(X, y):
             gp.observe(xi, float(e))
-        gp.fit_hyperparams()
+        complete_refit(gp)
         assert 1.0 <= gp.hyper.length_scale <= 3.0
 
 
@@ -767,16 +784,3 @@ def test_fixed_hyper_mode_skips_optimization():
     assert gp.hyper.length_scale == 20.0
     assert gp.hyper.signal_variance == 1.0
     assert gp.hyper.noise_variance == 2e-5
-
-
-def test_refit_stride_controls_schedule():
-    rng = np.random.default_rng(9)
-    per_step = GpWindowModel(1, GpCfg(capacity=15, optimize=True, refit_stride=1))
-    strided = GpWindowModel(1, GpCfg(capacity=15, optimize=True, refit_stride=50))
-    xs = rng.uniform(-2, 2, size=20)
-    for x in xs:
-        per_step.observe([float(x)], float(np.sin(x)))
-        strided.observe([float(x)], float(np.sin(x)))
-    # the per-step model has fitted; the strided one is still at its start
-    assert strided.hyper.length_scale == 1.0
-    assert per_step.hyper.length_scale != 1.0
