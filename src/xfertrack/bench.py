@@ -204,12 +204,12 @@ def default_benchmark_config(inverse_mode: str = "mlp") -> BenchConfig:
     """The bundled benchmark pair: second-order source and target with
     matched relative degree 1 and nearby zeros/poles.
 
-    The gain estimate is smoothed with factor 0.95, and the GP refits its
-    length scale and signal variance on gp's fixed schedule. The simulation
-    is noise-free, so the GP noise variance, which no refit moves, is set
-    to 1e-12. Training seed 13 keeps the bundled MLP's closed-loop error
-    near the analytic inverse's; other seeds land anywhere in roughly a 2x
-    band around it.
+    The gain estimate is smoothed with factor 0.95, and the GP fits its
+    length scale and signal variance once, when its 15-observation window
+    fills. The simulation is noise-free, so the GP noise variance, which
+    the fit leaves alone, is set to 1e-12. Training seed 13 keeps the
+    bundled MLP's closed-loop error near the analytic inverse's; other
+    seeds land anywhere in roughly a 2x band around it.
     """
     return BenchConfig(
         source=SystemCfg(a=[[0.0, 1.0], [-0.15, 0.8]], b=[0.0, 1.0], c=[-0.2, 1.0]),

@@ -16,12 +16,9 @@ The window lives in preallocated arrays that observe shifts in place, one
 new row per observation: X, y, the basis rows H and the squared row norms
 of X. Each window change forms the unscaled squared distances D and
 tau^2 H H' as new arrays; factorizations and queries divide distances by
-l^2. A refit of the length scale and signal variance, every REFIT_STRIDE
-observes, is spread over the observes that follow it, at most SLICE_EVALS
-likelihood evaluations each (GpWindowModel.fit_hyperparams), so that no
-control step waits for a whole fit. It evaluates the D and tau^2 H H' of
-the window it started on, which later observes replace rather than change.
-The noise variance is not refit.
+l^2. With optimize on, the observe that fills the window fits the length
+scale and signal variance to it by maximum likelihood (fit_hyperparams),
+once; they hold from then on, and the noise variance is never fitted.
 """
 
 from __future__ import annotations
@@ -42,10 +39,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_JITTER = 1e-10
 MAX_JITTER = 1e-6
 BASIS_PRIOR_VARIANCE = 1e4  # tau^2
-MIN_FIT_SIZE = 5  # no refit on a smaller window
-REFIT_STRIDE = 25  # observes from the start of one refit to the next
-SLICE_EVALS = 4  # evaluations per observe; a refit's hard cap is 25 * 4 = 100
-# box of the hyperparameter refit, applied in log space
+FIT_EVALS = 100  # likelihood evaluations a hyperparameter fit may make
+# box of the hyperparameter fit, applied in log space
 LENGTH_SCALE_BOUNDS = (1e-2, 1e3)
 SIGNAL_VARIANCE_BOUNDS = (1e-8, 1e4)
 
@@ -53,7 +48,7 @@ SIGNAL_VARIANCE_BOUNDS = (1e-8, 1e4)
 @dataclass(frozen=True)
 class GpHyperparams:
     """The kernel settings: one length scale shared by every input
-    dimension and the two variances. A refit fits l and sigma_1^2; sigma_2^2
+    dimension and the two variances. A fit moves l and sigma_1^2; sigma_2^2
     keeps its configured value."""
 
     length_scale: float = 1.0      # l
@@ -71,14 +66,14 @@ class GpHyperparams:
 class GpCfg:
     """Settings of a GpWindowModel and the `gp` section of a benchmark
     config, checked here once. length_scale0 and signal_variance0 start
-    the GpHyperparams that a refit moves; the basis and the refit schedule
-    (REFIT_STRIDE, SLICE_EVALS) are fixed."""
+    the GpHyperparams; with optimize on, the observe that fills the window
+    replaces them by one fit on that window, and they hold from then on."""
 
     capacity: int = 15                  # window size N
-    optimize: bool = True               # refit the hyperparameters online
+    optimize: bool = True               # fit the hyperparameters at the fill
     length_scale0: float = GpHyperparams.length_scale
     signal_variance0: float = GpHyperparams.signal_variance
-    noise_variance0: float = GpHyperparams.noise_variance  # sigma_2^2, never refit
+    noise_variance0: float = GpHyperparams.noise_variance  # sigma_2^2, never fitted
 
     def __post_init__(self):
         if not isinstance(self.optimize, bool):
@@ -189,9 +184,7 @@ class GpWindowModel:
         self._D = self._tau2HH = np.zeros((0, 0))  # replaced, never written into
         self.observation_count = 0
         self.rejected_count = 0
-        self._since_fit = 0
         self._cache = None  # _Factor of the current window
-        self._refit = None  # the refit under way, a _refit_steps generator
         self._query = None  # (xi bytes, k(xi, X), h(xi)) of the latest query
         # Latest basis coefficients, also the prior mean c of the next
         # factorization, so directions the window cannot identify (collinear
@@ -231,10 +224,7 @@ class GpWindowModel:
         self._D = _sq_dist(self._X, self._nx, self._X, self._nx)
         self._tau2HH = BASIS_PRIOR_VARIANCE * (self._H @ self._H.T)
         self.observation_count += 1
-        self._since_fit += 1
-        if self._refit is not None or (
-                self.cfg.optimize and self.size >= MIN_FIT_SIZE
-                and self._since_fit >= REFIT_STRIDE):
+        if self.cfg.optimize and self.observation_count == self.cfg.capacity:
             self.fit_hyperparams()
         else:
             self._refresh()
@@ -345,53 +335,37 @@ class GpWindowModel:
                                     QK.sum()])
 
     def fit_hyperparams(self) -> GpHyperparams:
-        """Run the next slice of the refit, at most SLICE_EVALS likelihood
-        evaluations, starting one if none is under way, and refresh the
-        window. A refit takes effect in the call where it ends, within
-        REFIT_STRIDE calls of the one that starts it."""
-        if self._refit is None:
-            if self.size < 2:
-                self._refresh()
-                return self.hyper
-            self._refit = self._refit_steps()
-            next(self._refit)  # up to the first evaluation
-            self._since_fit = 0
-        try:
-            for _ in range(SLICE_EVALS):
-                next(self._refit)
-        except StopIteration as done:
-            self._refit, self.hyper = None, done.value
-        self._refresh()
-        return self.hyper
-
-    def _refit_steps(self):
-        """A refit of (log l, log sigma_1^2) from the current values, within
-        the *_BOUNDS, of the window's terms as they are now: yields before
-        each likelihood evaluation, returns the GpHyperparams. sigma_2^2
-        stays at its configured value: the simulation is noise-free, and a
+        """Fit (log l, log sigma_1^2) to the current window by maximum
+        likelihood from the current values, within the *_BOUNDS, in at most
+        FIT_EVALS likelihood evaluations (a window of fewer than two keeps
+        them); refresh the window and return the hyperparameters. sigma_2^2
+        keeps its configured value: the simulation is noise-free, and a
         fitted noise level jitters the basis coefficients through the
         smoothed gain loop."""
-        terms, h = self._window_terms(), self.hyper
-        # the box in log space: lower bounds (l, sigma_1^2), then upper ones
-        lb, ub = zip(*(map(math.log, bounds)
-                       for bounds in (LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS)))
+        if self.size >= 2:
+            terms, h = self._window_terms(), self.hyper
+            # the box in log space: lower bounds (l, sigma_1^2), then upper ones
+            lb, ub = zip(*(map(math.log, bounds)
+                           for bounds in (LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS)))
 
-        def hyper_of(theta):
-            return GpHyperparams(math.exp(theta[0]), math.exp(theta[1]),
-                                 h.noise_variance)
+            def hyper_of(theta):
+                return GpHyperparams(math.exp(theta[0]), math.exp(theta[1]),
+                                     h.noise_variance)
 
-        def objective(theta):
-            val, g = self.log_marginal_likelihood(hyper_of(theta), terms)
-            g0, g1 = g.tolist()
-            return -val, (-g0, -g1)
+            def objective(theta):
+                val, g = self.log_marginal_likelihood(hyper_of(theta), terms)
+                g0, g1 = g.tolist()
+                return -val, (-g0, -g1)
 
-        theta = yield from _projected_bfgs(
-            objective, (math.log(h.length_scale), math.log(h.signal_variance)),
-            lb, ub, REFIT_STRIDE * SLICE_EVALS)
-        if theta is None:
-            logger.warning("hyperparameter fit failed; keeping previous values")
-            return h
-        return hyper_of(theta)
+            theta = _projected_bfgs(
+                objective, (math.log(h.length_scale), math.log(h.signal_variance)),
+                lb, ub, FIT_EVALS)
+            if theta is None:
+                logger.warning("hyperparameter fit failed; keeping previous values")
+            else:
+                self.hyper = hyper_of(theta)
+        self._refresh()
+        return self.hyper
 
 
 def _projected_bfgs(fun, x, lb, ub, max_evals, pgtol=1e-5, ftol=2.2e-9,
@@ -399,19 +373,17 @@ def _projected_bfgs(fun, x, lb, ub, max_evals, pgtol=1e-5, ftol=2.2e-9,
     """Minimize fun(x) -> (value, gradient) over pairs of floats x in the box
     [lb, ub] from x projected into it, in at most max_evals evaluations:
     damped BFGS on the coordinates no bound holds, backtracking projected
-    line search. Yields before each evaluation; returns the best point (only
-    a lower value moves it), or None if fun is not finite at x. Stops on a
-    projected gradient below pgtol, line_trials failed trials in one search,
-    or a relative decrease below ftol by a step along -gradient. Points,
-    gradients and steps are tuples and the Hessian estimate M is (m00, m01,
-    m11): at two parameters, numpy's per-call cost would exceed the
-    arithmetic."""
+    line search. Returns the best point (only a lower value moves it), or
+    None if fun is not finite at x. Stops on a projected gradient below
+    pgtol, line_trials failed trials in one search, or a relative decrease
+    below ftol by a step along -gradient. Points, gradients and steps are
+    tuples and the Hessian estimate M is (m00, m01, m11): at two
+    parameters, numpy's per-call cost would exceed the arithmetic."""
 
     def clip(p):
         return min(max(p[0], lb[0]), ub[0]), min(max(p[1], lb[1]), ub[1])
 
     x = clip(x)
-    yield
     f, g = fun(x)
     if not math.isfinite(f):
         return None
@@ -439,7 +411,6 @@ def _projected_bfgs(fun, x, lb, ub, max_evals, pgtol=1e-5, ftol=2.2e-9,
             xt = clip((x[0] + t * d[0], x[1] + t * d[1]))
             if evals == max_evals or xt == x:
                 return x
-            yield
             ft, gt = fun(xt)
             evals += 1
             s = (xt[0] - x[0], xt[1] - x[1])

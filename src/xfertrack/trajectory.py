@@ -109,8 +109,12 @@ def ingest_csv_trajectory(path, dt: float, time_column: str = "t",
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
         t_raw, y_raw = [], []
         for row in reader:
-            t_raw.append(float(row[time_column]))
-            y_raw.append(float(row[value_column]))
+            try:  # a short row leaves its missing fields None
+                t_raw.append(float(row[time_column]))
+                y_raw.append(float(row[value_column]))
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}: line {reader.line_num} needs a number in "
+                                 f"{time_column!r} and {value_column!r}") from None
     t = np.asarray(t_raw)
     y = np.asarray(y_raw)
     if t.size < 2:

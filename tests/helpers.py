@@ -51,17 +51,6 @@ def hyper_cfg(hyper: GpHyperparams, **settings) -> GpCfg:
                  noise_variance0=hyper.noise_variance, **settings)
 
 
-def complete_refit(gp) -> GpHyperparams:
-    """Call gp.fit_hyperparams until its refit ends, starting one if none
-    is under way: a whole refit, with no observe between its slices. The
-    hyperparameters it leaves."""
-    if gp._refit is None:
-        gp.fit_hyperparams()
-    while gp._refit is not None:
-        gp.fit_hyperparams()
-    return gp.hyper
-
-
 def random_stable_system(rng, n: int = 2) -> LtiSystem:
     """Random Schur-stable SISO system with a well-defined relative degree.
 

@@ -238,7 +238,7 @@ def test_bundled_report_digest_pinned(bench_report):
     # the full bundled comparison, MLP training included, is bit-identical
     # to the recorded run; a change that moves it must say so
     assert bench_report.digest() == (
-        "ccc05b0f09b45581d1421805b0c392afd977d2fabfcee3da175b367e1591ef9e")
+        "71609358e5b4d3f9f2a344479515db755819d031320584ebf3265976013211da")
 
 
 def test_bundled_strategies_digest_pinned(bench_report):
@@ -246,7 +246,7 @@ def test_bundled_strategies_digest_pinned(bench_report):
     # change to the config schema moves the report digest but not this one
     payload = bench.canonical_json(bench_report.strategies).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "7b6837fcc004ef2557962a61f6bbed81dd8428a43f3ea8f49a704d6e915a9de1")
+        "d351ff337eaae89b77b6f3502273406b9e1578e29b4d5751e7a60b968a303579")
 
 
 def test_online_improves_on_offline(bench_report):
@@ -283,11 +283,11 @@ def test_analytic_comparison_digests_pinned(tmp_path):
     # that moves these values updates them and says so
     rep = run_comparison(short_config(duration=4.0), out_dir=tmp_path)
     assert rep.digest() == (
-        "ffc08f60dc8eca14d298e643e023d06bbb6ed099c355c4c68be90ebda001429a")
+        "8120365a73802c9c4de6157758d49ccf810b6679cf8e0a9dc74eb492ca367c2d")
     csv_sha256 = {
         "baseline": "ba6f3fb88c73f14d896e1ca35636585f6df7cb7fc8604f46031e39456f4a0cd5",
         "offline": "014effe75b410a3f99bf7df3d93ee7d647a84279fff9b9e02946087fa669208f",
-        "online": "ccdde827b879c3af38a576467cdf42b984dad21caf49c43a3f104fe38fd4ac1e",
+        "online": "6ab0990636f711a7260f7de058e9cf72d80bd3bc2453bafe8bfe54656a097372",
     }
     for name, want in csv_sha256.items():
         data = (tmp_path / f"{name}_steps.csv").read_bytes()
@@ -295,9 +295,10 @@ def test_analytic_comparison_digests_pinned(tmp_path):
 
 
 def test_results_do_not_depend_on_blas_thread_count(tmp_path):
-    # a short analytic comparison with refits gives the same report and
-    # online step log with one OpenBLAS thread as with two: the GP calls
-    # no routine whose rounding depends on how the work is split
+    # a short analytic comparison, whose online run fits the GP
+    # hyperparameters when its window fills, gives the same report and
+    # online step log with one OpenBLAS thread as with two: the GP calls no
+    # routine whose rounding depends on how the work is split
     code = textwrap.dedent("""
         import sys
         from dataclasses import replace

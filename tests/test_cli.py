@@ -339,7 +339,7 @@ def test_out_of_range_mlp_section_is_config_error(tmp_path, capsys, field, value
     ("gain", dict(smoothing=1.0), "gain smoothing"),
     ("gain", dict(smoothing=-0.1), "gain smoothing"),
     ("gain", dict(smoothing=None), "gain smoothing must be a number"),
-    # keys the gp section dropped: the refit schedule is gp's constants
+    # keys the gp section dropped: there is no refit schedule to set
     ("gp", dict(max_fit_evals=0), "unexpected keyword argument 'max_fit_evals'"),
     ("gp", dict(max_fit_evals=-3), "unexpected keyword argument 'max_fit_evals'"),
     ("gp", dict(refit_stride=0), "unexpected keyword argument 'refit_stride'"),
@@ -443,6 +443,17 @@ def test_ingest_bad_dt_is_config_error(tmp_path, capsys, dt):
     code = main(["ingest", str(src), "--config", str(path)])
     assert code == EXIT_CONFIG
     assert "dt must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["0.5", "0.5,", "0.5,high"])
+def test_ingest_bad_row_is_config_error(tmp_path, capsys, row):
+    # a row without a value ("0.5") once escaped float(None) as a TypeError
+    src = tmp_path / "rows.csv"
+    src.write_text(f"t,yd\n0.0,0.0\n{row}\n1.0,1.0\n")
+    code = main(["ingest", str(src)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "line 3 needs a number" in err
 
 
 def test_ingest_missing_column(tmp_path, capsys):

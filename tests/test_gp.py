@@ -1,7 +1,6 @@
 """Sliding-window GP: kernel values, window bookkeeping, factorization,
 derivatives, hyperparameter fitting."""
 
-import contextlib
 import copy
 import math
 import os
@@ -18,11 +17,11 @@ from scipy.linalg.lapack import dpotrs
 import xfertrack
 from xfertrack.bench import default_benchmark_config, run_strategy
 from xfertrack import gp as gp_module
-from xfertrack.gp import (BASIS_PRIOR_VARIANCE, LENGTH_SCALE_BOUNDS,
-                          REFIT_STRIDE, SIGNAL_VARIANCE_BOUNDS, SLICE_EVALS,
-                          GpCfg, GpHyperparams, GpWindowModel, basis_features)
+from xfertrack.gp import (BASIS_PRIOR_VARIANCE, FIT_EVALS, LENGTH_SCALE_BOUNDS,
+                          SIGNAL_VARIANCE_BOUNDS, GpCfg, GpHyperparams,
+                          GpWindowModel, basis_features)
 
-from helpers import complete_refit, hyper_cfg, kernel, kernel_matrix
+from helpers import hyper_cfg, kernel, kernel_matrix
 
 
 def filled_model(rng, dim=3, n=15, **kwargs):
@@ -274,9 +273,10 @@ def test_mean_derivative_matches_finite_differences():
 
 def test_query_memo_never_stale():
     # predict and mean_derivative share k(xi, X) at a repeated query; after
-    # every observe (slides and refits included) and explicit refit, each
-    # result must equal a recomputation with the memo cleared, and the memo
-    # must hold kernel_matrix on the current window and hyperparameters
+    # every observe (slides and the fit at the fill included) and explicit
+    # fit, each result must equal a recomputation with the memo cleared, and
+    # the memo must hold kernel_matrix on the current window and
+    # hyperparameters
     rng = np.random.default_rng(3)
     gp = GpWindowModel(3, GpCfg(capacity=6))
     queries = [rng.standard_normal(3) for _ in range(3)]
@@ -430,10 +430,9 @@ def test_likelihood_gradient_matches_fourth_order_differences(n, monkeypatch):
         np.testing.assert_allclose(grad, fd, rtol=1e-8, atol=1e-8 * np.abs(grad).max())
 
 
-def test_refit_evaluates_the_window_it_started_on(monkeypatch):
-    # a refit evaluates the window it started on, while the live window
-    # slides on: each evaluation equals, bit for bit, a copy's taken when
-    # the refit started, at those hyperparameters
+def test_fit_evaluates_the_window_it_is_called_on(monkeypatch):
+    # each likelihood evaluation of a fit equals, bit for bit, a copy's
+    # evaluation of the window at those hyperparameters, taken before the fit
     calls = []
     lml = GpWindowModel.log_marginal_likelihood
 
@@ -445,13 +444,8 @@ def test_refit_evaluates_the_window_it_started_on(monkeypatch):
     rng = np.random.default_rng(14)
     gp = filled_model(rng, dim=2, noise_variance0=1e-4, length_scale0=1.3)
     live = copy.deepcopy(gp)
-    steps = gp._refit_steps()
     monkeypatch.setattr(GpWindowModel, "log_marginal_likelihood", recorded)
-    with contextlib.suppress(StopIteration):
-        while True:
-            next(steps)  # the next evaluation runs after this slide
-            xi = rng.standard_normal(2)
-            gp.observe(xi, float(np.sin(xi).sum()))
+    gp.fit_hyperparams()
     monkeypatch.undo()
     assert len(calls) >= 5
     for hyper, (val, grad) in calls:
@@ -461,8 +455,8 @@ def test_refit_evaluates_the_window_it_started_on(monkeypatch):
 
 def test_refit_factors_the_covariance_that_refresh_factors(monkeypatch):
     # one factorization path per window change: at the current
-    # hyperparameters, a refit's first evaluation factors the same C, bit
-    # for bit, as _refresh on the window the refit starts on
+    # hyperparameters, a fit's first evaluation factors the same C, bit for
+    # bit, as _refresh on the window the fit runs on
     factors = []
     factor = gp_module._factor
 
@@ -477,9 +471,7 @@ def test_refit_factors_the_covariance_that_refresh_factors(monkeypatch):
                           length_scale0=float(rng.uniform(0.3, 3.0)))
         factors.clear()
         gp._refresh()
-        steps = gp._refit_steps()
-        with contextlib.suppress(StopIteration):
-            next(steps), next(steps)  # up to and through the first evaluation
+        gp.fit_hyperparams()
         refreshed, evaluated = factors[:2]
         assert refreshed.jitter == evaluated.jitter
         assert refreshed.K.tobytes() == evaluated.K.tobytes()
@@ -487,11 +479,10 @@ def test_refit_factors_the_covariance_that_refresh_factors(monkeypatch):
 
 
 def test_fit_budget_stops_early_without_degrading(monkeypatch):
-    # REFIT_STRIDE * SLICE_EVALS is a hard cap on a refit's likelihood
-    # evaluations: at a stride of 2 the cap of 8 ends the fit there, well
-    # before one at the module's cap of 100. The objective depends on the
-    # coefficient centering, so the likelihoods compare at the one the fit
-    # used
+    # FIT_EVALS is a hard cap on a fit's likelihood evaluations: a cap of 8
+    # ends the fit there, well before one at the module's cap of 100. The
+    # objective depends on the coefficient centering, so the likelihoods
+    # compare at the one the fit used
     calls = []
     lml = GpWindowModel.log_marginal_likelihood
 
@@ -502,8 +493,8 @@ def test_fit_budget_stops_early_without_degrading(monkeypatch):
     monkeypatch.setattr(GpWindowModel, "log_marginal_likelihood", counted)
     for seed in range(4):
         evals = {}
-        for stride in (2, REFIT_STRIDE):
-            monkeypatch.setattr(gp_module, "REFIT_STRIDE", stride)
+        for cap in (8, FIT_EVALS):
+            monkeypatch.setattr(gp_module, "FIT_EVALS", cap)
             rng = np.random.default_rng(seed)
             gp = GpWindowModel(2, GpCfg(capacity=15, optimize=False,
                                         length_scale0=1.0, noise_variance0=1e-4))
@@ -513,18 +504,18 @@ def test_fit_budget_stops_early_without_degrading(monkeypatch):
             center = gp._beta
             before = gp.log_marginal_likelihood(gp.hyper)[0]
             calls.clear()
-            complete_refit(gp)
-            evals[stride] = len(calls)
+            gp.fit_hyperparams()
+            evals[cap] = len(calls)
             gp._beta = center
             assert gp.log_marginal_likelihood(gp.hyper)[0] >= before - 1e-9
-        assert evals[2] <= 2 * SLICE_EVALS < evals[REFIT_STRIDE]
+        assert evals[8] <= 8 < evals[FIT_EVALS]
 
 
 def test_refit_evaluates_each_point_once(monkeypatch):
     # the optimizer evaluates the start once and never repeats a trial
-    # point (steps that round away end the fit), and each slice of a refit
-    # refreshes the window exactly once: the factor and coefficients it
-    # leaves are bit for bit those of one refresh from the prior mean
+    # point (steps that round away end the fit), and a fit refreshes the
+    # window exactly once: the factor and coefficients it leaves are bit
+    # for bit those of one refresh from the prior mean
     points = []
     lml = GpWindowModel.log_marginal_likelihood
 
@@ -543,17 +534,14 @@ def test_refit_evaluates_each_point_once(monkeypatch):
             x = 0.9 * x + 0.05 * rng.standard_normal(d)
             gp.observe(x, float(np.sin(x).sum()))
         points.clear()
-        while True:
-            center = gp._beta  # the prior mean the slice refreshes from
-            gp.fit_hyperparams()
-            L, jitter, beta = gp._cache.L, gp.jitter, gp._beta
-            gp._beta = center
-            gp._refresh()
-            assert L.tobytes() == gp._cache.L.tobytes()
-            assert jitter == gp.jitter
-            assert beta.tobytes() == gp._beta.tobytes()
-            if gp._refit is None:
-                break
+        center = gp._beta  # the prior mean the fit refreshes from
+        gp.fit_hyperparams()
+        L, jitter, beta = gp._cache.L, gp.jitter, gp._beta
+        gp._beta = center
+        gp._refresh()
+        assert L.tobytes() == gp._cache.L.tobytes()
+        assert jitter == gp.jitter
+        assert beta.tobytes() == gp._beta.tobytes()
         assert points and len(set(points)) == len(points)
 
 
@@ -570,48 +558,53 @@ def test_optimizer_never_degrades_likelihood():
             gp.observe(xi, float(np.cos(xi[0]) + 0.3 * xi[1]))
         center = gp._beta
         before = gp.log_marginal_likelihood(gp.hyper)[0]
-        complete_refit(gp)
+        gp.fit_hyperparams()
         gp._beta = center
         assert gp.log_marginal_likelihood(gp.hyper)[0] >= before - 1e-9
 
 
-def _evaluations_per_observe(monkeypatch):
-    """Patch GpWindowModel so that each observe appends the number of
-    likelihood evaluations it made, those of a refit included, to a list."""
-    per_observe, calls = [], []
-    lml, observe = GpWindowModel.log_marginal_likelihood, GpWindowModel.observe
+def test_bundled_run_fits_once_on_the_fill(monkeypatch):
+    # on the 4 s bundled analytic online run, fit_hyperparams runs once, in
+    # the observe that fills the window, within FIT_EVALS likelihood calls;
+    # the starting hyperparameters hold before it and its result after it
+    fits, evals, windows = [], [], []
+    lml, fit, observe = (GpWindowModel.log_marginal_likelihood,
+                         GpWindowModel.fit_hyperparams, GpWindowModel.observe)
 
     def counted_lml(self, *args, **kwargs):
-        calls.append(1)
+        evals.append(1)
         return lml(self, *args, **kwargs)
 
-    def counted_observe(self, *args, **kwargs):
-        calls.clear()
+    def counted_fit(self):
+        evals.clear()
+        out = fit(self)
+        fits.append((self.observation_count, len(evals)))
+        return out
+
+    def recorded_observe(self, *args, **kwargs):
         out = observe(self, *args, **kwargs)
-        per_observe.append(len(calls))
+        windows.append((self.observation_count, self.hyper))
         return out
 
     monkeypatch.setattr(GpWindowModel, "log_marginal_likelihood", counted_lml)
-    monkeypatch.setattr(GpWindowModel, "observe", counted_observe)
-    return per_observe
-
-
-def test_sliced_refit_bounds_evaluations_per_observe_on_bundled_run(monkeypatch):
-    # the deadline proxy that does not depend on the host: no control step
-    # runs more than SLICE_EVALS = 4 evaluations, and refits that need more
-    # go on in the next observe
-    per_observe = _evaluations_per_observe(monkeypatch)
+    monkeypatch.setattr(GpWindowModel, "fit_hyperparams", counted_fit)
+    monkeypatch.setattr(GpWindowModel, "observe", recorded_observe)
     cfg = default_benchmark_config(inverse_mode="analytic")
     cfg = replace(cfg, trajectory=replace(cfg.trajectory, duration_s=4.0))
-    assert SLICE_EVALS == 4
     assert not run_strategy(cfg, "online").aborted
-    assert max(per_observe) == 4
-    assert any(a == 4 and b > 0 for a, b in zip(per_observe, per_observe[1:]))
+    capacity = cfg.gp.capacity
+    assert [count for count, _ in fits] == [capacity]
+    assert 0 < fits[0][1] <= FIT_EVALS
+    before = {hyper for count, hyper in windows if count < capacity}
+    after = {hyper for count, hyper in windows if count >= capacity}
+    assert before == {cfg.gp.hyper0}
+    assert len(after) == 1 and after != before
+    assert len(windows) > 2000
 
 
 def test_every_requested_evaluation_is_a_counted_likelihood_call(monkeypatch):
     # perfbench's gp.lml_evals counts calls to
-    # GpWindowModel.log_marginal_likelihood; it counts the refit's work only
+    # GpWindowModel.log_marginal_likelihood; it counts the fit's work only
     # while each evaluation the optimizer requests is one such call
     requested, counted = [], []
     optimizer, lml = gp_module._projected_bfgs, GpWindowModel.log_marginal_likelihood
@@ -620,7 +613,7 @@ def test_every_requested_evaluation_is_a_counted_likelihood_call(monkeypatch):
         def counted_fun(x):
             requested.append(1)
             return fun(x)
-        return (yield from optimizer(counted_fun, *args, **kwargs))
+        return optimizer(counted_fun, *args, **kwargs)
 
     def counted_lml(self, *args, **kwargs):
         counted.append(1)
@@ -628,18 +621,18 @@ def test_every_requested_evaluation_is_a_counted_likelihood_call(monkeypatch):
 
     monkeypatch.setattr(gp_module, "_projected_bfgs", counting_optimizer)
     monkeypatch.setattr(GpWindowModel, "log_marginal_likelihood", counted_lml)
-    cfg = default_benchmark_config(inverse_mode="analytic")
-    cfg = replace(cfg, trajectory=replace(cfg.trajectory, duration_s=4.0))
-    assert not run_strategy(cfg, "online").aborted
-    assert len(requested) == len(counted) > 100
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        gp = filled_model(rng, dim=int(rng.integers(1, 4)), noise_variance0=1e-4)
+        gp.fit_hyperparams()
+    assert len(requested) == len(counted) > 8 * 5
 
 
-def test_sliced_refit_bounds_evaluations_per_observe(monkeypatch):
-    # on windows of varied dimension, size, noise and data, and with refits
-    # asked for between observes too, no fit_hyperparams call runs more than
-    # SLICE_EVALS = 4 likelihood evaluations and no refit more than
-    # REFIT_STRIDE * SLICE_EVALS = 100
-    calls, per_call, per_refit = [], [], []
+def test_fits_stay_within_the_evaluation_cap(monkeypatch):
+    # on windows of varied dimension, size, noise and data, with fits asked
+    # for between observes too, no fit_hyperparams call runs more than
+    # FIT_EVALS likelihood evaluations, and observes call it only at the fill
+    calls, per_fit = [], []
     lml, fit = GpWindowModel.log_marginal_likelihood, GpWindowModel.fit_hyperparams
 
     def counted_lml(self, *args, **kwargs):
@@ -647,55 +640,60 @@ def test_sliced_refit_bounds_evaluations_per_observe(monkeypatch):
         return lml(self, *args, **kwargs)
 
     def counted_fit(self):
-        if self._refit is None:
-            per_refit.append(0)
         calls.clear()
         out = fit(self)
-        per_call.append(len(calls))
-        per_refit[-1] += len(calls)
+        per_fit.append((self.observation_count, len(calls)))
         return out
 
     monkeypatch.setattr(GpWindowModel, "log_marginal_likelihood", counted_lml)
     monkeypatch.setattr(GpWindowModel, "fit_hyperparams", counted_fit)
     rng = np.random.default_rng(43)
     for trial in range(8):
-        d = int(rng.integers(1, 5))
-        gp = GpWindowModel(d, GpCfg(capacity=int(rng.integers(5, 41)),
+        d, capacity = int(rng.integers(1, 5)), int(rng.integers(5, 41))
+        gp = GpWindowModel(d, GpCfg(capacity=capacity,
                                     noise_variance0=float(10 ** rng.uniform(-8, -2))))
-        x, freq = rng.standard_normal(d), rng.uniform(0.5, 4.0)
+        x, freq, asked = rng.standard_normal(d), rng.uniform(0.5, 4.0), []
+        per_fit.clear()
         for _ in range(200):
             x = 0.9 * x + 0.3 * rng.standard_normal(d)
             gp.observe(x, float(np.sin(freq * x).sum()))
             if rng.random() < 0.05:
+                asked.append(gp.observation_count)
                 gp.fit_hyperparams()
-    assert max(per_call) == SLICE_EVALS
-    assert max(per_refit) <= REFIT_STRIDE * SLICE_EVALS
-    assert max(per_refit) > 2 * SLICE_EVALS  # refits span several slices
+        assert sorted([capacity] + asked) == [count for count, _ in per_fit]
+        assert 0 < max(n for _, n in per_fit) <= FIT_EVALS
 
 
-def test_sliced_refit_applies_the_fit_of_its_frozen_window():
-    # a refit spread over the observes that follow the one that starts it
-    # ends with the hyperparameters, bit for bit, that a copy taken just
-    # before that observe reaches when it makes the same observe and then
-    # calls fit_hyperparams with no observe in between; until then the old
-    # ones hold
+def test_fill_observe_applies_the_fit_of_its_window():
+    # the observe that fills the window leaves, bit for bit, the
+    # hyperparameters, factor and coefficients that fit_hyperparams leaves
+    # on a copy that makes the same observe without fitting, from the
+    # coefficients before it; the fitted values then hold
     rng = np.random.default_rng(21)
-    gp = GpWindowModel(2, GpCfg(capacity=15, noise_variance0=1e-4))
-    want, applied = None, 0
-    x = rng.standard_normal(2)
-    for _ in range(600):
+    for trial in range(6):
+        capacity = int(rng.integers(5, 31))
+        gp = GpWindowModel(2, GpCfg(capacity=capacity, noise_variance0=1e-4))
+        x = rng.standard_normal(2)
+        for _ in range(capacity - 1):
+            x = 0.9 * x + 0.3 * rng.standard_normal(2)
+            gp.observe(x, float(np.sin(3 * x).sum()))
+        assert gp.hyper == gp.cfg.hyper0
         x = 0.9 * x + 0.3 * rng.standard_normal(2)
         e = float(np.sin(3 * x).sum())
-        before, hyper = copy.deepcopy(gp) if gp._refit is None else None, gp.hyper
+        twin = copy.deepcopy(gp)
+        twin.cfg = replace(twin.cfg, optimize=False)
+        center = twin._beta
+        twin.observe(x, e)
+        twin._beta = center
+        want = twin.fit_hyperparams()
         gp.observe(x, e)
-        if gp._refit is not None:
-            if gp._since_fit == 0:  # a refit started in this observe
-                want = complete_refit(before.observe(x, e))
-            assert gp.hyper == hyper
-        elif want is not None:
+        assert gp.hyper == want != gp.cfg.hyper0
+        assert gp._cache.L.tobytes() == twin._cache.L.tobytes()
+        assert gp._beta.tobytes() == twin._beta.tobytes()
+        for _ in range(100):
+            x = 0.9 * x + 0.3 * rng.standard_normal(2)
+            gp.observe(x, float(np.sin(3 * x).sum()))
             assert gp.hyper == want
-            want, applied = None, applied + 1
-    assert applied >= 20
 
 
 def _scipy_fit(gp) -> float:
@@ -714,7 +712,7 @@ def _scipy_fit(gp) -> float:
 
     t0 = np.log([h.length_scale, h.signal_variance])
     res = minimize(objective, t0, jac=True, method="L-BFGS-B", bounds=bounds,
-                   options={"maxfun": REFIT_STRIDE * SLICE_EVALS})
+                   options={"maxfun": FIT_EVALS})
     return gp.log_marginal_likelihood(hyper_of(res.x))[0]
 
 
@@ -737,7 +735,7 @@ def test_optimizer_reaches_scipy_lbfgsb_likelihood():
             gp.observe(x, float(np.sin(2 * x).sum() + 0.01 * rng.standard_normal()))
         frozen = copy.deepcopy(gp)
         best = _scipy_fit(frozen)
-        complete_refit(gp)
+        gp.fit_hyperparams()
         got, grad = frozen.log_marginal_likelihood(gp.hyper)
         gains.append(got - best)
         if got < best - 2e-3:
@@ -748,13 +746,19 @@ def test_optimizer_reaches_scipy_lbfgsb_likelihood():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # the refit has its own optimizer and stability imports linprog where
-    # it is used, so importing the package does not pay for scipy.optimize
-    code = "import sys, xfertrack; print('scipy.optimize' in sys.modules)"
+    # the fit has its own optimizer and stability imports linprog where it
+    # is used, so neither importing the package nor the fit at the observe
+    # that fills a window pays for scipy.optimize
+    code = ("import sys, xfertrack\n"
+            "from xfertrack.gp import GpCfg, GpWindowModel\n"
+            "gp = GpWindowModel(1, GpCfg(capacity=5))\n"
+            "for k in range(5):\n"
+            "    gp.observe([0.5 * k], float(k % 2))\n"
+            "print(gp.hyper != gp.cfg.hyper0, 'scipy.optimize' in sys.modules)")
     src = str(Path(xfertrack.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["True", "False"]
 
 
 def test_length_scale_recovery_from_synthetic_data():
@@ -771,7 +775,7 @@ def test_length_scale_recovery_from_synthetic_data():
                                     length_scale0=1.0, noise_variance0=1e-8))
         for xi, e in zip(X, y):
             gp.observe(xi, float(e))
-        complete_refit(gp)
+        gp.fit_hyperparams()
         assert 1.0 <= gp.hyper.length_scale <= 3.0
 
 
