@@ -17,7 +17,7 @@ from .control import (EstimatedGain, FixedGain, StepLog, TransferController,
                       track_trajectory)
 from .gp import GpCfg, GpWindowModel
 from .inverse import (AnalyticInverse, InverseDataset, TrainingConfig,
-                      build_inverse_dataset, train_mlp)
+                      TrainingDiverged, build_inverse_dataset, train_mlp)
 from .systems import (LtiSystem, SimulationDiverged, finite_number, simulate,
                       whole_number)
 from .trajectory import (SinusoidTrajectory, ingest_csv_trajectory,
@@ -57,8 +57,6 @@ class TrajectoryCfg:
     dt: float = 1.5e-3
     duration_s: float = 48.0
     csv_path: str | None = None
-    time_column: str = "t"
-    value_column: str = "yd"
 
     def build(self):
         if not (finite_number(self.dt) and self.dt > 0):
@@ -91,9 +89,7 @@ class TrajectoryCfg:
         if self.kind == "csv":
             if not self.csv_path:
                 raise ConfigError("csv trajectory needs csv_path")
-            return ingest_csv_trajectory(self.csv_path, dt=self.dt,
-                                         time_column=self.time_column,
-                                         value_column=self.value_column)
+            return ingest_csv_trajectory(self.csv_path, dt=self.dt)
         raise ConfigError(f"unknown trajectory kind {self.kind!r}")
 
 
@@ -148,6 +144,9 @@ class BenchConfig:
         except (TypeError, ValueError) as err:
             raise ConfigError("sweep_alphas must be a list of finite gains, "
                               f"got {self.sweep_alphas!r}") from err
+        # Python floats, so an array given in code writes and digests as a list
+        self.x0 = None if self.x0 is None else [float(v) for v in self.x0]
+        self.sweep_alphas = [float(alpha) for alpha in self.sweep_alphas]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -357,8 +356,10 @@ class RunReport:
     mlp_validation_rmse: float | None
     wall_time_s: float
     log_paths: dict
-    # in-memory step logs by strategy; not part of payload() or digest()
+    # in-memory step logs by strategy, and the divergence of the excitation
+    # rollout or MLP training, if any; not part of payload() or digest()
     logs: dict = field(default_factory=dict, repr=False)
+    inverse_error: Exception | None = field(default=None, repr=False)
 
     def payload(self, include_volatile: bool = True) -> dict:
         body = {
@@ -381,14 +382,20 @@ class RunReport:
 
 def run_comparison(cfg: BenchConfig, out_dir=None) -> RunReport:
     """Run the baseline, offline and online strategies on the same
-    trajectory and initial state. A divergence aborts only the strategy
-    it occurred in."""
+    trajectory and initial state. A divergence aborts only the strategy it
+    occurred in, or, while building the inverse, offline and online."""
     t0 = time.perf_counter()
     runs = {"baseline": run_strategy(cfg, "baseline")}
-    inverse = make_inverse(cfg, cfg.source.build())
+    inverse = inverse_error = None
+    try:
+        inverse = make_inverse(cfg, cfg.source.build())
+    except (SimulationDiverged, TrainingDiverged) as err:
+        inverse_error = err
     val_rmse = getattr(inverse, "validation_rmse", None)
     for strat in ("offline", "online"):
-        runs[strat] = run_strategy(cfg, strat, inverse=inverse)
+        runs[strat] = (run_strategy(cfg, strat, inverse=inverse) if inverse_error is None
+                       else StrategyResult(strat, None, None, aborted=True,
+                                           abort_step=None, steps=runs["baseline"].steps))
     results = {}
     log_paths = {}
     logs = {}
@@ -402,7 +409,7 @@ def run_comparison(cfg: BenchConfig, out_dir=None) -> RunReport:
     report = RunReport(config=cfg.to_dict(), seed=cfg.seed, strategies=results,
                        mlp_validation_rmse=val_rmse,
                        wall_time_s=time.perf_counter() - t0, log_paths=log_paths,
-                       logs=logs)
+                       logs=logs, inverse_error=inverse_error)
     if out_dir is not None:
         write_json(out_dir, "report.json", report.payload())
     return report

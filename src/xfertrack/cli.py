@@ -73,6 +73,8 @@ def cmd_compare(args) -> int:
     rows += [(s["name"], s["rms_tracking"], s["rms_prediction"], s["aborted"])
              for s in report.strategies.values()]
     _emit(report.payload(), args, rows=rows)
+    if report.inverse_error is not None:
+        raise report.inverse_error  # main names it on stderr and exits 3
     if any(s["aborted"] for s in report.strategies.values()):
         return EXIT_DIVERGED
     return EXIT_OK

@@ -65,14 +65,12 @@ class GpHyperparams:
 @dataclass
 class GpCfg:
     """Settings of a GpWindowModel and the `gp` section of a benchmark
-    config, checked here once. length_scale0 and signal_variance0 start
-    the GpHyperparams; with optimize on, the observe that fills the window
-    replaces them by one fit on that window, and they hold from then on."""
+    config, checked here once. The model starts from GpHyperparams' length
+    scale and signal variance of 1.0; with optimize on, the observe that
+    fills the window replaces them by one fit, and they hold from then on."""
 
     capacity: int = 15                  # window size N
     optimize: bool = True               # fit the hyperparameters at the fill
-    length_scale0: float = GpHyperparams.length_scale
-    signal_variance0: float = GpHyperparams.signal_variance
     noise_variance0: float = GpHyperparams.noise_variance  # sigma_2^2, never fitted
 
     def __post_init__(self):
@@ -80,19 +78,14 @@ class GpCfg:
             raise ValueError(f"optimize must be true or false, got {self.optimize!r}")
         if not whole_number(self.capacity):
             raise ValueError(f"capacity must be a whole number >= 1, got {self.capacity!r}")
-        for name, least in (("length_scale0", "positive"),
-                            ("signal_variance0", "positive"),
-                            ("noise_variance0", "nonnegative")):
-            value = getattr(self, name)
-            if not (finite_number(value)
-                    and (value > 0 or (value == 0 and least == "nonnegative"))):
-                raise ValueError(f"{name} must be {least} and finite, got {value!r}")
+        if not (finite_number(self.noise_variance0) and self.noise_variance0 >= 0):
+            raise ValueError("noise_variance0 must be nonnegative and finite, "
+                             f"got {self.noise_variance0!r}")
 
     @property
     def hyper0(self) -> GpHyperparams:
         """The starting hyperparameters."""
-        return GpHyperparams(self.length_scale0, self.signal_variance0,
-                             self.noise_variance0)
+        return GpHyperparams(noise_variance=self.noise_variance0)
 
 
 def _sq_dist(X, nx, Z, nz) -> np.ndarray:

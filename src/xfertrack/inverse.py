@@ -7,7 +7,7 @@ output r steps ahead on the system they were derived from.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +16,13 @@ from .systems import EPS_GAIN, finite_number, whole_number
 logger = logging.getLogger(__name__)
 
 SERIAL_FORMAT = "xfertrack-mlp-v1"
+# train_mlp's recipe: hidden layer sizes, Adam minibatch and step sizes, the
+# share of samples held out for validation, and the plateau that stops it
+HIDDEN = (20, 20)
+BATCH_SIZE = 64
+LEARNING_RATE = 1e-3
+VAL_FRACTION = 0.1
+PATIENCE = 50
 # relative improvement of the best validation MSE below which an epoch
 # counts toward the early-stopping plateau
 MIN_REL_IMPROVEMENT = 1e-3
@@ -214,37 +221,25 @@ class MlpInverseModel:
 
 @dataclass
 class TrainingConfig:
-    """The MLP inverse recipe: network, optimizer and early stopping for
-    train_mlp, plus the excitation data build_training_dataset records."""
+    """The `mlp` section: train_mlp's epoch budget and the excitation data
+    build_training_dataset records. The rest of the recipe is the module
+    constants HIDDEN, BATCH_SIZE, LEARNING_RATE, VAL_FRACTION and PATIENCE."""
 
-    hidden: list = field(default_factory=lambda: [20, 20])
     epochs: int = 2000
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    val_fraction: float = 0.1
-    patience: int = 50
     train_duration_s: float = 40.0  # length of each excitation run
     subsample: int = 10             # stride over each run's training pairs
 
     def __post_init__(self):
-        # counts are stored as ints: training uses them as range bounds,
-        # slice steps and array shapes, where 2.0 fails as surely as 2.5
-        for name in ("epochs", "batch_size", "patience", "subsample"):
+        # counts are stored as ints: training uses them as range bounds and
+        # slice steps, where 2.0 fails as surely as 2.5
+        for name in ("epochs", "subsample"):
             value = getattr(self, name)
             if not whole_number(value):
                 raise ValueError(f"mlp.{name} must be a whole number >= 1, got {value!r}")
             setattr(self, name, int(value))
-        if not (isinstance(self.hidden, (list, tuple))
-                and all(map(whole_number, self.hidden))):
-            raise ValueError(f"mlp.hidden must be layer sizes that are whole "
-                             f"numbers >= 1, got {self.hidden!r}")
-        self.hidden = [int(size) for size in self.hidden]
-        if not (finite_number(self.val_fraction) and 0 < self.val_fraction < 1):
-            raise ValueError(f"mlp.val_fraction must be in (0, 1), got {self.val_fraction!r}")
-        for name in ("learning_rate", "train_duration_s"):
-            value = getattr(self, name)
-            if not (finite_number(value) and value > 0):
-                raise ValueError(f"mlp.{name} must be positive and finite, got {value!r}")
+        if not (finite_number(self.train_duration_s) and self.train_duration_s > 0):
+            raise ValueError("mlp.train_duration_s must be positive and finite, "
+                             f"got {self.train_duration_s!r}")
 
 
 def init_mlp(model: MlpInverseModel, rng) -> np.ndarray:
@@ -269,7 +264,7 @@ def train_mlp(dataset: InverseDataset, config: TrainingConfig | None = None,
     rng = np.random.default_rng(seed)
 
     perm = rng.permutation(len(dataset))
-    n_val = max(1, int(round(cfg.val_fraction * len(dataset))))
+    n_val = max(1, int(round(VAL_FRACTION * len(dataset))))
     if len(dataset) < 2:
         raise ValueError("need at least two samples to hold out validation data")
     val_idx, train_idx = perm[:n_val], perm[n_val:]
@@ -284,7 +279,7 @@ def train_mlp(dataset: InverseDataset, config: TrainingConfig | None = None,
     if out_std < 1e-12:
         out_std = 1.0
 
-    sizes = [dataset.inputs.shape[1], *cfg.hidden, 1]
+    sizes = [dataset.inputs.shape[1], *HIDDEN, 1]
     model = MlpInverseModel(sizes, in_mean, in_std, out_mean, out_std)
     init_mlp(model, rng)
 
@@ -309,8 +304,8 @@ def train_mlp(dataset: InverseDataset, config: TrainingConfig | None = None,
         epochs_run = epoch + 1
         order = rng.permutation(n_train)
         X_ep, y_ep = Xn_tr[order], yn_tr[order]
-        for start in range(0, n_train, cfg.batch_size):
-            stop = start + cfg.batch_size
+        for start in range(0, n_train, BATCH_SIZE):
+            stop = start + BATCH_SIZE
             loss, grad = model.loss_and_grads(X_ep[start:stop], y_ep[start:stop])
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch)
@@ -319,7 +314,7 @@ def train_mlp(dataset: InverseDataset, config: TrainingConfig | None = None,
             v = b2 * v + (1 - b2) * grad * grad
             mhat = m / (1 - b1 ** t)
             vhat = v / (1 - b2 ** t)
-            model.params -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
+            model.params -= LEARNING_RATE * mhat / (np.sqrt(vhat) + eps)
         val_mse = float(np.mean((model.forward(Xn_va) - yn_va) ** 2))
         if not np.isfinite(val_mse):
             raise TrainingDiverged(epoch)
@@ -330,7 +325,7 @@ def train_mlp(dataset: InverseDataset, config: TrainingConfig | None = None,
         if val_mse < best_val:
             best_val = val_mse
             best_params = model.params.copy()
-        if wait >= cfg.patience:
+        if wait >= PATIENCE:
             break
 
     model.params[...] = best_params  # in place, so weights and biases stay views

@@ -91,9 +91,9 @@ def training_references(dt: float, duration: float):
     return refs
 
 
-def ingest_csv_trajectory(path, dt: float, time_column: str = "t",
-                          value_column: str = "yd") -> SampledTrajectory:
-    """Load a header CSV of (time, desired output), resample to a dt grid.
+def ingest_csv_trajectory(path, dt: float) -> SampledTrajectory:
+    """Load a CSV with the header t,yd (time, desired output), the form
+    `xfertrack ingest` writes, and resample it to a dt grid.
 
     Time must be strictly increasing and all values finite. Resampling is
     linear interpolation with endpoints clamped.
@@ -104,17 +104,17 @@ def ingest_csv_trajectory(path, dt: float, time_column: str = "t",
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file")
-        missing = {time_column, value_column} - set(reader.fieldnames)
+        missing = {"t", "yd"} - set(reader.fieldnames)
         if missing:
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
         t_raw, y_raw = [], []
         for row in reader:
             try:  # a short row leaves its missing fields None
-                t_raw.append(float(row[time_column]))
-                y_raw.append(float(row[value_column]))
+                t_raw.append(float(row["t"]))
+                y_raw.append(float(row["yd"]))
             except (TypeError, ValueError):
                 raise ValueError(f"{path}: line {reader.line_num} needs a number in "
-                                 f"{time_column!r} and {value_column!r}") from None
+                                 "'t' and 'yd'") from None
     t = np.asarray(t_raw)
     y = np.asarray(y_raw)
     if t.size < 2:

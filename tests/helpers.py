@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from xfertrack.control import StepLog
-from xfertrack.gp import GpCfg, GpHyperparams
+from xfertrack.gp import GpCfg, GpHyperparams, GpWindowModel
 from xfertrack.systems import LtiSystem
 from xfertrack.trajectory import SinusoidTrajectory
 
@@ -17,6 +17,18 @@ SOURCE_C = [-0.2, 1.0]
 TARGET_A = [[0.0, 1.0], [-0.24, 1.0]]
 TARGET_B = [0.0, 1.0]
 TARGET_C = [-0.1, 1.0]
+
+
+# config keys that became module constants, each with the value it always
+# had: the mlp recipe (inverse.HIDDEN, BATCH_SIZE, LEARNING_RATE,
+# VAL_FRACTION, PATIENCE), the GP's starting GpHyperparams and the t,yd
+# header of a CSV trajectory; a config that sets one is a config error
+REMOVED_CONFIG_KEYS = [
+    ("mlp", "hidden", [20, 20]), ("mlp", "batch_size", 64),
+    ("mlp", "learning_rate", 1e-3), ("mlp", "val_fraction", 0.1),
+    ("mlp", "patience", 50), ("gp", "length_scale0", 1.0),
+    ("gp", "signal_variance0", 1.0), ("trajectory", "time_column", "t"),
+    ("trajectory", "value_column", "yd")]
 
 
 def source_system() -> LtiSystem:
@@ -44,11 +56,13 @@ def reference_trajectory(dt: float = 1.5e-3,
     )
 
 
-def hyper_cfg(hyper: GpHyperparams, **settings) -> GpCfg:
-    """GP settings whose starting hyperparameters are hyper."""
-    return GpCfg(length_scale0=hyper.length_scale,
-                 signal_variance0=hyper.signal_variance,
-                 noise_variance0=hyper.noise_variance, **settings)
+def hyper_model(dim: int, hyper: GpHyperparams, **settings) -> GpWindowModel:
+    """A GpWindowModel that starts from hyper: the config carries its noise
+    variance, and the length scale and signal variance, which have no config
+    field, are set before the first observe."""
+    gp = GpWindowModel(dim, GpCfg(noise_variance0=hyper.noise_variance, **settings))
+    gp.hyper = hyper
+    return gp
 
 
 def random_stable_system(rng, n: int = 2) -> LtiSystem:

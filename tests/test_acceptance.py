@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from xfertrack import inverse
 from xfertrack.bench import run_comparison
 from xfertrack.control import (EstimatedGain, TransferController,
                                track_trajectory)
@@ -30,7 +31,7 @@ from xfertrack.stability import (assemble_budget, fit_prediction_budget,
                                  lemma1_check, similarity)
 
 from conftest import record_criterion
-from helpers import (AffineErrorOracle, hyper_cfg, kernel, random_stable_system,
+from helpers import (AffineErrorOracle, hyper_model, kernel, random_stable_system,
                      reference_trajectory, source_system, target_system)
 
 BASELINE_RMS = 3.97
@@ -166,7 +167,7 @@ def test_criterion_6_boundedness_condition(bench_config, bench_report):
     assert not unbounded_certified, unbounded_certified
 
 
-def test_criterion_7_property_suites(bench_config):
+def test_criterion_7_property_suites(bench_config, monkeypatch):
     checks = []
 
     src, tgt = source_system(), target_system()
@@ -185,8 +186,7 @@ def test_criterion_7_property_suites(bench_config):
                    gp._X[:, 0].tolist() == list(range(25, 40))))
 
     rng = np.random.default_rng(3)
-    gp = GpWindowModel(3, GpCfg(capacity=15, optimize=False, length_scale0=1.4,
-                                signal_variance0=0.9, noise_variance0=1e-5))
+    gp = hyper_model(3, GpHyperparams(1.4, 0.9, 1e-5), capacity=15, optimize=False)
     for _ in range(15):
         gp.observe(rng.standard_normal(3), float(rng.standard_normal()))
     X = gp._X
@@ -208,7 +208,7 @@ def test_criterion_7_property_suites(bench_config):
             length_scale=float(rng.uniform(0.5, 3.0)),
             signal_variance=float(rng.uniform(0.3, 3.0)),
             noise_variance=float(rng.uniform(1e-6, 1e-3)))
-        gp = GpWindowModel(d, hyper_cfg(hyper, capacity=16, optimize=False))
+        gp = hyper_model(d, hyper, capacity=16, optimize=False)
         for _ in range(n):
             gp.observe(rng.standard_normal(d), float(rng.standard_normal()))
         q = rng.standard_normal(d)
@@ -226,8 +226,9 @@ def test_criterion_7_property_suites(bench_config):
     rng = np.random.default_rng(6)
     X = rng.standard_normal((6, 2))
     y = rng.standard_normal(6)
-    model = train_mlp(InverseDataset(inputs=X, labels=y),
-                      TrainingConfig(hidden=(3, 2), epochs=1, batch_size=6),
+    monkeypatch.setattr(inverse, "HIDDEN", (3, 2))
+    monkeypatch.setattr(inverse, "BATCH_SIZE", 6)
+    model = train_mlp(InverseDataset(inputs=X, labels=y), TrainingConfig(epochs=1),
                       seed=0)
     Xn = model.normalize(X)
     yn = (y - model.out_mean) / model.out_std

@@ -2,6 +2,7 @@
 reproducible reports, and the gain sweep."""
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ import yaml
 
 import xfertrack
 from xfertrack import bench
+from xfertrack import gp as gp_module
 from xfertrack.bench import (BenchConfig, ConfigError, GpCfg, SystemCfg,
                              TrajectoryCfg, alpha_sweep,
                              build_training_dataset, config_digest,
@@ -58,9 +60,9 @@ def test_bundled_config_digests_pinned():
     # every report's config section hashes to these; a renamed, added or
     # dropped config field changes them
     assert config_digest(default_benchmark_config()) == (
-        "57c911fee54371a71ea151631a65f49ada5b03abfacb6955428e1128112e86a3")
+        "14b3c2a7c81b89a854e359dd296513ceec0f33f89900346af7b6464099b4f198")
     assert config_digest(default_benchmark_config(inverse_mode="analytic")) == (
-        "2fab1b7e4bf643c619c6c9601575a597b8f753feb68c4e2c66674a1fcbc2d793")
+        "ebe768a83d56c54fe1f33061a8aa6a52045a973f2ac9c0809d98a69480345454")
 
 
 def test_all_defaults_config_digest_pinned():
@@ -68,7 +70,7 @@ def test_all_defaults_config_digest_pinned():
     # smoothing, ...) are pinned here
     b = default_benchmark_config()
     assert config_digest(BenchConfig(source=b.source, target=b.target)) == (
-        "2c97595b234a663fdb64d9030e94102c4290326afc536cecd6bfc916a882798e")
+        "558b72247d3fed1e800ebf7e199c4f2ebb601963030d539be041e9cdd2412caf")
 
 
 def test_excitation_dataset_pinned():
@@ -158,6 +160,10 @@ def test_gp_capacity_validated():
     ("length_scale0", math.nan), ("signal_variance0", math.inf),
     ("noise_variance0", math.inf)])
 def test_gp_nonfinite_settings_rejected(field, value):
+    if field != "noise_variance0":  # the starting hyperparameters GpCfg dropped
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            replace(GpCfg(), **{field: value})
+        return
     with pytest.raises(ValueError, match="finite"):
         GpWindowModel(4, replace(GpCfg(), **{field: value}))
 
@@ -238,7 +244,7 @@ def test_bundled_report_digest_pinned(bench_report):
     # the full bundled comparison, MLP training included, is bit-identical
     # to the recorded run; a change that moves it must say so
     assert bench_report.digest() == (
-        "71609358e5b4d3f9f2a344479515db755819d031320584ebf3265976013211da")
+        "fe7b03c59d96f23d75b595023d62e047c0844a372b6b49663d0b9b9679197c3a")
 
 
 def test_bundled_strategies_digest_pinned(bench_report):
@@ -283,7 +289,7 @@ def test_analytic_comparison_digests_pinned(tmp_path):
     # that moves these values updates them and says so
     rep = run_comparison(short_config(duration=4.0), out_dir=tmp_path)
     assert rep.digest() == (
-        "8120365a73802c9c4de6157758d49ccf810b6679cf8e0a9dc74eb492ca367c2d")
+        "74784b290197e1bb7ac4e2510f76f3bf5ee78ec8d673295ee337caef841379b5")
     csv_sha256 = {
         "baseline": "ba6f3fb88c73f14d896e1ca35636585f6df7cb7fc8604f46031e39456f4a0cd5",
         "offline": "014effe75b410a3f99bf7df3d93ee7d647a84279fff9b9e02946087fa669208f",
@@ -354,11 +360,12 @@ def test_aborted_baseline_keeps_its_log():
     assert np.isfinite(res.log.states).all()
 
 
-def test_failed_factorization_is_a_recorded_abort():
-    # at signal variance 1e14 the window covariance fails Cholesky even at
-    # the largest jitter; the online run ends as an abort with its log
+def test_failed_factorization_is_a_recorded_abort(monkeypatch):
+    # at basis prior variance 1e14 the window covariance fails Cholesky even
+    # at the largest jitter; the online run ends as an abort with its log
+    monkeypatch.setattr(gp_module, "BASIS_PRIOR_VARIANCE", 1e14)
     cfg = short_config(duration=0.2)
-    cfg = replace(cfg, gp=replace(cfg.gp, optimize=False, signal_variance0=1e14))
+    cfg = replace(cfg, gp=replace(cfg.gp, optimize=False))
     res = run_strategy(cfg, "online")
     assert res.aborted and 0 < res.abort_step < res.steps
     assert len(res.log) == res.abort_step
@@ -377,6 +384,21 @@ def test_x0_honored():
     res1 = run_strategy(shifted, "baseline")
     np.testing.assert_array_equal(res1.log.states[0], [5.0, -3.0])
     assert res1.rms_tracking != res0.rms_tracking
+
+
+def test_array_x0_and_sweep_alphas_are_stored_as_lists(tmp_path):
+    # numpy arrays passed the checks, then broke report.json, the config
+    # digest and to_yaml, after every strategy had run
+    listed = short_config(duration=0.3, x0=[0.01, 0.0], sweep_alphas=[0.0, 0.5])
+    cfg = replace(listed, x0=np.array([0.01, 0.0]), sweep_alphas=np.array([0.0, 0.5]))
+    assert cfg.x0 == [0.01, 0.0] and cfg.sweep_alphas == [0.0, 0.5]
+    assert config_digest(cfg) == config_digest(listed)
+    run_comparison(cfg, out_dir=tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config_digest"] == config_digest(listed)
+    cfg.to_yaml(tmp_path / "cfg.yaml")
+    back = BenchConfig.from_yaml(tmp_path / "cfg.yaml")
+    assert config_digest(back) == config_digest(listed)
 
 
 def test_alpha_sweep_contains_offline_at_zero(tmp_path):

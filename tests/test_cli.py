@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 import yaml
 
-from xfertrack import bench
+from xfertrack import bench, inverse
+from xfertrack import gp as gp_module
 from xfertrack.bench import ConfigError, default_benchmark_config
 from xfertrack.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main)
-from xfertrack.inverse import MlpInverseModel
+from xfertrack.inverse import MlpInverseModel, TrainingDiverged
+
+from helpers import REMOVED_CONFIG_KEYS
+
+REMOVED_KEYS = {key for _, key, _ in REMOVED_CONFIG_KEYS}
 
 
 def write_config(tmp_path, name="cfg.yaml", duration=2.5, **kwargs):
@@ -189,10 +194,12 @@ def test_compare_reports_divergence(tmp_path, capsys):
     assert code == EXIT_DIVERGED
 
 
-def test_compare_reports_failed_factorization_as_divergence(tmp_path, capsys):
-    # the online GP's covariance cannot be factorized at signal variance
-    # 1e14: the online run aborts, the other two strategies are reported
-    gp = replace(default_benchmark_config().gp, optimize=False, signal_variance0=1e14)
+def test_compare_reports_failed_factorization_as_divergence(tmp_path, capsys,
+                                                           monkeypatch):
+    # the online GP's covariance cannot be factorized at basis prior
+    # variance 1e14: the online run aborts, the other two are reported
+    monkeypatch.setattr(gp_module, "BASIS_PRIOR_VARIANCE", 1e14)
+    gp = replace(default_benchmark_config().gp, optimize=False)
     cfg = write_config(tmp_path, duration=0.2, gp=gp)
     code, out = run_cli(capsys, "compare", "--config", str(cfg))
     assert code == EXIT_DIVERGED
@@ -235,10 +242,11 @@ def test_similarity_report(tmp_path, capsys):
 # -- train-inverse -------------------------------------------------------------
 
 
-def test_train_inverse_saves_loadable_model(tmp_path, capsys):
+def test_train_inverse_saves_loadable_model(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(inverse, "HIDDEN", (4,))
     cfg = default_benchmark_config()
-    cfg = replace(cfg, mlp=replace(cfg.mlp, hidden=[4], epochs=2,
-                                   train_duration_s=2.0, subsample=50))
+    cfg = replace(cfg, mlp=replace(cfg.mlp, epochs=2, train_duration_s=2.0,
+                                   subsample=50))
     path = tmp_path / "train.yaml"
     cfg.to_yaml(path)
     out_dir = tmp_path / "model"
@@ -253,16 +261,53 @@ def test_train_inverse_saves_loadable_model(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["compare", "train-inverse"])
-def test_training_divergence_exit_code(tmp_path, capsys, command):
+def test_training_divergence_exit_code(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(inverse, "LEARNING_RATE", 1e300)
     cfg = default_benchmark_config()
     cfg = replace(cfg, trajectory=replace(cfg.trajectory, duration_s=0.3),
-                  mlp=replace(cfg.mlp, learning_rate=1e300, epochs=2,
-                              train_duration_s=0.3))
+                  mlp=replace(cfg.mlp, epochs=2, train_duration_s=0.3))
     path = tmp_path / "diverge.yaml"
     cfg.to_yaml(path)
     code = main([command, "--config", str(path), "--out-dir", str(tmp_path)])
     assert code == EXIT_DIVERGED
     assert "training loss became non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("cause", ["training", "excitation"])
+def test_compare_keeps_baseline_when_inverse_diverges(tmp_path, capsys, monkeypatch,
+                                                      cause):
+    # a divergence while building the inverse once ended compare with no
+    # output directory, although the baseline had already run
+    cfg = default_benchmark_config()
+    cfg = replace(cfg, trajectory=replace(cfg.trajectory, duration_s=0.3),
+                  mlp=replace(cfg.mlp, epochs=2, train_duration_s=3.0))
+    if cause == "training":
+        def diverge(*args, **kwargs):
+            raise TrainingDiverged(0)
+        monkeypatch.setattr(bench, "train_mlp", diverge)
+        reason = "training diverged: training loss became non-finite"
+    else:  # an unstable source blows up the excitation rollout
+        cfg = replace(cfg, source=replace(cfg.source, a=[[0.0, 1.0], [-0.5, 2.0]]))
+        reason = "simulation diverged: state became non-finite"
+    path = tmp_path / "diverge.yaml"
+    cfg.to_yaml(path)
+    out_dir = tmp_path / "out"
+    code = main(["compare", "--config", str(path), "--out-dir", str(out_dir)])
+    assert code == EXIT_DIVERGED
+    captured = capsys.readouterr()
+    assert reason in captured.err
+    report = json.loads((out_dir / "report.json").read_text())
+    assert json.loads(captured.out) == report
+    assert report["strategies"]["baseline"]["aborted"] is False
+    assert report["strategies"]["baseline"]["rms_tracking"] > 0
+    for name in ("offline", "online"):
+        assert report["strategies"][name]["aborted"] is True
+        assert report["strategies"][name]["abort_step"] is None
+    assert report["mlp_validation_rmse"] is None
+    assert list(report["log_paths"]) == ["baseline"]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["baseline_steps.csv",
+                                                         "report.json"]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -314,14 +359,16 @@ def test_nonfinite_trajectory_timing_is_config_error(tmp_path, capsys,
     ("epochs", True), ("learning_rate", True)])
 def test_out_of_range_mlp_section_is_config_error(tmp_path, capsys, field, value):
     cfg = default_benchmark_config()
-    cfg = replace(cfg, mlp=replace(cfg.mlp, hidden=[4], epochs=2,
-                                   train_duration_s=2.0, subsample=50))
+    cfg = replace(cfg, mlp=replace(cfg.mlp, epochs=2, train_duration_s=2.0,
+                                   subsample=50))
     path = write_raw_config(tmp_path, cfg, "mlp", **{field: value})
     code = main(["train-inverse", "--config", str(path), "--out-dir", str(tmp_path)])
     assert code == EXIT_CONFIG
-    assert f"mlp.{field} must be" in capsys.readouterr().err
+    want, error = ((f"unexpected keyword argument '{field}'", TypeError)
+                   if field in REMOVED_KEYS else (f"mlp.{field} must be", ValueError))
+    assert want in capsys.readouterr().err
     assert not (tmp_path / "inverse_model.npz").exists()
-    with pytest.raises(ValueError, match=f"mlp.{field} must be"):
+    with pytest.raises(error, match=want):
         replace(cfg.mlp, **{field: value})
 
 
@@ -381,8 +428,8 @@ def test_bad_gp_section_fails_before_training(tmp_path, capsys, monkeypatch,
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err
-    if field in ("basis", "basis_prior_variance", "max_fit_evals",
-                 "refit_stride"):  # keys the gp section dropped
+    if field in ("basis", "basis_prior_variance", "max_fit_evals", "refit_stride",
+                 *REMOVED_KEYS):  # keys the gp section dropped
         assert f"unexpected keyword argument '{field}'" in err
     else:
         assert f"{field} must be" in err
@@ -404,7 +451,9 @@ def test_fractional_mlp_count_fails_before_training(tmp_path, capsys, monkeypatc
                             **{field: value})
     code = main(["compare", "--config", str(path), "--out-dir", str(tmp_path)])
     assert code == EXIT_CONFIG
-    assert f"mlp.{field} must be" in capsys.readouterr().err
+    want = (f"unexpected keyword argument '{field}'" if field in REMOVED_KEYS
+            else f"mlp.{field} must be")
+    assert want in capsys.readouterr().err
     assert trained == []
 
 

@@ -1,4 +1,5 @@
-"""Names the benchmark and the demos use from the package still exist.
+"""Names the benchmark and the demos use from the package still exist, and
+the values a config file can set are the ones listed here.
 
 Tier-1 runs only this directory, so these checks are what notices when a
 deletion under src/ breaks perfbench/ or a demo. They read the other
@@ -14,9 +15,14 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import xfertrack
+from xfertrack.bench import BenchConfig, default_benchmark_config
+from xfertrack.cli import EXIT_CONFIG, main
 from xfertrack.gp import GpWindowModel
+
+from helpers import REMOVED_CONFIG_KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -80,6 +86,41 @@ def test_benchmark_interface_holds_under_its_patches():
     assert list(inspect.signature(fit).parameters) == ["self"]
     lml = inspect.signature(GpWindowModel.log_marginal_likelihood).parameters
     assert list(lml) == ["self", "hyper", "terms"] and lml["terms"].default is None
+
+
+# every value a config file can set; adding one is a decision made here
+SETTABLE = [
+    "gain.cap", "gain.floor", "gain.smoothing",
+    "gp.capacity", "gp.noise_variance0", "gp.optimize",
+    "inverse_mode", "mlp.epochs", "mlp.subsample", "mlp.train_duration_s",
+    "seed", "source.a", "source.b", "source.c", "strategy", "sweep_alphas",
+    "target.a", "target.b", "target.c",
+    "trajectory.amplitudes", "trajectory.csv_path", "trajectory.dt",
+    "trajectory.duration_s", "trajectory.kind", "trajectory.offset",
+    "trajectory.periods_s", "trajectory.phases", "u_max", "x0"]
+
+
+def _flat_keys(mapping, prefix=""):
+    for key, value in mapping.items():
+        if isinstance(value, dict):
+            yield from _flat_keys(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+def test_settable_config_surface_is_pinned(tmp_path, capsys):
+    bundled = default_benchmark_config(inverse_mode="analytic")
+    cfg = BenchConfig(source=bundled.source, target=bundled.target)
+    assert sorted(_flat_keys(cfg.to_dict())) == SETTABLE
+    assert len(SETTABLE) == 29
+    for section, key, value in REMOVED_CONFIG_KEYS:
+        raw = bundled.to_dict()
+        raw[section][key] = value
+        path = tmp_path / f"{key}.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG, key
+        err = capsys.readouterr().err
+        assert "config error" in err and f"unexpected keyword argument '{key}'" in err
 
 
 def test_workload_attributes_resolve():

@@ -21,13 +21,11 @@ from xfertrack.gp import (BASIS_PRIOR_VARIANCE, FIT_EVALS, LENGTH_SCALE_BOUNDS,
                           SIGNAL_VARIANCE_BOUNDS, GpCfg, GpHyperparams,
                           GpWindowModel, basis_features)
 
-from helpers import hyper_cfg, kernel, kernel_matrix
+from helpers import hyper_model, kernel, kernel_matrix
 
 
-def filled_model(rng, dim=3, n=15, **kwargs):
-    defaults = dict(optimize=False)
-    defaults.update(kwargs)
-    gp = GpWindowModel(dim, GpCfg(capacity=max(n, 15), **defaults))
+def filled_model(rng, dim=3, n=15, hyper=GpHyperparams()):
+    gp = hyper_model(dim, hyper, capacity=max(n, 15), optimize=False)
     for _ in range(n):
         xi = rng.standard_normal(dim)
         gp.observe(xi, float(np.sin(xi).sum()))
@@ -113,8 +111,7 @@ def test_observation_dimension_checked():
 
 
 def test_duplicate_inputs_still_factorize():
-    gp = GpWindowModel(2, GpCfg(capacity=8, optimize=False, length_scale0=1.0,
-                                noise_variance0=1e-6))
+    gp = GpWindowModel(2, GpCfg(capacity=8, optimize=False, noise_variance0=1e-6))
     for _ in range(6):
         gp.observe([1.0, 1.0], 0.5)
     assert gp._cache is not None
@@ -163,7 +160,7 @@ def test_empty_window_cold_start():
 
 def test_interpolation_limit_at_observed_inputs():
     rng = np.random.default_rng(0)
-    gp = filled_model(rng, length_scale0=1.0, noise_variance0=0.0)
+    gp = filled_model(rng, hyper=GpHyperparams(noise_variance=0.0))
     for xi, e in zip(gp._X, gp._y):
         mean, _ = gp.predict(xi)
         assert abs(mean - e) <= 1e-6
@@ -171,7 +168,7 @@ def test_interpolation_limit_at_observed_inputs():
 
 def test_variance_nonnegative_and_small_at_data():
     rng = np.random.default_rng(1)
-    gp = filled_model(rng, length_scale0=1.0, noise_variance0=0.0)
+    gp = filled_model(rng, hyper=GpHyperparams(noise_variance=0.0))
     for xi in gp._X:
         _, var = gp.predict(xi)
         assert 0.0 <= var <= 1e-9
@@ -186,8 +183,7 @@ def test_affine_window_recovered_through_basis():
     rng = np.random.default_rng(2)
     w = np.array([0.8, -0.4, 1.1])
     c = 0.25
-    gp = GpWindowModel(3, GpCfg(capacity=15, optimize=False, length_scale0=1.0,
-                                noise_variance0=1e-10))
+    gp = GpWindowModel(3, GpCfg(capacity=15, optimize=False, noise_variance0=1e-10))
     X = rng.uniform(-1, 1, size=(15, 3))
     for xi in X:
         gp.observe(xi, float(w @ xi + c))
@@ -231,7 +227,7 @@ def test_prediction_matches_explicit_basis_posterior(monkeypatch):
             length_scale=float(rng.uniform(0.5, 3.0)),
             signal_variance=float(rng.uniform(0.3, 3.0)),
             noise_variance=float(rng.uniform(1e-4, 1e-2)))
-        gp = GpWindowModel(d, hyper_cfg(hyper, capacity=15, optimize=False))
+        gp = hyper_model(d, hyper, capacity=15, optimize=False)
         X = rng.standard_normal((n, d))
         y = rng.standard_normal(n)
         b = np.zeros(2 * d + 1)
@@ -257,7 +253,7 @@ def test_mean_derivative_matches_finite_differences():
             length_scale=float(rng.uniform(0.5, 3.0)),
             signal_variance=float(rng.uniform(0.3, 3.0)),
             noise_variance=float(rng.uniform(1e-6, 1e-3)))
-        gp = GpWindowModel(d, hyper_cfg(hyper, capacity=16, optimize=False))
+        gp = hyper_model(d, hyper, capacity=16, optimize=False)
         for _ in range(n):
             gp.observe(rng.standard_normal(d), float(rng.standard_normal()))
         q = rng.standard_normal(d)
@@ -327,8 +323,7 @@ def test_factorization_reconstructs_covariance():
     # Frobenius error, with K rebuilt independently from the public kernel
     # function and H from the basis features
     rng = np.random.default_rng(3)
-    gp = filled_model(rng, length_scale0=1.4, signal_variance0=0.9,
-                      noise_variance0=1e-5)
+    gp = filled_model(rng, hyper=GpHyperparams(1.4, 0.9, 1e-5))
     X = gp._X
     K = np.array([[kernel(a, b, gp.hyper) for b in X] for a in X])
     H = basis_features(X)
@@ -353,7 +348,7 @@ def test_likelihood_gradient_matches_finite_differences():
             length_scale=float(rng.uniform(0.5, 3.0)),
             signal_variance=float(rng.uniform(0.3, 3.0)),
             noise_variance=float(rng.uniform(1e-4, 1e-2)))
-        gp = GpWindowModel(d, hyper_cfg(hyper, capacity=15, optimize=False))
+        gp = hyper_model(d, hyper, capacity=15, optimize=False)
         for _ in range(int(rng.integers(3, 16))):
             gp.observe(rng.standard_normal(d), float(rng.standard_normal()))
         grad = gp.log_marginal_likelihood(hyper)[1]
@@ -375,7 +370,7 @@ def _random_window(rng, n, noise, spread):
     hyper = GpHyperparams(length_scale=float(rng.uniform(0.5, 2.0)),
                           signal_variance=float(rng.uniform(0.3, 3.0)),
                           noise_variance=noise)
-    gp = GpWindowModel(d, hyper_cfg(hyper, capacity=n, optimize=False))
+    gp = hyper_model(d, hyper, capacity=n, optimize=False)
     for _ in range(n):
         xi = rng.uniform(-spread, spread, size=d)
         gp.observe(xi, float(np.sin(xi).sum() + 0.1 * rng.standard_normal()))
@@ -442,7 +437,8 @@ def test_fit_evaluates_the_window_it_is_called_on(monkeypatch):
         return out
 
     rng = np.random.default_rng(14)
-    gp = filled_model(rng, dim=2, noise_variance0=1e-4, length_scale0=1.3)
+    gp = filled_model(rng, dim=2, hyper=GpHyperparams(length_scale=1.3,
+                                                         noise_variance=1e-4))
     live = copy.deepcopy(gp)
     monkeypatch.setattr(GpWindowModel, "log_marginal_likelihood", recorded)
     gp.fit_hyperparams()
@@ -467,8 +463,8 @@ def test_refit_factors_the_covariance_that_refresh_factors(monkeypatch):
     monkeypatch.setattr(gp_module, "_factor", recorded)
     rng = np.random.default_rng(8)
     for _ in range(10):
-        gp = filled_model(rng, dim=int(rng.integers(1, 5)), noise_variance0=1e-6,
-                          length_scale0=float(rng.uniform(0.3, 3.0)))
+        gp = filled_model(rng, dim=int(rng.integers(1, 5)), hyper=GpHyperparams(
+            length_scale=float(rng.uniform(0.3, 3.0)), noise_variance=1e-6))
         factors.clear()
         gp._refresh()
         gp.fit_hyperparams()
@@ -496,8 +492,7 @@ def test_fit_budget_stops_early_without_degrading(monkeypatch):
         for cap in (8, FIT_EVALS):
             monkeypatch.setattr(gp_module, "FIT_EVALS", cap)
             rng = np.random.default_rng(seed)
-            gp = GpWindowModel(2, GpCfg(capacity=15, optimize=False,
-                                        length_scale0=1.0, noise_variance0=1e-4))
+            gp = GpWindowModel(2, GpCfg(capacity=15, optimize=False, noise_variance0=1e-4))
             for _ in range(15):
                 xi = rng.uniform(-3, 3, size=2)
                 gp.observe(xi, float(np.cos(xi[0]) + 0.3 * xi[1]))
@@ -551,8 +546,7 @@ def test_optimizer_never_degrades_likelihood():
     # so before/after values compare at the one the fit used
     rng = np.random.default_rng(4)
     for trial in range(8):
-        gp = GpWindowModel(2, GpCfg(capacity=15, optimize=False,
-                                    length_scale0=1.0, noise_variance0=1e-4))
+        gp = GpWindowModel(2, GpCfg(capacity=15, optimize=False, noise_variance0=1e-4))
         for _ in range(12):
             xi = rng.uniform(-3, 3, size=2)
             gp.observe(xi, float(np.cos(xi[0]) + 0.3 * xi[1]))
@@ -623,7 +617,8 @@ def test_every_requested_evaluation_is_a_counted_likelihood_call(monkeypatch):
     monkeypatch.setattr(GpWindowModel, "log_marginal_likelihood", counted_lml)
     rng = np.random.default_rng(5)
     for _ in range(8):
-        gp = filled_model(rng, dim=int(rng.integers(1, 4)), noise_variance0=1e-4)
+        gp = filled_model(rng, dim=int(rng.integers(1, 4)),
+                          hyper=GpHyperparams(noise_variance=1e-4))
         gp.fit_hyperparams()
     assert len(requested) == len(counted) > 8 * 5
 
@@ -727,9 +722,9 @@ def test_optimizer_reaches_scipy_lbfgsb_likelihood():
     gains = []
     for trial in range(48):
         d = int(rng.integers(1, 4))
-        gp = GpWindowModel(d, GpCfg(
-            capacity=15, optimize=False, length_scale0=float(rng.uniform(0.3, 3.0)),
-            noise_variance0=float(rng.uniform(1e-4, 1e-2))))
+        gp = hyper_model(d, GpHyperparams(
+            length_scale=float(rng.uniform(0.3, 3.0)),
+            noise_variance=float(rng.uniform(1e-4, 1e-2))), capacity=15, optimize=False)
         for _ in range(int(rng.integers(5, 16))):
             x = rng.uniform(-2, 2, size=d)
             gp.observe(x, float(np.sin(2 * x).sum() + 0.01 * rng.standard_normal()))
@@ -771,8 +766,7 @@ def test_length_scale_recovery_from_synthetic_data():
         X = rng.uniform(-5, 5, size=(15, 1))
         K = np.array([[kernel(a, b, hyp_true) for b in X] for a in X])
         y = rng.multivariate_normal(np.zeros(15), K + 1e-10 * np.eye(15))
-        gp = GpWindowModel(1, GpCfg(capacity=15, optimize=False,
-                                    length_scale0=1.0, noise_variance0=1e-8))
+        gp = GpWindowModel(1, GpCfg(capacity=15, optimize=False, noise_variance0=1e-8))
         for xi, e in zip(X, y):
             gp.observe(xi, float(e))
         gp.fit_hyperparams()
@@ -780,8 +774,7 @@ def test_length_scale_recovery_from_synthetic_data():
 
 
 def test_fixed_hyper_mode_skips_optimization():
-    gp = GpWindowModel(2, GpCfg(capacity=40, optimize=False, length_scale0=20.0,
-                                signal_variance0=1.0, noise_variance0=2e-5))
+    gp = hyper_model(2, GpHyperparams(20.0, 1.0, 2e-5), capacity=40, optimize=False)
     rng = np.random.default_rng(8)
     for _ in range(40):
         gp.observe(rng.standard_normal(2), float(rng.standard_normal()))

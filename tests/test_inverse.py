@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from xfertrack import inverse
 from xfertrack.bench import run_strategy
 from xfertrack.inverse import (AnalyticInverse, InverseDataset, MlpInverseModel,
                                SingularInverse, TrainingConfig,
@@ -124,8 +125,9 @@ def small_dataset(seed=0, n=400):
     return InverseDataset(inputs=X, labels=y)
 
 
-def test_training_is_deterministic():
-    cfg = TrainingConfig(hidden=(8,), epochs=10)
+def test_training_is_deterministic(monkeypatch):
+    monkeypatch.setattr(inverse, "HIDDEN", (8,))
+    cfg = TrainingConfig(epochs=10)
     a = train_mlp(small_dataset(), cfg, seed=3)
     b = train_mlp(small_dataset(), cfg, seed=3)
     for wa, wb in zip(a.weights, b.weights):
@@ -141,11 +143,12 @@ def test_empty_dataset_rejected():
         train_mlp(empty, TrainingConfig(epochs=1))
 
 
-def test_nonfinite_labels_abort_immediately():
+def test_nonfinite_labels_abort_immediately(monkeypatch):
+    monkeypatch.setattr(inverse, "HIDDEN", (4,))
     ds = small_dataset()
     ds.labels[5] = np.inf
     with pytest.raises(TrainingDiverged) as info:
-        train_mlp(ds, TrainingConfig(hidden=(4,), epochs=5))
+        train_mlp(ds, TrainingConfig(epochs=5))
     assert info.value.epoch == 0
 
 
@@ -168,7 +171,7 @@ def test_mlp_closed_loop_comparable_to_linear_fit(bench_report, bench_config):
 
 
 
-def test_training_returns_best_validation_parameters():
+def test_training_returns_best_validation_parameters(monkeypatch):
     # noisy labels and a large step: the validation MSE bottoms out early
     # and the last epoch is no new best, so restoring the best weights
     # (in place, under the weight views) is what this checks
@@ -176,36 +179,40 @@ def test_training_returns_best_validation_parameters():
     X = rng.uniform(-1, 1, size=(60, 3))
     y = X @ np.array([0.5, -1.0, 2.0]) + 0.1 + 0.5 * rng.standard_normal(60)
     ds = InverseDataset(inputs=X, labels=y)
-    cfg = TrainingConfig(hidden=(16,), epochs=20, batch_size=8,
-                         learning_rate=1e-2, val_fraction=0.25, patience=20)
+    for name, value in (("HIDDEN", (16,)), ("BATCH_SIZE", 8), ("LEARNING_RATE", 1e-2),
+                        ("VAL_FRACTION", 0.25), ("PATIENCE", 20)):
+        monkeypatch.setattr(inverse, name, value)
+    cfg = TrainingConfig(epochs=20)
     model = train_mlp(ds, cfg, seed=2)
     assert model.epochs_run == cfg.epochs
     one_short = train_mlp(ds, replace(cfg, epochs=cfg.epochs - 1), seed=2)
     assert one_short.validation_rmse == model.validation_rmse
 
     perm = np.random.default_rng(2).permutation(len(ds))
-    val = perm[:max(1, int(round(cfg.val_fraction * len(ds))))]
+    val = perm[:max(1, int(round(inverse.VAL_FRACTION * len(ds))))]
     Xn = model.normalize(X[val])
     yn = (y[val] - model.out_mean) / model.out_std
     rmse = float(np.sqrt(float(np.mean((model.forward(Xn) - yn) ** 2))))
     assert rmse == model.validation_rmse
 
-def test_normalization_roundtrip():
+def test_normalization_roundtrip(monkeypatch):
+    monkeypatch.setattr(inverse, "HIDDEN", (4,))
     rng = np.random.default_rng(5)
-    model = train_mlp(small_dataset(), TrainingConfig(hidden=(4,), epochs=2),
-                      seed=0)
+    model = train_mlp(small_dataset(), TrainingConfig(epochs=2), seed=0)
     X = rng.uniform(-1, 1, size=(20, 3))
     Z = model.normalize(X)
     back = Z * model.in_std + model.in_mean
     np.testing.assert_allclose(back, X, atol=1e-12)
 
 
-def test_gradients_match_finite_differences():
+def test_gradients_match_finite_differences(monkeypatch):
+    monkeypatch.setattr(inverse, "HIDDEN", (3, 2))
+    monkeypatch.setattr(inverse, "BATCH_SIZE", 6)
     rng = np.random.default_rng(6)
     X = rng.standard_normal((6, 2))
     y = rng.standard_normal(6)
-    cfg = TrainingConfig(hidden=(3, 2), epochs=1, batch_size=6)
-    model = train_mlp(InverseDataset(inputs=X, labels=y), cfg, seed=0)
+    model = train_mlp(InverseDataset(inputs=X, labels=y), TrainingConfig(epochs=1),
+                      seed=0)
     Xn = model.normalize(X)
     yn = (y - model.out_mean) / model.out_std
     _, grad = model.loss_and_grads(Xn, yn)
@@ -224,9 +231,9 @@ def test_gradients_match_finite_differences():
                 assert abs(grads[li][idx] - fd) <= 1e-5 * max(abs(fd), 1e-6)
 
 
-def test_save_load_roundtrip(tmp_path):
-    model = train_mlp(small_dataset(), TrainingConfig(hidden=(4,), epochs=3),
-                      seed=1)
+def test_save_load_roundtrip(tmp_path, monkeypatch):
+    monkeypatch.setattr(inverse, "HIDDEN", (4,))
+    model = train_mlp(small_dataset(), TrainingConfig(epochs=3), seed=1)
     path = tmp_path / "model.npz"
     model.save(path)
     loaded = MlpInverseModel.load(path)
@@ -245,11 +252,11 @@ def test_load_rejects_foreign_files(tmp_path):
 
 
 
-def test_load_rejects_misshapen_weights(tmp_path):
+def test_load_rejects_misshapen_weights(tmp_path, monkeypatch):
     # W0 of a 3-4-1 network transposed: the right number of weights in the
     # wrong shape must not load as scrambled parameters
-    model = train_mlp(small_dataset(), TrainingConfig(hidden=(4,), epochs=1),
-                      seed=1)
+    monkeypatch.setattr(inverse, "HIDDEN", (4,))
+    model = train_mlp(small_dataset(), TrainingConfig(epochs=1), seed=1)
     good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
     model.save(good)
     with np.load(good) as data:
@@ -260,10 +267,10 @@ def test_load_rejects_misshapen_weights(tmp_path):
         MlpInverseModel.load(bad)
 
 
-def test_load_rejects_missing_weights(tmp_path):
+def test_load_rejects_missing_weights(tmp_path, monkeypatch):
     # a 3-4-1 network without its second weight matrix names the key
-    model = train_mlp(small_dataset(), TrainingConfig(hidden=(4,), epochs=1),
-                      seed=1)
+    monkeypatch.setattr(inverse, "HIDDEN", (4,))
+    model = train_mlp(small_dataset(), TrainingConfig(epochs=1), seed=1)
     good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
     model.save(good)
     with np.load(good) as data:

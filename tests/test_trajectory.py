@@ -199,11 +199,3 @@ def test_ingest_rejects_bad_dt(tmp_path, dt):
     p = write_csv(tmp_path / "dt.csv", ["0.0,0.0", "1.0,1.0"])
     with pytest.raises(ValueError, match="dt must be positive and finite"):
         ingest_csv_trajectory(p, dt=dt)
-
-
-def test_ingest_custom_column_names(tmp_path):
-    p = write_csv(tmp_path / "named.csv", ["0.0,3.0", "1.0,4.0"],
-                  header="time,out")
-    traj = ingest_csv_trajectory(p, dt=1.0, time_column="time",
-                                 value_column="out")
-    np.testing.assert_allclose(traj.samples, [3.0, 4.0])
