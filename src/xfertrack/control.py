@@ -3,9 +3,9 @@
 The applied input decomposes as u(k) = u1(k) + u2(k). u1 comes from the
 offline inverse module queried with (x(k), y_d(k+r)); u2 = alpha * e_p(k+r)
 corrects it with the online error prediction, engaging once the online
-model's sliding window is full. Observations are paired per the r-step
-alignment: at step k the record enqueued at step k - r retires with label
-y_d(k) - y(k).
+model's sliding window is full. With an online model, each step queues the
+row [x(k), u(k), y_d(k+r)] of its applied input, which the model observes
+at step k + r with label y_d(k+r) - y(k+r).
 """
 
 from __future__ import annotations
@@ -100,11 +100,9 @@ class TransferController:
     def control_step(self, k: int, x, y_d_future: float, y_now: float) -> ControlDecision:
         """One control decision; also retires the r-step-old pending record."""
         x = np.asarray(x, dtype=float)
-        if len(self._pending) == self.r:
-            x0, u0, yd_k = self._pending.popleft()
-            if self.online is not None:
-                xi = np.concatenate([x0, [u0], [yd_k]])
-                self.online.observe(xi, yd_k - y_now)
+        if len(self._pending) == self.r:  # only an online model queues rows
+            row = self._pending.popleft()
+            self.online.observe(row, row[-1] - y_now)
         u1 = float(self.inverse.reference(x, y_d_future))
         if not math.isfinite(u1):
             # a divergence; checked here because predict rejects the query
@@ -126,7 +124,9 @@ class TransferController:
         if not np.isfinite(u) or abs(u) > self.u_max:
             raise SimulationDiverged(
                 f"input guard tripped: |u|={abs(u):.3e} exceeds {self.u_max:.3e}", k)
-        self._pending.append((x.copy(), u, float(y_d_future)))
+        if self.online is not None:  # a copy: the model has seen the query row
+            self._pending.append(xi_query.copy())
+            self._pending[-1][x.shape[0]] = u  # the applied input in u1's slot
         return ControlDecision(u1=u1, e_p=e_p, variance=var, alpha=alpha, u2=u2, u=u)
 
 

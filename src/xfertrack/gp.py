@@ -12,13 +12,15 @@ beta = c + tau^2 H' a and mean(xi) = h(xi)' beta + k(xi)' a. LAPACK
 (potrf, potrs, trtri, trtrs) is called directly: at window sizes of tens,
 scipy.linalg's checked wrappers cost several times the routine they wrap.
 
-The window lives in preallocated arrays that observe shifts in place, one
-new row per observation: X, y, the basis rows H and the squared row norms
-of X. Each window change forms the unscaled squared distances D and
-tau^2 H H' as new arrays; factorizations and queries divide distances by
-l^2. With optimize on, the observe that fills the window fits the length
-scale and signal variance to it by maximum likelihood (fit_hyperparams),
-once; they hold from then on, and the noise variance is never fitted.
+The window is X and y, in two preallocated arrays that observe shifts in
+place, one new row per observation. Each window change forms the basis rows
+H, the squared row norms of X, the unscaled squared distances D and
+tau^2 H H' from X as new arrays; factorizations and queries divide
+distances by l^2. A query is checked once: predict and mean_derivative at
+the same point share its kernel and basis rows until the window changes.
+With optimize on, the observe that fills the window fits the length scale
+and signal variance to it by maximum likelihood (fit_hyperparams), once;
+they hold from then on, and the noise variance is never fitted.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ class GpCfg:
             raise ValueError(f"optimize must be true or false, got {self.optimize!r}")
         if not whole_number(self.capacity):
             raise ValueError(f"capacity must be a whole number >= 1, got {self.capacity!r}")
+        # an int, so capacity: 15.0 digests as 15 and sizes the window buffers
+        self.capacity = int(self.capacity)
         if not (finite_number(self.noise_variance0) and self.noise_variance0 >= 0):
             raise ValueError("noise_variance0 must be nonnegative and finite, "
                              f"got {self.noise_variance0!r}")
@@ -153,28 +157,21 @@ def _factor(hyper: GpHyperparams, terms: _WindowTerms) -> _Factor:
     return _Factor(L, jitter, dpotrs(L, terms.y, lower=1)[0], K)
 
 
-def _window_rows(buffer: str) -> property:
-    """The rows of a window buffer that hold observations, oldest first."""
-    return property(lambda self: getattr(self, buffer)[:self._n])
-
-
 class GpWindowModel:
     """Online error predictor over a sliding window of recent observations."""
-
-    # the window: inputs X, outputs y, basis rows H and the squared row
-    # norms of X, each the live rows of a buffer of capacity rows
-    _X, _y, _H, _nx = map(_window_rows, ("_Xbuf", "_ybuf", "_Hbuf", "_nxbuf"))
 
     def __init__(self, dim: int, cfg: GpCfg | None = None):
         self.cfg = GpCfg() if cfg is None else cfg
         self.dim = int(dim)
         self.hyper = self.cfg.hyper0
 
-        cap, m = int(self.cfg.capacity), 2 * self.dim + 1
-        self._n = 0
-        self._Xbuf, self._Hbuf = np.zeros((cap, self.dim)), np.zeros((cap, m))
-        self._ybuf, self._nxbuf = np.zeros(cap), np.zeros(cap)
-        self._D = self._tau2HH = np.zeros((0, 0))  # replaced, never written into
+        # the window X, y: the live rows of two buffers, oldest first. The
+        # terms formed from X on each window change are never written into
+        cap = self.cfg.capacity
+        self._Xbuf, self._ybuf = np.zeros((cap, self.dim)), np.zeros(cap)
+        self._X, self._y = self._Xbuf[:0], self._ybuf[:0]
+        self._H, self._nx = basis_features(self._X), np.zeros(0)
+        self._D = self._tau2HH = np.zeros((0, 0))
         self.observation_count = 0
         self.rejected_count = 0
         self._cache = None  # _Factor of the current window
@@ -182,13 +179,13 @@ class GpWindowModel:
         # Latest basis coefficients, also the prior mean c of the next
         # factorization, so directions the window cannot identify (collinear
         # inputs on a converged trajectory) hold instead of drifting to zero.
-        self._beta = np.zeros(m)
+        self._beta = np.zeros(self._H.shape[1])
 
     # -- window bookkeeping -------------------------------------------------
 
     @property
     def size(self) -> int:
-        return self._n
+        return self._y.size
 
     @property
     def full(self) -> bool:
@@ -205,16 +202,15 @@ class GpWindowModel:
             logger.warning("rejected non-finite observation (total rejected: %d)",
                            self.rejected_count)
             return self
-        n = self._n
+        n = self.size
         if n == self.cfg.capacity:
             n -= 1
-            for buf in (self._Xbuf, self._ybuf, self._Hbuf, self._nxbuf):
-                buf[:-1] = buf[1:]
-        self._n = n + 1
-        row = xi[None, :]
-        self._Xbuf[n], self._ybuf[n], self._Hbuf[n] = xi, e, basis_features(row)[0]
-        self._nxbuf[n] = (row ** 2).sum(axis=1)[0]
-        self._D = _sq_dist(self._X, self._nx, self._X, self._nx)
+            self._Xbuf[:-1], self._ybuf[:-1] = self._Xbuf[1:], self._ybuf[1:]
+        self._Xbuf[n], self._ybuf[n] = xi, e
+        X = self._X = self._Xbuf[:n + 1]
+        self._y = self._ybuf[:n + 1]
+        self._H, self._nx = basis_features(X), (X ** 2).sum(axis=1)
+        self._D = _sq_dist(X, self._nx, X, self._nx)
         self._tau2HH = BASIS_PRIOR_VARIANCE * (self._H @ self._H.T)
         self.observation_count += 1
         if self.cfg.optimize and self.observation_count == self.cfg.capacity:
@@ -247,20 +243,12 @@ class GpWindowModel:
             raise ValueError(f"expected {self.dim}-dimensional input, got {xi.shape}")
         return xi
 
-    def _checked_query(self, xi) -> np.ndarray:
-        """_as_input, and ValueError unless xi is finite."""
-        xi = self._as_input(xi)
-        if not np.isfinite(xi).all():
-            raise ValueError("query must be finite")
-        return xi
-
     def predict(self, xi) -> tuple:
         """Predictive mean and variance at xi; (0, inf) on an empty window."""
-        xi = self._checked_query(xi)
+        _, ks, hs = self._query_terms(xi)
         if self.size == 0:
             return 0.0, math.inf
         c = self._cache
-        ks, hs = self._query_terms(xi)
         mean = float(hs @ self._beta + ks @ c.a)
         # prior covariance of the folded model: k + tau^2 h' h
         tau2 = BASIS_PRIOR_VARIANCE
@@ -268,27 +256,31 @@ class GpWindowModel:
         var = self.hyper.signal_variance + tau2 * float(hs @ hs) - float(v @ v)
         return mean, max(var, 0.0)
 
-    def _query_terms(self, xi: np.ndarray) -> tuple:
-        """k(xi, X) and the basis row h(xi), kept until the next _refresh:
-        the controller asks predict and mean_derivative at the same query."""
+    def _query_terms(self, xi) -> tuple:
+        """xi as a flat array, k(xi, X) and h(xi); ValueError unless xi has
+        the model's dimension and is finite. k and h are kept until the next
+        _refresh, as the controller asks predict and mean_derivative at the
+        same query; only a new query is checked for finiteness."""
+        xi = self._as_input(xi)
         key = xi.tobytes()
         if self._query is None or self._query[0] != key:
+            if not np.isfinite(xi).all():
+                raise ValueError("query must be finite")
             row = xi[None, :]
             sq = _sq_dist(row, (row ** 2).sum(axis=1), self._X, self._nx)[0]
             sq /= self.hyper.length_scale ** 2
             self._query = (key, self.hyper.signal_variance * np.exp(-0.5 * sq),
                            basis_features(row)[0])
-        return self._query[1:]
+        return (xi,) + self._query[1:]
 
     def mean_derivative(self, xi, dim: int) -> float:
         """d mean / d xi_dim at xi, combining kernel and basis terms; zero on
         an empty window, matching predict's zero mean."""
-        xi = self._checked_query(xi)
+        xi, ks, _ = self._query_terms(xi)
         if not 0 <= dim < self.dim:
             raise ValueError(f"dim must be in 0..{self.dim - 1}")
         if self.size == 0:
             return 0.0
-        ks = self._query_terms(xi)[0]
         dks = -((xi[dim] - self._X[:, dim]) / self.hyper.length_scale ** 2) * ks
         dh = np.zeros(self._beta.size)  # d h(xi) / d xi_dim
         dh[1 + dim] = 1.0

@@ -14,6 +14,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import xfertrack
 from xfertrack.bench import default_benchmark_config, run_comparison, run_strategy
 from xfertrack.inverse import AnalyticInverse
 
@@ -24,6 +25,12 @@ ACCEPTANCE_RESULTS = []
 
 def record_criterion(number: int, name: str, ok: bool, detail: str):
     ACCEPTANCE_RESULTS.append((number, name, ok, detail))
+
+
+def pytest_report_header(config):
+    # pyproject's pythonpath puts this checkout's src ahead of PYTHONPATH,
+    # so the header names the tree under test
+    return f"xfertrack under test: {Path(xfertrack.__file__).parent}"
 
 
 @pytest.fixture(scope="session")

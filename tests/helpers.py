@@ -6,7 +6,7 @@ import numpy as np
 
 from xfertrack.control import StepLog
 from xfertrack.gp import GpCfg, GpHyperparams, GpWindowModel
-from xfertrack.systems import LtiSystem
+from xfertrack.systems import LtiSystem, NonlinearSystem
 from xfertrack.trajectory import SinusoidTrajectory
 
 # the bundled benchmark pair, rebuilt directly so tests do not depend on
@@ -37,6 +37,29 @@ def source_system() -> LtiSystem:
 
 def target_system() -> LtiSystem:
     return LtiSystem(TARGET_A, TARGET_B, TARGET_C)
+
+
+def drag_pair() -> tuple:
+    """(source, target): a vertical point mass with quadratic drag whose
+    output is its velocity, v+ = v + dt (u/m - g - c_d v|v|) (n = 1, r = 1,
+    g = 9.81, dt = 1.5 ms, the bundled sample period). The source has m = 1
+    and c_d = 0.1, the target m = 1.3 and c_d = 0.3: the paper's transfer
+    between robots of different mass and aerodynamics, with
+    G_t / G_s = 1 / 1.3 and a state-dependent F. F and G are given, so the
+    constructor cross-checks them against f and g."""
+    dt = 1.5e-3
+
+    def point_mass(m, c_d):
+        def F(x):
+            v = x[0]
+            return v + dt * (-9.81 - c_d * v * abs(v))
+
+        return NonlinearSystem(n=1, f=lambda x: np.array([F(x)]),
+                               g=lambda x: np.array([dt / m]),
+                               h=lambda x: float(x[0]), r=1,
+                               F=F, G=lambda x: dt / m)
+
+    return point_mass(1.0, 0.1), point_mass(1.3, 0.3)
 
 
 def reference_trajectory(dt: float = 1.5e-3,
@@ -96,8 +119,8 @@ def kernel(xi, xj, hyper: GpHyperparams) -> float:
 def kernel_matrix(X, Z, hyper: GpHyperparams) -> np.ndarray:
     """k(X, Z) from scratch, in the model's arithmetic: the unscaled squared
     distances |x|^2 + |z|^2 - 2 x'z (the product a gemm), then divided by
-    l^2. The oracle that GpWindowModel's stored row norms and query kernel
-    must match bit for bit."""
+    l^2. The oracle that GpWindowModel's query kernel, from the row norms
+    it forms on each window change, must match bit for bit."""
     sq = (X ** 2).sum(axis=1)[:, None] + (Z ** 2).sum(axis=1)[None, :] - 2.0 * X @ Z.T
     return hyper.signal_variance * np.exp(-0.5 * (np.maximum(sq, 0.0)
                                                   / hyper.length_scale ** 2))

@@ -156,6 +156,18 @@ def test_gp_capacity_validated():
         GpWindowModel(4, GpCfg(capacity=0))
 
 
+def test_gp_capacity_stored_as_int():
+    # capacity: 15.0 is the same run as capacity: 15, so it digests the same
+    raw = default_benchmark_config().to_dict()
+    digests = set()
+    for capacity in (15, 15.0):
+        raw["gp"]["capacity"] = capacity
+        cfg = BenchConfig.from_dict(raw)
+        assert type(cfg.gp.capacity) is int
+        digests.add(config_digest(cfg))
+    assert len(digests) == 1
+
+
 @pytest.mark.parametrize("field, value", [
     ("length_scale0", math.nan), ("signal_variance0", math.inf),
     ("noise_variance0", math.inf)])

@@ -7,16 +7,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xfertrack.bench import default_benchmark_config, run_strategy
+from xfertrack.bench import default_benchmark_config, metrics, run_strategy
 from xfertrack.control import (LOG_COLUMNS, EstimatedGain, FixedGain, StepLog,
                                TransferController, track_trajectory)
 from xfertrack.gp import GpCfg, GpWindowModel
 from xfertrack.inverse import AnalyticInverse
+from xfertrack.stability import nonlinear_similarity
 from xfertrack.systems import (LtiSystem, NonlinearSystem, SimulationDiverged,
                                simulate)
 from xfertrack.trajectory import SinusoidTrajectory
 
-from helpers import AffineErrorOracle, error_log, source_system, target_system
+from helpers import (AffineErrorOracle, drag_pair, error_log, reference_trajectory,
+                     source_system, target_system)
 
 
 def short_trajectory(duration=0.3):
@@ -110,19 +112,22 @@ def test_input_decomposition_identity():
     np.testing.assert_array_equal(u2, alpha * e_p)
 
 
-def test_observation_alignment():
+@pytest.mark.parametrize("alpha, prediction", [(0.0, 0.0), (0.5, 0.2)])
+def test_observation_alignment(alpha, prediction):
     # observation j (retired at step j + r) must pair the state and the
     # applied input from step j with the desired and measured outputs at
-    # step j + r
+    # step j + r; with a nonzero correction, u != u1 at every step, so the
+    # observed input must be u, not the u1 the query carried
     target = target_system()
-    spy = StubOnline()
+    spy = StubOnline(prediction=prediction)
     ctrl = TransferController(AnalyticInverse(source_system()), r=target.r,
-                              online=spy, gain=FixedGain(0.0))
+                              online=spy, gain=FixedGain(alpha))
     traj = short_trajectory()
     trace, log = track_trajectory(target, ctrl, traj)
     r = target.r
     yd = traj.values(traj.n_steps + r)
     assert len(spy.observations) == traj.n_steps - r
+    assert alpha == 0.0 or (log.column("u") != log.column("u1")).all()
     for j, (xi, e) in enumerate(spy.observations):
         np.testing.assert_array_equal(xi[:2], trace.states[j])
         assert xi[2] == trace.inputs[j]
@@ -311,6 +316,34 @@ def test_error_map_audits_a_nonlinear_target():
     np.testing.assert_allclose(log.column("e_p_star")[:-1], err_next,
                                rtol=0, atol=1e-12)
     assert np.abs(err_next).max() > 1e-3
+
+
+def test_online_learns_the_drag_pair_mass_mismatch():
+    # the mass-mismatched nonlinear pair over the bundled sinusoid's first
+    # 12 s, with the bundled gp section and gain smoothing. The gain cap is
+    # raised to 2000: the right gain is 1/G_t = 1.3/dt = 866.7, and the
+    # bundled cap of 20, an absolute bound on alpha, pins alpha at 20 and
+    # leaves online no better than offline
+    source, target = drag_pair()
+    inverse = AnalyticInverse(source)
+    traj = reference_trajectory(duration=12.0)
+    _, exact = track_trajectory(source, TransferController(inverse, r=1), traj)
+    assert np.abs(exact.y_d - exact.y).max() <= 1e-10
+    assert nonlinear_similarity(source, target, np.zeros(1))[0] == pytest.approx(
+        1.0 / 1.3, rel=1e-12)
+
+    cfg = default_benchmark_config()
+    _, offline = track_trajectory(target, TransferController(inverse, r=1), traj,
+                                  error_oracle_target=target)
+    ctrl = TransferController(inverse, r=1, online=GpWindowModel(target.n + 2, cfg.gp),
+                              gain=replace(cfg.gain, cap=2000.0))
+    _, online = track_trajectory(target, ctrl, traj, error_oracle_target=target)
+    k_fill = cfg.gp.capacity
+    assert (metrics(online, target.r).rms_tracking
+            <= metrics(offline, target.r).rms_tracking / 10.0)
+    assert metrics(online, k_fill).rms_prediction <= 1e-5
+    inv_gain = 1.0 / target.io_terms(np.zeros(1))[1]  # 1/G_t
+    assert abs(np.median(online.alpha[k_fill:]) - inv_gain) <= 0.01 * inv_gain
 
 
 # -- step log ------------------------------------------------------------------
