@@ -5,7 +5,8 @@ a one-line verdict for the terminal summary, and fails loudly when the
 criterion is not met. The criteria pin:
 
   1. baseline tracking error of the bundled pair (band + runtime),
-  2. offline transfer error (band + analytic-inverse cross-check),
+  2. offline transfer error (band + analytic-inverse cross-check, also
+     for the training seeds 1-10 over a 12 s horizon),
   3. online correction error and prediction accuracy,
   4. machine-precision tracking with the exact error oracle,
   5. similarity vector values,
@@ -18,9 +19,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from xfertrack import inverse
-from xfertrack.bench import run_comparison
+from xfertrack.bench import build_training_dataset, run_comparison, run_strategy
 from xfertrack.control import (EstimatedGain, TransferController,
                                track_trajectory)
 from xfertrack.gp import (BASIS_PRIOR_VARIANCE, GpCfg, GpHyperparams,
@@ -65,6 +67,33 @@ def test_criterion_2_offline_transfer(bench_report, analytic_offline_rms):
                      f"(rel diff {rel:.1%}, want <= 15%)")
     assert in_band, f"offline rms {mlp_rms} outside {OFFLINE_BAND}"
     assert close, f"analytic inverse differs by {rel:.1%} > 15%"
+
+
+@pytest.fixture(scope="module")
+def bundled_excitation(bench_config):
+    return build_training_dataset(bench_config, source_system())
+
+
+@pytest.fixture(scope="module")
+def twelve_second_offline(bench_config):
+    """The bundled config over 12 s of tracking, and the analytic inverse's
+    offline RMS over those 12 s."""
+    cfg = replace(bench_config,
+                  trajectory=replace(bench_config.trajectory, duration_s=12.0))
+    res = run_strategy(cfg, "offline", inverse=AnalyticInverse(source_system()))
+    return cfg, res.rms_tracking
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_criterion_2_holds_for_every_training_seed(seed, bundled_excitation,
+                                                   twelve_second_offline):
+    # criterion 2's analytic cross-check with the bundled mlp section,
+    # trained from each seed; a 12 s horizon keeps it cheap
+    cfg, analytic_rms = twelve_second_offline
+    model = train_mlp(bundled_excitation, cfg.mlp, seed=seed)
+    mlp_rms = run_strategy(cfg, "offline", inverse=model).rms_tracking
+    rel = abs(analytic_rms - mlp_rms) / mlp_rms
+    assert rel <= ANALYTIC_REL, f"seed {seed}: analytic inverse differs by {rel:.1%}"
 
 
 def test_criterion_3_online_correction(bench_report):
@@ -146,7 +175,6 @@ def test_criterion_6_boundedness_condition(bench_config, bench_report):
     # the bundled online runs are bounded regardless (criterion 3)
     unbounded_certified = []
     for al in certified:
-        from xfertrack.bench import run_strategy
         res = run_strategy(bench_config, "online",
                            inverse=AnalyticInverse(source),
                            alpha_override=al)

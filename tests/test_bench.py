@@ -256,7 +256,7 @@ def test_bundled_report_digest_pinned(bench_report):
     # the full bundled comparison, MLP training included, is bit-identical
     # to the recorded run; a change that moves it must say so
     assert bench_report.digest() == (
-        "fe7b03c59d96f23d75b595023d62e047c0844a372b6b49663d0b9b9679197c3a")
+        "d5ce2c20477383238c523c2df3798adf0112fde1323f2c4274ccdb43f63e0026")
 
 
 def test_bundled_strategies_digest_pinned(bench_report):
@@ -264,7 +264,7 @@ def test_bundled_strategies_digest_pinned(bench_report):
     # change to the config schema moves the report digest but not this one
     payload = bench.canonical_json(bench_report.strategies).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "d351ff337eaae89b77b6f3502273406b9e1578e29b4d5751e7a60b968a303579")
+        "5acbd1b18e03913ddacc9ec00c0cddca28856b9065478e768a8e17c660e1e0d6")
 
 
 def test_online_improves_on_offline(bench_report):

@@ -254,8 +254,10 @@ def test_train_inverse_saves_loadable_model(tmp_path, capsys, monkeypatch):
                         "--out-dir", str(out_dir))
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["validation_rmse"] > 0
-    assert payload["epochs_run"] == 2
+    # the bundled pair's inverse is affine: the least-squares part leaves
+    # rounding noise, so training stops after the first of its two epochs
+    assert 0 < payload["validation_rmse"] <= inverse.ROUNDING_FLOOR
+    assert payload["epochs_run"] == 1
     model = MlpInverseModel.load(payload["model_path"])
     assert np.isfinite(model.reference(np.zeros(2), 0.5))
 
