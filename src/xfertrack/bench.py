@@ -285,8 +285,8 @@ class StrategyResult:
     steps: int
     log: StepLog | None = None
     # Startup sensitivity for the online strategy: the same RMS values with
-    # the first max(r, window capacity) steps excluded instead of k < r;
-    # None when the run has no step past them.
+    # the steps before the correction engages, k < r + capacity - 1,
+    # excluded instead of k < r; None when the run has no step past them.
     rms_tracking_warm: float | None = None
     rms_prediction_warm: float | None = None
 
@@ -337,7 +337,8 @@ def run_strategy(cfg: BenchConfig, strategy: str, inverse=None,
     res = StrategyResult(strategy, m.rms_tracking,
                          m.rms_prediction if online else None, False, None,
                          traj.n_steps, log)
-    k_warm = max(r, cfg.gp.capacity)
+    # observes start at step r, so the window fills at step r + capacity - 1
+    k_warm = r + cfg.gp.capacity - 1
     if online and len(log) > k_warm:
         mw = metrics(log, k_warm)
         res.rms_tracking_warm = mw.rms_tracking

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError
 
+from .inverse import SingularInverse
 from .systems import finite_number
 # `step` is re-exported so instrumentation can patch control.step
 from .systems import SimTrace, SimulationDiverged, simulate, step  # noqa: F401
@@ -176,9 +177,10 @@ def track_trajectory(system, controller: TransferController, trajectory,
     io_terms) is given, the analytic error map
     e*(k+r) = y_d(k+r) - F(x) - G(x) u1 of its r-step map y(k+r) = F + G u
     is evaluated at each query and logged as e_p_star for prediction-accuracy
-    audits; otherwise e_p_star is NaN. On divergence, or when the online model's
-    factorization fails, the raised SimulationDiverged carries the partial
-    trace and a log with one row per input of that trace.
+    audits; otherwise e_p_star is NaN. On divergence, when the online model's
+    factorization fails, or when the inverse's input gain is too small to
+    invert, the raised SimulationDiverged carries the partial trace and a
+    log with one row per input of that trace.
     """
     T = trajectory.n_steps
     cols = np.full((T, 5), math.nan)  # u1, e_p, alpha, u2, e_p_star
@@ -186,9 +188,8 @@ def track_trajectory(system, controller: TransferController, trajectory,
     def policy(k, x, y_d_future):
         try:
             dec = controller.control_step(k, x, y_d_future, system.output(x))
-        except LinAlgError as err:
-            raise SimulationDiverged(f"online model factorization failed: {err}",
-                                     k) from err
+        except (LinAlgError, SingularInverse) as err:
+            raise SimulationDiverged(f"{type(err).__name__}: {err}", k) from err
         e_star = math.nan
         if error_oracle_target is not None:
             F, G = error_oracle_target.io_terms(x)

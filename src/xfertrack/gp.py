@@ -14,10 +14,11 @@ scipy.linalg's checked wrappers cost several times the routine they wrap.
 
 The window is X and y, in two preallocated arrays that observe shifts in
 place, one new row per observation. Each window change forms the basis rows
-H, the squared row norms of X, the unscaled squared distances D and
-tau^2 H H' from X as new arrays; factorizations and queries divide
-distances by l^2. A query is checked once: predict and mean_derivative at
-the same point share its kernel and basis rows until the window changes.
+H, the squared row norms of X and the unscaled squared distances D from X
+as new arrays; a factorization adds tau^2 H H', and factorizations and
+queries divide distances by l^2. A query is checked once: predict and
+mean_derivative at the same point share its kernel and basis rows until
+the window changes.
 With optimize on, the observe that fills the window fits the length scale
 and signal variance to it by maximum likelihood (fit_hyperparams), once;
 they hold from then on, and the noise variance is never fitted.
@@ -140,9 +141,9 @@ class _Factor(NamedTuple):
 class _WindowTerms(NamedTuple):
     """The parts of a window's likelihood that (l, sigma_1^2) leave alone."""
 
-    dist: np.ndarray    # D: squared distances between the inputs, unscaled
-    tau2HH: np.ndarray  # tau^2 H H'
-    y: np.ndarray       # y - H c: the outputs centered on the basis prior mean
+    dist: np.ndarray  # D: squared distances between the inputs, unscaled
+    H: np.ndarray     # basis rows
+    y: np.ndarray     # y - H c: the outputs centered on the basis prior mean
 
 
 def _factor(hyper: GpHyperparams, terms: _WindowTerms) -> _Factor:
@@ -152,7 +153,7 @@ def _factor(hyper: GpHyperparams, terms: _WindowTerms) -> _Factor:
     K = hyper.signal_variance * np.exp(-0.5 * (terms.dist / hyper.length_scale ** 2))
     C = K.copy()
     C.reshape(-1)[::K.shape[0] + 1] += hyper.noise_variance
-    C += terms.tau2HH
+    C += BASIS_PRIOR_VARIANCE * (terms.H @ terms.H.T)
     L, jitter = _chol_with_jitter(C)
     return _Factor(L, jitter, dpotrs(L, terms.y, lower=1)[0], K)
 
@@ -171,7 +172,7 @@ class GpWindowModel:
         self._Xbuf, self._ybuf = np.zeros((cap, self.dim)), np.zeros(cap)
         self._X, self._y = self._Xbuf[:0], self._ybuf[:0]
         self._H, self._nx = basis_features(self._X), np.zeros(0)
-        self._D = self._tau2HH = np.zeros((0, 0))
+        self._D = np.zeros((0, 0))
         self.observation_count = 0
         self.rejected_count = 0
         self._cache = None  # _Factor of the current window
@@ -211,7 +212,6 @@ class GpWindowModel:
         self._y = self._ybuf[:n + 1]
         self._H, self._nx = basis_features(X), (X ** 2).sum(axis=1)
         self._D = _sq_dist(X, self._nx, X, self._nx)
-        self._tau2HH = BASIS_PRIOR_VARIANCE * (self._H @ self._H.T)
         self.observation_count += 1
         if self.cfg.optimize and self.observation_count == self.cfg.capacity:
             self.fit_hyperparams()
@@ -291,7 +291,7 @@ class GpWindowModel:
 
     def _window_terms(self) -> _WindowTerms:
         """The current window's terms, centered on the current coefficients."""
-        return _WindowTerms(self._D, self._tau2HH, self._y - self._H @ self._beta)
+        return _WindowTerms(self._D, self._H, self._y - self._H @ self._beta)
 
     def log_marginal_likelihood(self, hyper: GpHyperparams,
                                 terms: _WindowTerms | None = None):

@@ -101,11 +101,15 @@ class LtiSystem:
         for arr in (self.A, self.B, self.C, self.lifted_A):
             arr.setflags(write=False)
 
-    def step(self, x, u: float) -> np.ndarray:
-        return self.A @ x + self.B * u
+    def step(self, x, u) -> np.ndarray:
+        """x(k+1) of a state (n,) and an input, or of a stack (R, n) and
+        inputs (R,). Each state is its own matrix-vector product, so a stack
+        member gets the bits of its own run, which X @ A.T would not."""
+        return (self.A @ x[..., None])[..., 0] + self.B * np.asarray(u)[..., None]
 
-    def output(self, x) -> float:
-        return float(self.C @ x)
+    def output(self, x):
+        """y = C x of a state (a float), or of each state of a stack (R,)."""
+        return (x[..., None, :] @ self.C[:, None])[..., 0, 0]
 
     def io_terms(self, x):
         """Return (F(x), G(x)) of the r-step-ahead map y(k+r) = F + G u."""
@@ -224,27 +228,6 @@ class SimTrace:
                 for i in range(self.inputs.shape[1])]
 
 
-class _LtiStack:
-    """R copies of an LtiSystem stepped together: states (R, n), inputs (R,).
-
-    Each member's update and output is its own matrix-vector product, so a
-    member gets the bits of LtiSystem.step and LtiSystem.output on its own
-    state. X @ A.T (one matrix-matrix product) and X @ C do not: they
-    differ in the last bit on a sizeable share of states.
-    """
-
-    def __init__(self, system: LtiSystem):
-        self.A = system.A
-        self.B = system.B
-        self.C = system.C[:, None]
-
-    def step(self, X, u) -> np.ndarray:
-        return (self.A @ X[..., None])[..., 0] + self.B * u[..., None]
-
-    def output(self, X) -> np.ndarray:
-        return (X[..., None, :] @ self.C)[..., 0, 0]
-
-
 def _all_finite(a) -> bool:
     return bool(np.isfinite(a).all())
 
@@ -279,12 +262,12 @@ def simulate(system, policy, trajectory, x0=None) -> SimTrace:
         if any(traj.n_steps != T for traj in trajectory):
             raise ValueError("stacked trajectories must have equal n_steps")
         yd = np.stack([traj.values(T + r) for traj in trajectory], axis=1)
-        plant, shape = _LtiStack(system), (len(trajectory), system.n)
+        shape = (len(trajectory), system.n)
         as_input, finite = partial(np.asarray, dtype=float), _all_finite
     else:
         T = trajectory.n_steps
         yd = trajectory.values(T + r)
-        plant, shape = system, (system.n,)
+        shape = (system.n,)
         as_input, finite = float, math.isfinite
     x = np.zeros(shape) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != shape:
@@ -293,7 +276,7 @@ def simulate(system, policy, trajectory, x0=None) -> SimTrace:
     inputs = np.empty((T,) + shape[:-1])
     outputs = np.empty((T + 1,) + shape[:-1])
     states[0] = x
-    outputs[0] = plant.output(x)
+    outputs[0] = system.output(x)
     k = 0
     try:
         for k in range(T):
@@ -301,9 +284,9 @@ def simulate(system, policy, trajectory, x0=None) -> SimTrace:
             if not finite(u):
                 raise SimulationDiverged("policy produced a non-finite input", k)
             inputs[k] = u
-            x = step(plant, x, u, k)
+            x = step(system, x, u, k)
             states[k + 1] = x
-            outputs[k + 1] = plant.output(x)
+            outputs[k + 1] = system.output(x)
     except SimulationDiverged as err:
         err.partial_trace = SimTrace(states=states[:k + 1].copy(),
                                      inputs=inputs[:k].copy(),

@@ -280,6 +280,21 @@ def test_warm_metrics_reported_for_online(bench_report):
     assert "rms_tracking_warm" not in bench_report.strategies["offline"]
 
 
+def test_warm_metrics_start_where_the_correction_engages():
+    # with c = [1, 0] on both bundled plants r = 2: the observation made at
+    # step k = r + capacity - 1 = 16 fills the window, and the correction
+    # first applies there; the warm figures exclude exactly the steps before
+    base = short_config(duration=0.1)
+    cfg = replace(base, source=replace(base.source, c=[1.0, 0.0]),
+                  target=replace(base.target, c=[1.0, 0.0]))
+    res = run_strategy(cfg, "online")
+    first = int(np.flatnonzero(res.log.alpha != 0)[0])
+    assert cfg.target.build().r == 2 and first == 16
+    warm = metrics(res.log, first)
+    assert res.rms_tracking_warm == warm.rms_tracking
+    assert res.rms_prediction_warm == warm.rms_prediction
+
+
 @pytest.mark.parametrize("duration, warm", [(0.012, False), (0.024, True)])
 def test_warm_metrics_need_a_step_past_the_window(duration, warm):
     # 8 steps end before the window fills at k = 15, 16 steps reach it; the

@@ -13,7 +13,8 @@ from xfertrack.inverse import (AnalyticInverse, InverseDataset, MlpInverseModel,
                                SingularInverse, TrainingConfig,
                                TrainingDiverged, build_inverse_dataset,
                                train_mlp)
-from xfertrack.systems import NonlinearSystem, SimTrace, simulate
+from xfertrack.systems import (NonlinearSystem, SimTrace, SimulationDiverged,
+                               simulate)
 from xfertrack.trajectory import SinusoidTrajectory, training_references
 
 from helpers import affine_lstsq_inverse, drag_pair, reference_trajectory, source_system
@@ -102,18 +103,37 @@ def test_reference_tracks_exactly_in_closed_loop():
     assert err.max() <= 1e-10
 
 
-def test_singular_inverse_raises():
+def vanishing_gain_system():
     # input gain x vanishes at the origin
-    nl = NonlinearSystem(n=1,
-                         f=lambda x: 0.5 * x,
-                         g=lambda x: x,
-                         h=lambda x: float(x[0]),
-                         r=1,
-                         F=lambda x: 0.5 * x[0],
-                         G=lambda x: x[0])
-    inv = AnalyticInverse(nl)
+    return NonlinearSystem(n=1,
+                           f=lambda x: 0.5 * x,
+                           g=lambda x: x,
+                           h=lambda x: float(x[0]),
+                           r=1,
+                           F=lambda x: 0.5 * x[0],
+                           G=lambda x: x[0])
+
+
+def test_singular_inverse_raises():
+    inv = AnalyticInverse(vanishing_gain_system())
     with pytest.raises(SingularInverse):
         inv.reference(np.array([0.0]), 1.0)
+
+
+@pytest.mark.parametrize("x0, k", [([0.0], 0), ([1.0], 1)])
+def test_singular_inverse_is_a_recorded_abort(x0, k):
+    # on the zero reference the exact inverse drives x(1) = 0 from x(0) = 1;
+    # where the gain vanishes the run ends as a divergence with its log
+    nl = vanishing_gain_system()
+    zero = SinusoidTrajectory(amplitudes=(0.0,), angular_freqs=(1.0,),
+                              phases=(0.0,), offset=0.0, dt=0.1, duration=1.0)
+    ctrl = TransferController(AnalyticInverse(nl), r=1)
+    with pytest.raises(SimulationDiverged, match="SingularInverse") as info:
+        track_trajectory(nl, ctrl, zero, x0=x0)
+    err = info.value
+    assert err.step == k
+    assert len(err.partial_log) == k
+    assert err.partial_log.states.tolist() == [x0][:k]
 
 
 # -- MLP training --------------------------------------------------------------

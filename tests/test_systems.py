@@ -292,6 +292,26 @@ def test_stacked_simulate_matches_single_runs(n):
             assert np.array_equal(member.outputs, single.outputs)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("R", [1, 4])
+def test_step_and_output_of_a_stack_match_each_member(R, n):
+    # a stack (R, n) is stepped and read member by member: each member gets
+    # the bits of the plain A @ x + B * u and float(C @ x) of its own state
+    rng = np.random.default_rng(10 * R + n)
+    for _ in range(50):
+        sys_ = LtiSystem(rng.standard_normal((n, n)), rng.standard_normal(n),
+                         rng.standard_normal(n))
+        X = rng.standard_normal((R, n)) * 10.0 ** rng.uniform(-3, 3, (R, n))
+        u = rng.standard_normal(R) * 10.0 ** rng.uniform(-3, 3, R)
+        X_next, Y = sys_.step(X, u), sys_.output(X)
+        assert X_next.shape == (R, n) and Y.shape == (R,)
+        for i in range(R):
+            assert np.array_equal(X_next[i], sys_.A @ X[i] + sys_.B * u[i])
+            assert Y[i] == float(sys_.C @ X[i])
+            assert np.array_equal(sys_.step(X[i], float(u[i])), X_next[i])
+            assert sys_.output(X[i]) == Y[i]
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_stacked_simulate_diverges_at_first_member_divergence():
     unstable = LtiSystem([[2.0]], [1.0], [1.0])
