@@ -14,6 +14,7 @@ import csv
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -61,11 +62,9 @@ class EstimatedGain:
         return math.copysign(min(max(abs(alpha), self.floor), self.cap), alpha)
 
 
-@dataclass(frozen=True)
-class ControlDecision:
+class ControlDecision(NamedTuple):
     u1: float
     e_p: float
-    variance: float
     alpha: float
     u2: float
     u: float
@@ -108,27 +107,29 @@ class TransferController:
         if not math.isfinite(u1):
             # a divergence; checked here because predict rejects the query
             raise SimulationDiverged(f"inverse returned u1={u1}", k)
-        e_p, var, alpha, u2, u = 0.0, math.inf, 0.0, 0.0, u1
+        e_p, alpha, u2, u = 0.0, 0.0, 0.0, u1
         if self.online is not None:
-            xi_query = np.concatenate([x, [u1], [y_d_future]])
-            e_p, var = self.online.predict(xi_query)
+            n = x.shape[0]
+            xi_query = np.empty(n + 2)
+            xi_query[:n], xi_query[n], xi_query[n + 1] = x, u1, y_d_future
+            e_p = self.online.predict(xi_query)
             # warm-up: the prediction is logged but the correction stays
             # off until the model's window is full. A part-filled window
             # gives derivative (hence gain) estimates of arbitrary sign,
             # and alpha * e_p with a wrong-sign gain can kick the plant
             # hard enough to poison the window it is learning from.
             if self.online.full:
-                alpha = self.select_gain(xi_query, u1_dim=x.shape[0])
+                alpha = self.select_gain(xi_query, u1_dim=n)
                 self._last_alpha = alpha
                 u2 = alpha * e_p
                 u = u1 + u2
-        if not np.isfinite(u) or abs(u) > self.u_max:
+        if not math.isfinite(u) or abs(u) > self.u_max:
             raise SimulationDiverged(
                 f"input guard tripped: |u|={abs(u):.3e} exceeds {self.u_max:.3e}", k)
         if self.online is not None:  # a copy: the model has seen the query row
             self._pending.append(xi_query.copy())
-            self._pending[-1][x.shape[0]] = u  # the applied input in u1's slot
-        return ControlDecision(u1=u1, e_p=e_p, variance=var, alpha=alpha, u2=u2, u=u)
+            self._pending[-1][n] = u  # the applied input in u1's slot
+        return ControlDecision(u1, e_p, alpha, u2, u)
 
 
 # per-step columns of a StepLog after the states, in CSV order
@@ -165,8 +166,8 @@ class StepLog:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["k"] + [f"x{i}" for i in range(n)] + list(LOG_COLUMNS))
-            w.writerows([k] + [repr(v) for v in row]
-                        for k, row in enumerate(data.tolist()))
+            # csv spells a float as repr does: nan, inf, -0.0, 5e-324
+            w.writerows([k, *row] for k, row in enumerate(data.tolist()))
 
 
 def track_trajectory(system, controller: TransferController, trajectory,

@@ -12,13 +12,14 @@ beta = c + tau^2 H' a and mean(xi) = h(xi)' beta + k(xi)' a. LAPACK
 (potrf, potrs, trtri, trtrs) is called directly: at window sizes of tens,
 scipy.linalg's checked wrappers cost several times the routine they wrap.
 
-The window is X and y, in two preallocated arrays that observe shifts in
-place, one new row per observation. Each window change forms the basis rows
-H, the squared row norms of X and the unscaled squared distances D from X
-as new arrays; a factorization adds tau^2 H H', and factorizations and
-queries divide distances by l^2. A query is checked once: predict and
-mean_derivative at the same point share its kernel and basis rows until
-the window changes.
+The window is its basis rows H and y, in two preallocated arrays that
+observe shifts in place, one new row per observation; X is the view of H's
+xi columns, and the squared row norms of X are the sums of its xi^2
+columns. Each window change forms the unscaled squared distances D from X
+as a new array; a factorization adds tau^2 H H', and factorizations and
+queries divide distances by l^2. A query is checked once: predict,
+variance and mean_derivative at the same point share its kernel and basis
+rows until the window changes. The control path asks only for the mean.
 With optimize on, the observe that fills the window fits the length scale
 and signal variance to it by maximum likelihood (fit_hyperparams), once;
 they hold from then on, and the noise variance is never fitted.
@@ -46,6 +47,7 @@ FIT_EVALS = 100  # likelihood evaluations a hyperparameter fit may make
 # box of the hyperparameter fit, applied in log space
 LENGTH_SCALE_BOUNDS = (1e-2, 1e3)
 SIGNAL_VARIANCE_BOUNDS = (1e-8, 1e4)
+_ONE = np.ones(1)  # the constant basis function's entry of a basis row
 
 
 @dataclass(frozen=True)
@@ -103,9 +105,10 @@ def _sq_dist(X, nx, Z, nz) -> np.ndarray:
     return sq
 
 
-def basis_features(X: np.ndarray) -> np.ndarray:
-    """Explicit basis rows [1, xi, xi^2] for inputs (N, d)."""
-    return np.concatenate((np.ones((X.shape[0], 1)), X, X ** 2), axis=1)
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite. A NaN or +-inf anywhere makes the
+    sum non-finite, so only a sum that overflows needs the entrywise check."""
+    return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
 
 
 def _chol_with_jitter(M: np.ndarray):
@@ -113,7 +116,7 @@ def _chol_with_jitter(M: np.ndarray):
     the jitter goes onto M's diagonal in place. potrf may factor a matrix
     with an infinite diagonal without complaint, so a non-finite M raises
     LinAlgError up front."""
-    if not np.isfinite(M).all():
+    if not _finite(M):
         raise LinAlgError("covariance is not finite")
     diag = M.reshape(-1)[::M.shape[0] + 1]  # a view: M is contiguous
     base = diag.copy()
@@ -166,12 +169,13 @@ class GpWindowModel:
         self.dim = int(dim)
         self.hyper = self.cfg.hyper0
 
-        # the window X, y: the live rows of two buffers, oldest first. The
-        # terms formed from X on each window change are never written into
+        # the window H, y: the live rows of two buffers, oldest first, H's
+        # rows being [1, xi, xi^2] and X the view of its xi columns. observe
+        # writes the buffers in place, so window terms hold until the next one
         cap = self.cfg.capacity
-        self._Xbuf, self._ybuf = np.zeros((cap, self.dim)), np.zeros(cap)
-        self._X, self._y = self._Xbuf[:0], self._ybuf[:0]
-        self._H, self._nx = basis_features(self._X), np.zeros(0)
+        self._Hbuf, self._ybuf = np.ones((cap, 2 * self.dim + 1)), np.zeros(cap)
+        self._H, self._y = self._Hbuf[:0], self._ybuf[:0]
+        self._X, self._nx = self._H[:, 1:self.dim + 1], np.zeros(0)
         self._D = np.zeros((0, 0))
         self.observation_count = 0
         self.rejected_count = 0
@@ -198,20 +202,21 @@ class GpWindowModel:
     def observe(self, xi, e: float) -> "GpWindowModel":
         """Insert one observation, evicting the oldest beyond capacity."""
         xi = self._as_input(xi)
-        if not (np.isfinite(xi).all() and math.isfinite(e)):
+        if not (math.isfinite(e) and _finite(xi)):
             self.rejected_count += 1
             logger.warning("rejected non-finite observation (total rejected: %d)",
                            self.rejected_count)
             return self
-        n = self.size
+        n, d = self.size, self.dim
         if n == self.cfg.capacity:
             n -= 1
-            self._Xbuf[:-1], self._ybuf[:-1] = self._Xbuf[1:], self._ybuf[1:]
-        self._Xbuf[n], self._ybuf[n] = xi, e
-        X = self._X = self._Xbuf[:n + 1]
-        self._y = self._ybuf[:n + 1]
-        self._H, self._nx = basis_features(X), (X ** 2).sum(axis=1)
-        self._D = _sq_dist(X, self._nx, X, self._nx)
+            self._Hbuf[:-1], self._ybuf[:-1] = self._Hbuf[1:], self._ybuf[1:]
+        row = self._Hbuf[n]
+        row[1:d + 1], self._ybuf[n] = xi, e
+        np.multiply(xi, xi, out=row[d + 1:])
+        H, self._y = self._Hbuf[:n + 1], self._ybuf[:n + 1]
+        X, self._nx = H[:, 1:d + 1], H[:, d + 1:].sum(axis=1)
+        self._H, self._X, self._D = H, X, _sq_dist(X, self._nx, X, self._nx)
         self.observation_count += 1
         if self.cfg.optimize and self.observation_count == self.cfg.capacity:
             self.fit_hyperparams()
@@ -243,18 +248,23 @@ class GpWindowModel:
             raise ValueError(f"expected {self.dim}-dimensional input, got {xi.shape}")
         return xi
 
-    def predict(self, xi) -> tuple:
-        """Predictive mean and variance at xi; (0, inf) on an empty window."""
+    def predict(self, xi) -> float:
+        """Predictive mean at xi; 0 on an empty window."""
         _, ks, hs = self._query_terms(xi)
         if self.size == 0:
-            return 0.0, math.inf
-        c = self._cache
-        mean = float(hs @ self._beta + ks @ c.a)
+            return 0.0
+        return float(hs @ self._beta + ks @ self._cache.a)
+
+    def variance(self, xi) -> float:
+        """Predictive variance at xi; inf on an empty window."""
+        _, ks, hs = self._query_terms(xi)
+        if self.size == 0:
+            return math.inf
         # prior covariance of the folded model: k + tau^2 h' h
         tau2 = BASIS_PRIOR_VARIANCE
-        v = dtrtrs(c.L, ks + tau2 * (self._H @ hs), lower=1)[0]
+        v = dtrtrs(self._cache.L, ks + tau2 * (self._H @ hs), lower=1)[0]
         var = self.hyper.signal_variance + tau2 * float(hs @ hs) - float(v @ v)
-        return mean, max(var, 0.0)
+        return max(var, 0.0)
 
     def _query_terms(self, xi) -> tuple:
         """xi as a flat array, k(xi, X) and h(xi); ValueError unless xi has
@@ -264,13 +274,13 @@ class GpWindowModel:
         xi = self._as_input(xi)
         key = xi.tobytes()
         if self._query is None or self._query[0] != key:
-            if not np.isfinite(xi).all():
+            if not _finite(xi):
                 raise ValueError("query must be finite")
-            row = xi[None, :]
-            sq = _sq_dist(row, (row ** 2).sum(axis=1), self._X, self._nx)[0]
+            hs = np.concatenate((_ONE, xi, xi * xi))
+            sq = _sq_dist(xi[None, :], hs[self.dim + 1:].sum(keepdims=True),
+                          self._X, self._nx)[0]
             sq /= self.hyper.length_scale ** 2
-            self._query = (key, self.hyper.signal_variance * np.exp(-0.5 * sq),
-                           basis_features(row)[0])
+            self._query = (key, self.hyper.signal_variance * np.exp(-0.5 * sq), hs)
         return (xi,) + self._query[1:]
 
     def mean_derivative(self, xi, dim: int) -> float:

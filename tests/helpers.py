@@ -105,6 +105,12 @@ def random_stable_system(rng, n: int = 2) -> LtiSystem:
             return LtiSystem(A, B, C)
 
 
+def basis_features(X: np.ndarray) -> np.ndarray:
+    """Explicit basis rows [1, xi, xi^2] for inputs (N, d), built directly:
+    the oracle for the basis rows the GP window keeps."""
+    return np.concatenate((np.ones((X.shape[0], 1)), X, X ** 2), axis=1)
+
+
 def kernel(xi, xj, hyper: GpHyperparams) -> float:
     """Squared-exponential kernel sigma_1^2 exp(-1/2 sum ((xi-xj)/l)^2), one
     pair at a time."""
@@ -146,7 +152,7 @@ class AffineErrorOracle:
     def predict(self, xi):
         xi = np.asarray(xi, dtype=float)
         F, G = self.target.io_terms(xi[:self.n])
-        return float(xi[self.n + 1] - F - G * xi[self.n]), 0.0
+        return float(xi[self.n + 1] - F - G * xi[self.n])
 
     def mean_derivative(self, xi, dim: int) -> float:
         if dim < self.n:

@@ -25,16 +25,16 @@ from xfertrack import inverse
 from xfertrack.bench import build_training_dataset, run_comparison, run_strategy
 from xfertrack.control import (EstimatedGain, TransferController,
                                track_trajectory)
-from xfertrack.gp import (BASIS_PRIOR_VARIANCE, GpCfg, GpHyperparams,
-                          GpWindowModel, basis_features)
+from xfertrack.gp import BASIS_PRIOR_VARIANCE, GpCfg, GpHyperparams, GpWindowModel
 from xfertrack.inverse import (AnalyticInverse, InverseDataset, TrainingConfig,
                                train_mlp)
 from xfertrack.stability import (assemble_budget, fit_prediction_budget,
                                  lemma1_check, similarity)
 
 from conftest import record_criterion
-from helpers import (AffineErrorOracle, hyper_model, kernel, random_stable_system,
-                     reference_trajectory, source_system, target_system)
+from helpers import (AffineErrorOracle, basis_features, hyper_model, kernel,
+                     random_stable_system, reference_trajectory, source_system,
+                     target_system)
 
 BASELINE_RMS = 3.97
 BASELINE_BAND = 0.10
@@ -245,7 +245,7 @@ def test_criterion_7_property_suites(bench_config, monkeypatch):
         lo, hi = q.copy(), q.copy()
         lo[dim] -= h
         hi[dim] += h
-        fd = (gp.predict(hi)[0] - gp.predict(lo)[0]) / (2 * h)
+        fd = (gp.predict(hi) - gp.predict(lo)) / (2 * h)
         if abs(gp.mean_derivative(q, dim) - fd) > 1e-4 * max(abs(fd), 1e-8):
             fd_ok = False
             break

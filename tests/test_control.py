@@ -40,7 +40,7 @@ class StubOnline:
         self.observations.append((np.asarray(xi, dtype=float).copy(), float(e)))
 
     def predict(self, xi):
-        return self.prediction, 0.0
+        return self.prediction
 
     def mean_derivative(self, xi, dim):
         return self.derivative
@@ -293,9 +293,7 @@ def test_affine_oracle_values():
     # target lifted gains: lifted_A = [-0.24, 0.9], lifted_B = 1
     oracle = AffineErrorOracle(target_system())
     xi = np.array([1.0, 2.0, 0.5, 0.3])
-    mean, var = oracle.predict(xi)
-    assert mean == pytest.approx(0.3 - (-0.24 * 1.0 + 0.9 * 2.0) - 0.5)
-    assert var == 0.0
+    assert oracle.predict(xi) == pytest.approx(0.3 - (-0.24 * 1.0 + 0.9 * 2.0) - 0.5)
     assert oracle.mean_derivative(xi, 0) == pytest.approx(0.24)
     assert oracle.mean_derivative(xi, 1) == pytest.approx(-0.9)
     assert oracle.mean_derivative(xi, 2) == pytest.approx(-1.0)
@@ -381,18 +379,21 @@ def test_step_log_columns_and_states_shape():
 
 
 def test_step_log_csv_bytes(tmp_path):
-    # excel dialect: \r\n line ends, integer k, repr floats (nan and -0.0
-    # spelled out); the header names the state columns x0..x{n-1}
+    # excel dialect: \r\n line ends, integer k, repr floats (nan, +-inf,
+    # -0.0 and the smallest subnormal spelled out); the header names the
+    # state columns x0..x{n-1}
     col = np.array
-    log = StepLog(states=col([[1.0, -0.0], [1e-300, 2.5e10]]),
-                  y=col([0.1, 1.0 / 3.0]), y_d=col([0.2, -1.5]),
-                  u1=col([0.3, 0.0]), e_p=col([0.0, -0.0]), alpha=col([1.0, 20.0]),
-                  u2=col([0.0, 1e-17]), u=col([0.3, 123456789.125]),
-                  e_p_star=col([np.nan, -2.0]))
+    log = StepLog(states=col([[1.0, -0.0], [1e-300, 2.5e10], [np.inf, 5e-324]]),
+                  y=col([0.1, 1.0 / 3.0, -np.inf]), y_d=col([0.2, -1.5, -5e-324]),
+                  u1=col([0.3, 0.0, np.nan]), e_p=col([0.0, -0.0, -0.0]),
+                  alpha=col([1.0, 20.0, 0.05]), u2=col([0.0, 1e-17, np.inf]),
+                  u=col([0.3, 123456789.125, 1e16]),
+                  e_p_star=col([np.nan, -2.0, 2.2250738585072014e-308]))
     path = tmp_path / "steps.csv"
     log.to_csv(path)
     assert path.read_bytes() == (
         b"k,x0,x1,y,y_d,u1,e_p,alpha,u2,u,e_p_star\r\n"
         b"0,1.0,-0.0,0.1,0.2,0.3,0.0,1.0,0.0,0.3,nan\r\n"
         b"1,1e-300,25000000000.0,0.3333333333333333,-1.5,0.0,-0.0,20.0,1e-17,"
-        b"123456789.125,-2.0\r\n")
+        b"123456789.125,-2.0\r\n"
+        b"2,inf,5e-324,-inf,-5e-324,nan,-0.0,0.05,inf,1e+16,2.2250738585072014e-308\r\n")

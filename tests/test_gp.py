@@ -19,9 +19,9 @@ from xfertrack.bench import default_benchmark_config, run_strategy
 from xfertrack import gp as gp_module
 from xfertrack.gp import (BASIS_PRIOR_VARIANCE, FIT_EVALS, LENGTH_SCALE_BOUNDS,
                           SIGNAL_VARIANCE_BOUNDS, GpCfg, GpHyperparams,
-                          GpWindowModel, basis_features)
+                          GpWindowModel)
 
-from helpers import hyper_model, kernel, kernel_matrix
+from helpers import basis_features, hyper_model, kernel, kernel_matrix
 
 
 def filled_model(rng, dim=3, n=15, hyper=GpHyperparams()):
@@ -115,12 +115,23 @@ def test_duplicate_inputs_still_factorize():
     for _ in range(6):
         gp.observe([1.0, 1.0], 0.5)
     assert gp._cache is not None
-    m, v = gp.predict([1.0, 1.0])
-    assert np.isfinite(m) and np.isfinite(v)
+    assert np.isfinite(gp.predict([1.0, 1.0])) and np.isfinite(gp.variance([1.0, 1.0]))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_nonfinite_covariance_is_a_factorization_failure(monkeypatch):
+    # a single NaN, a single +inf, and +inf beside -inf (whose sum is NaN)
+    # in an otherwise positive definite C each fail like an indefinite C;
+    # finite entries whose sum overflows do not
+    for bad in ([(0, 1, math.nan)], [(2, 2, math.inf)],
+                [(0, 0, math.inf), (1, 2, -math.inf)]):
+        C = np.eye(3) + 0.1
+        for i, j, v in bad:
+            C[i, j] = v
+        with pytest.raises(LinAlgError, match="not finite"):
+            gp_module._chol_with_jitter(C)
+    assert gp_module._finite(np.full((2, 2), 1e308))
     # tau^2 |h|^2 overflows: C = [[inf]] must fail like an indefinite C,
     # not factor to [[inf]] and predict NaN
     monkeypatch.setattr(gp_module, "BASIS_PRIOR_VARIANCE", 1e308)
@@ -137,10 +148,10 @@ def test_predictions_live_from_first_observation_and_full_flag():
     assert not gp.full
     for i in range(5):
         gp.observe([float(i), 0.0], float(i))
-        mean, var = gp.predict([float(i), 0.0])
-        assert np.isfinite(mean) and np.isfinite(var)
+        xi = [float(i), 0.0]
+        assert np.isfinite(gp.predict(xi)) and np.isfinite(gp.variance(xi))
         assert gp.full == (i == 4)
-    assert gp.predict([2.0, 0.0])[0] == pytest.approx(2.0, abs=1e-3)
+    assert gp.predict([2.0, 0.0]) == pytest.approx(2.0, abs=1e-3)
     gp.observe([5.0, 0.0], 5.0)  # eviction keeps the window full
     assert gp.full and gp.size == 5
 
@@ -150,9 +161,8 @@ def test_predictions_live_from_first_observation_and_full_flag():
 
 def test_empty_window_cold_start():
     gp = GpWindowModel(3, GpCfg(capacity=15))
-    mean, var = gp.predict([0.0, 0.0, 0.0])
-    assert mean == 0.0
-    assert var == math.inf
+    assert gp.predict([0.0, 0.0, 0.0]) == 0.0
+    assert gp.variance([0.0, 0.0, 0.0]) == math.inf
     assert gp.mean_derivative([0.0, 0.0, 0.0], 0) == 0.0
     with pytest.raises(ValueError, match="empty"):
         gp.log_marginal_likelihood(gp.hyper)
@@ -162,19 +172,16 @@ def test_interpolation_limit_at_observed_inputs():
     rng = np.random.default_rng(0)
     gp = filled_model(rng, hyper=GpHyperparams(noise_variance=0.0))
     for xi, e in zip(gp._X, gp._y):
-        mean, _ = gp.predict(xi)
-        assert abs(mean - e) <= 1e-6
+        assert abs(gp.predict(xi) - e) <= 1e-6
 
 
 def test_variance_nonnegative_and_small_at_data():
     rng = np.random.default_rng(1)
     gp = filled_model(rng, hyper=GpHyperparams(noise_variance=0.0))
     for xi in gp._X:
-        _, var = gp.predict(xi)
-        assert 0.0 <= var <= 1e-9
+        assert 0.0 <= gp.variance(xi) <= 1e-9
     for _ in range(50):
-        _, var = gp.predict(rng.standard_normal(3) * 3)
-        assert var >= 0.0
+        assert gp.variance(rng.standard_normal(3) * 3) >= 0.0
 
 
 def test_affine_window_recovered_through_basis():
@@ -189,8 +196,7 @@ def test_affine_window_recovered_through_basis():
         gp.observe(xi, float(w @ xi + c))
     for _ in range(20):
         q = rng.uniform(-0.9, 0.9, size=3)
-        mean, _ = gp.predict(q)
-        assert abs(mean - (w @ q + c)) <= 1e-6
+        assert abs(gp.predict(q) - (w @ q + c)) <= 1e-6
 
 
 def gpml_posterior(X, y, xs, hyper, tau2, b, jitter):
@@ -238,9 +244,22 @@ def test_prediction_matches_explicit_basis_posterior(monkeypatch):
         for _ in range(5):
             xs = 1.5 * rng.standard_normal(d)
             mean, var, _ = gpml_posterior(X, y, xs, hyper, tau2, b, gp.jitter)
-            got_mean, got_var = gp.predict(xs)
+            got_mean, got_var = gp.predict(xs), gp.variance(xs)
             assert abs(got_mean - mean) <= 1e-6 * max(1.0, abs(mean))
             assert abs(got_var - var) <= 1e-6 * max(1e-2, var)
+
+
+def test_control_path_computes_no_variance(monkeypatch):
+    # the controller decides from the mean and its derivative alone: with
+    # the variance's triangular solve broken, a 1 s bundled analytic online
+    # run still completes without an abort
+    def broken(*args, **kwargs):
+        raise RuntimeError("the control path solved for a variance")
+
+    monkeypatch.setattr(gp_module, "dtrtrs", broken)
+    cfg = default_benchmark_config(inverse_mode="analytic")
+    cfg = replace(cfg, trajectory=replace(cfg.trajectory, duration_s=1.0))
+    assert not run_strategy(cfg, "online").aborted
 
 
 def test_mean_derivative_matches_finite_differences():
@@ -263,7 +282,7 @@ def test_mean_derivative_matches_finite_differences():
         lo, hi = q.copy(), q.copy()
         lo[dim] -= h
         hi[dim] += h
-        fd = (gp.predict(hi)[0] - gp.predict(lo)[0]) / (2 * h)
+        fd = (gp.predict(hi) - gp.predict(lo)) / (2 * h)
         assert abs(analytic - fd) <= 1e-4 * max(abs(fd), 1e-8)
 
 
