@@ -53,7 +53,7 @@ print("for this pair, so no gain is certified, not even 0. the condition")
 print("being sufficient only, the sweep below shows the runs are bounded")
 print("and accurate anyway:\n")
 
-sweep = alpha_sweep(short, [0.0, 0.5, 1.0, 2.0])
+sweep = alpha_sweep(replace(short, sweep_alphas=[0.0, 0.5, 1.0, 2.0]))
 print(f"{'alpha':>6} {'bounded':>8} {'rms tracking':>14}")
 for row in sweep["sweep"]:
     print(f"{row['alpha']:>6} {str(row['bounded']):>8} "

@@ -206,9 +206,9 @@ def default_benchmark_config(inverse_mode: str = "mlp") -> BenchConfig:
     The gain estimate is smoothed with factor 0.95, and the GP fits its
     length scale and signal variance once, when its 15-observation window
     fills. The simulation is noise-free, so the GP noise variance, which
-    the fit leaves alone, is set to 1e-12. Training seed 13 keeps the
-    bundled MLP's closed-loop error near the analytic inverse's; other
-    seeds land anywhere in roughly a 2x band around it.
+    the fit leaves alone, is set to 1e-12. Acceptance criterion 2 holds
+    for every training seed in 1-10; seed 13 stays because the pinned
+    report digests are taken at it.
     """
     return BenchConfig(
         source=SystemCfg(a=[[0.0, 1.0], [-0.15, 0.8]], b=[0.0, 1.0], c=[-0.2, 1.0]),
@@ -257,17 +257,19 @@ class _PassThrough:
         return y_d_future
 
 
-def make_inverse(cfg: BenchConfig, source: LtiSystem):
-    """Build the configured inverse module (training the MLP if asked)."""
+def make_inverse(cfg: BenchConfig):
+    """Build the configured inverse module of the config's source (training
+    the MLP if asked)."""
     if cfg.inverse_mode == "analytic":
-        return AnalyticInverse(source)
-    return train_mlp(build_training_dataset(cfg, source), cfg.mlp, seed=cfg.seed)
+        return AnalyticInverse(cfg.source.build())
+    return train_mlp(build_training_dataset(cfg), cfg.mlp, seed=cfg.seed)
 
 
-def build_training_dataset(cfg: BenchConfig, source: LtiSystem) -> InverseDataset:
-    """Excitation protocol: drive the source with each reference sinusoid
-    passed through as the input, then pair (x(k), y(k+r)) -> u(k). The
-    references are rolled as one stack of runs."""
+def build_training_dataset(cfg: BenchConfig) -> InverseDataset:
+    """Excitation protocol: drive the config's source with each reference
+    sinusoid passed through as the input, then pair (x(k), y(k+r)) -> u(k).
+    The references are rolled as one stack of runs."""
+    source = cfg.source.build()
     refs = training_references(dt=cfg.trajectory.dt,
                                duration=cfg.mlp.train_duration_s)
     stack = simulate(source, lambda k, x, ydf: ydf, refs)
@@ -310,13 +312,11 @@ def run_strategy(cfg: BenchConfig, strategy: str, inverse=None,
 
     # every strategy is a controller; the baseline passes the reference
     # through unguarded and has no error map to audit against
-    oracle_target = target
     if strategy == "baseline":
         ctrl = TransferController(_PassThrough(), r=r, u_max=math.inf)
-        oracle_target = None
     elif strategy in ("offline", "online"):
         if inverse is None:
-            inverse = make_inverse(cfg, cfg.source.build())
+            inverse = make_inverse(cfg)
         gp_model = gain = None
         if strategy == "online":
             gp_model = GpWindowModel(target.n + 2, cfg.gp)
@@ -328,7 +328,7 @@ def run_strategy(cfg: BenchConfig, strategy: str, inverse=None,
         raise ConfigError(f"unknown strategy {strategy!r}")
     try:
         _, log = track_trajectory(target, ctrl, traj, x0=cfg.x0,
-                                  error_oracle_target=oracle_target)
+                                  audit=strategy != "baseline")
     except SimulationDiverged as err:
         return StrategyResult(strategy, None, None, True, err.step,
                               traj.n_steps, err.partial_log)
@@ -352,7 +352,6 @@ def run_strategy(cfg: BenchConfig, strategy: str, inverse=None,
 @dataclass
 class RunReport:
     config: dict
-    seed: int
     strategies: dict
     mlp_validation_rmse: float | None
     wall_time_s: float
@@ -367,7 +366,7 @@ class RunReport:
             "version": REPORT_VERSION,
             "config": self.config,
             "config_digest": _digest(self.config),
-            "seed": self.seed,
+            "seed": self.config["seed"],
             "strategies": self.strategies,
             "mlp_validation_rmse": self.mlp_validation_rmse,
         }
@@ -389,7 +388,7 @@ def run_comparison(cfg: BenchConfig, out_dir=None) -> RunReport:
     runs = {"baseline": run_strategy(cfg, "baseline")}
     inverse = inverse_error = None
     try:
-        inverse = make_inverse(cfg, cfg.source.build())
+        inverse = make_inverse(cfg)
     except (SimulationDiverged, TrainingDiverged) as err:
         inverse_error = err
     val_rmse = getattr(inverse, "validation_rmse", None)
@@ -407,7 +406,7 @@ def run_comparison(cfg: BenchConfig, out_dir=None) -> RunReport:
             path = output_dir(out_dir) / f"{strat}_steps.csv"
             res.log.to_csv(path)
             log_paths[strat] = str(path)
-    report = RunReport(config=cfg.to_dict(), seed=cfg.seed, strategies=results,
+    report = RunReport(config=cfg.to_dict(), strategies=results,
                        mlp_validation_rmse=val_rmse,
                        wall_time_s=time.perf_counter() - t0, log_paths=log_paths,
                        logs=logs, inverse_error=inverse_error)
@@ -416,20 +415,20 @@ def run_comparison(cfg: BenchConfig, out_dir=None) -> RunReport:
     return report
 
 
-# the gains `xfertrack sweep-alpha` runs when the config lists none
+# the gains alpha_sweep runs when the config lists none
 SWEEP_ALPHAS = (0.0, 0.25, 0.5, 1.0, 2.0)
 
 
-def alpha_sweep(cfg: BenchConfig, alphas, out_dir=None) -> dict:
-    """Run the online strategy at fixed gains, recording boundedness and RMS.
+def alpha_sweep(cfg: BenchConfig, out_dir=None) -> dict:
+    """Run the online strategy at each fixed gain of cfg.sweep_alphas, or of
+    SWEEP_ALPHAS when the config lists none, recording boundedness and RMS.
 
     Divergence is a recorded outcome here, not an error."""
-    inverse = make_inverse(cfg, cfg.source.build())
+    inverse = make_inverse(cfg)
     rows = []
-    for alpha in alphas:
-        res = run_strategy(cfg, "online", inverse=inverse,
-                           alpha_override=float(alpha))
-        rows.append({"alpha": float(alpha), "bounded": not res.aborted,
+    for alpha in cfg.sweep_alphas or SWEEP_ALPHAS:
+        res = run_strategy(cfg, "online", inverse=inverse, alpha_override=alpha)
+        rows.append({"alpha": alpha, "bounded": not res.aborted,
                      "abort_step": res.abort_step,
                      "rms_tracking": res.rms_tracking,
                      "rms_prediction": res.rms_prediction})

@@ -13,9 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bench import (REPORT_VERSION, SWEEP_ALPHAS, BenchConfig, alpha_sweep,
-                    default_benchmark_config, make_inverse, output_dir,
-                    run_comparison, run_strategy, write_json)
+from .bench import (REPORT_VERSION, BenchConfig, alpha_sweep, default_benchmark_config,
+                    make_inverse, output_dir, run_comparison, run_strategy, write_json)
 from .inverse import TrainingDiverged
 from .stability import assemble_budget, stability_report
 from .systems import SimulationDiverged
@@ -82,8 +81,7 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep_alpha(args) -> int:
     cfg = _load_config(args)
-    payload = alpha_sweep(cfg, cfg.sweep_alphas or SWEEP_ALPHAS,
-                          out_dir=args.out_dir)
+    payload = alpha_sweep(cfg, out_dir=args.out_dir)
     rows = [("alpha", "bounded", "rms_tracking")]
     rows += [(r["alpha"], r["bounded"], r["rms_tracking"]) for r in payload["sweep"]]
     _emit(payload, args, rows=rows)
@@ -104,7 +102,7 @@ def cmd_similarity(args) -> int:
 
 def cmd_train_inverse(args) -> int:
     cfg = replace(_load_config(args), inverse_mode="mlp")
-    model = make_inverse(cfg, cfg.source.build())
+    model = make_inverse(cfg)
     out = output_dir("." if args.out_dir is None else args.out_dir)
     path = out / "inverse_model.npz"
     model.save(path)

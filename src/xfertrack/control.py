@@ -86,12 +86,13 @@ class TransferController:
         if self.r < 1:
             raise ValueError("relative degree must be >= 1")
 
-    def select_gain(self, xi_query, u1_dim: int) -> float:
-        """The gain alpha; reached only once the online window is full."""
+    def select_gain(self, xi_query) -> float:
+        """The gain alpha at the query [x, u1, y_d]; reached only once the
+        online window is full."""
         if isinstance(self.gain, FixedGain):
             return float(self.gain.alpha)
         g = self.gain
-        denom = self.online.mean_derivative(xi_query, u1_dim)
+        denom = self.online.mean_derivative(xi_query, len(xi_query) - 2)  # d / d u1
         if abs(denom) < EPS_GAIN_DENOMINATOR:
             return self._last_alpha  # degenerate estimate: hold the last gain
         alpha = g.clamp(-1.0 / denom)
@@ -119,7 +120,7 @@ class TransferController:
             # and alpha * e_p with a wrong-sign gain can kick the plant
             # hard enough to poison the window it is learning from.
             if self.online.full:
-                alpha = self.select_gain(xi_query, u1_dim=n)
+                alpha = self.select_gain(xi_query)
                 self._last_alpha = alpha
                 u2 = alpha * e_p
                 u = u1 + u2
@@ -171,17 +172,17 @@ class StepLog:
 
 
 def track_trajectory(system, controller: TransferController, trajectory,
-                     x0=None, error_oracle_target=None):
+                     x0=None, audit=False):
     """Run a controller against a plant along a trajectory via simulate.
 
-    Returns (SimTrace, StepLog). When error_oracle_target (a system with
-    io_terms) is given, the analytic error map
-    e*(k+r) = y_d(k+r) - F(x) - G(x) u1 of its r-step map y(k+r) = F + G u
-    is evaluated at each query and logged as e_p_star for prediction-accuracy
-    audits; otherwise e_p_star is NaN. On divergence, when the online model's
-    factorization fails, or when the inverse's input gain is too small to
-    invert, the raised SimulationDiverged carries the partial trace and a
-    log with one row per input of that trace.
+    Returns (SimTrace, StepLog). With audit, the plant's analytic error map
+    e*(k+r) = y_d(k+r) - F(x) - G(x) u1, from its r-step map
+    y(k+r) = F + G u (system.io_terms), is evaluated at each query and
+    logged as e_p_star for prediction-accuracy audits; otherwise e_p_star is
+    NaN. On divergence, when the online model's factorization fails, or when
+    the inverse's input gain is too small to invert, the raised
+    SimulationDiverged carries the partial trace and a log with one row per
+    input of that trace.
     """
     T = trajectory.n_steps
     cols = np.full((T, 5), math.nan)  # u1, e_p, alpha, u2, e_p_star
@@ -192,8 +193,8 @@ def track_trajectory(system, controller: TransferController, trajectory,
         except (LinAlgError, SingularInverse) as err:
             raise SimulationDiverged(f"{type(err).__name__}: {err}", k) from err
         e_star = math.nan
-        if error_oracle_target is not None:
-            F, G = error_oracle_target.io_terms(x)
+        if audit:
+            F, G = system.io_terms(x)
             e_star = y_d_future - F - G * dec.u1
         cols[k] = dec.u1, dec.e_p, dec.alpha, dec.u2, e_star
         return dec.u

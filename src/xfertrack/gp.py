@@ -44,9 +44,17 @@ DEFAULT_JITTER = 1e-10
 MAX_JITTER = 1e-6
 BASIS_PRIOR_VARIANCE = 1e4  # tau^2
 FIT_EVALS = 100  # likelihood evaluations a hyperparameter fit may make
+# stopping rules of the fit: a projected gradient below FIT_PGTOL, a relative
+# decrease below FIT_FTOL, or FIT_LINE_TRIALS failed trials in one search
+FIT_PGTOL = 1e-5
+FIT_FTOL = 2.2e-9
+FIT_LINE_TRIALS = 4
 # box of the hyperparameter fit, applied in log space
 LENGTH_SCALE_BOUNDS = (1e-2, 1e3)
 SIGNAL_VARIANCE_BOUNDS = (1e-8, 1e4)
+# the box's lower bounds (log l, log sigma_1^2), then its upper ones
+_LOG_LB, _LOG_UB = zip(*(map(math.log, bounds)
+                         for bounds in (LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS)))
 _ONE = np.ones(1)  # the constant basis function's entry of a basis row
 
 
@@ -141,24 +149,17 @@ class _Factor(NamedTuple):
     K: np.ndarray
 
 
-class _WindowTerms(NamedTuple):
-    """The parts of a window's likelihood that (l, sigma_1^2) leave alone."""
-
-    dist: np.ndarray  # D: squared distances between the inputs, unscaled
-    H: np.ndarray     # basis rows
-    y: np.ndarray     # y - H c: the outputs centered on the basis prior mean
-
-
-def _factor(hyper: GpHyperparams, terms: _WindowTerms) -> _Factor:
-    """Factor C = K + sigma_2^2 I + tau^2 H H' of the window with terms.
-    LinAlgError when C is not finite, or not positive definite at
-    MAX_JITTER."""
-    K = hyper.signal_variance * np.exp(-0.5 * (terms.dist / hyper.length_scale ** 2))
+def _factor(hyper: GpHyperparams, D, H, y) -> _Factor:
+    """Factor C = K + sigma_2^2 I + tau^2 H H' of the window with unscaled
+    squared distances D, basis rows H and outputs y, centered on the basis
+    prior mean (y - H c). LinAlgError when C is not finite, or not positive
+    definite at MAX_JITTER."""
+    K = hyper.signal_variance * np.exp(-0.5 * (D / hyper.length_scale ** 2))
     C = K.copy()
     C.reshape(-1)[::K.shape[0] + 1] += hyper.noise_variance
-    C += BASIS_PRIOR_VARIANCE * (terms.H @ terms.H.T)
+    C += BASIS_PRIOR_VARIANCE * (H @ H.T)
     L, jitter = _chol_with_jitter(C)
-    return _Factor(L, jitter, dpotrs(L, terms.y, lower=1)[0], K)
+    return _Factor(L, jitter, dpotrs(L, y, lower=1)[0], K)
 
 
 class GpWindowModel:
@@ -170,8 +171,8 @@ class GpWindowModel:
         self.hyper = self.cfg.hyper0
 
         # the window H, y: the live rows of two buffers, oldest first, H's
-        # rows being [1, xi, xi^2] and X the view of its xi columns. observe
-        # writes the buffers in place, so window terms hold until the next one
+        # rows being [1, xi, xi^2] and X the view of its xi columns; observe
+        # writes the buffers in place
         cap = self.cfg.capacity
         self._Hbuf, self._ybuf = np.ones((cap, 2 * self.dim + 1)), np.zeros(cap)
         self._H, self._y = self._Hbuf[:0], self._ybuf[:0]
@@ -232,7 +233,8 @@ class GpWindowModel:
         if self.size == 0:
             self._cache = None
             return
-        self._cache = f = _factor(self.hyper, self._window_terms())
+        self._cache = f = _factor(self.hyper, self._D, self._H,
+                                  self._y - self._H @ self._beta)
         self._beta = self._beta + BASIS_PRIOR_VARIANCE * (self._H.T @ f.a)
 
     @property
@@ -299,26 +301,20 @@ class GpWindowModel:
 
     # -- hyperparameter fitting ----------------------------------------------
 
-    def _window_terms(self) -> _WindowTerms:
-        """The current window's terms, centered on the current coefficients."""
-        return _WindowTerms(self._D, self._H, self._y - self._H @ self._beta)
-
-    def log_marginal_likelihood(self, hyper: GpHyperparams,
-                                terms: _WindowTerms | None = None):
+    def log_marginal_likelihood(self, hyper: GpHyperparams):
         """(value, gradient in log l and log sigma_1^2) of the marginal
-        log-likelihood with beta integrated out (GPML eq. 5.9) of the window
-        with terms, by default the current one. A covariance that cannot be
-        factorized gives (-inf, zero gradient)."""
-        if terms is None:
-            if self.size == 0:
-                raise ValueError("empty window")
-            terms = self._window_terms()
+        log-likelihood with beta integrated out (GPML eq. 5.9) of the current
+        window at hyper. A covariance that cannot be factorized gives (-inf,
+        zero gradient)."""
+        if self.size == 0:
+            raise ValueError("empty window")
+        y = self._y - self._H @ self._beta  # centered on the coefficients
         try:
-            f = _factor(hyper, terms)
+            f = _factor(hyper, self._D, self._H, y)
         except LinAlgError:
             return -math.inf, np.zeros(2)
-        val = (-0.5 * float(terms.y @ f.a) - float(np.log(f.L.diagonal()).sum())
-               - 0.5 * terms.y.size * math.log(2.0 * math.pi))
+        val = (-0.5 * float(y @ f.a) - float(np.log(f.L.diagonal()).sum())
+               - 0.5 * y.size * math.log(2.0 * math.pi))
         # d val / d theta = 1/2 sum(Q * dC/d theta) with Q = a a' - C^-1 and
         # dC/d theta = K * D / l^2, K (elementwise products). C^-1 = W' W
         # with W = L^-1: potri's lauum step rounds differently with the
@@ -326,7 +322,7 @@ class GpWindowModel:
         W = dtrtri(f.L, lower=1)[0]
         QK = f.a[:, None] * f.a - W.T @ W
         QK *= f.K
-        return val, 0.5 * np.array([np.vdot(QK, terms.dist) / hyper.length_scale ** 2,
+        return val, 0.5 * np.array([np.vdot(QK, self._D) / hyper.length_scale ** 2,
                                     QK.sum()])
 
     def fit_hyperparams(self) -> GpHyperparams:
@@ -338,23 +334,19 @@ class GpWindowModel:
         fitted noise level jitters the basis coefficients through the
         smoothed gain loop."""
         if self.size >= 2:
-            terms, h = self._window_terms(), self.hyper
-            # the box in log space: lower bounds (l, sigma_1^2), then upper ones
-            lb, ub = zip(*(map(math.log, bounds)
-                           for bounds in (LENGTH_SCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS)))
+            h = self.hyper
 
             def hyper_of(theta):
                 return GpHyperparams(math.exp(theta[0]), math.exp(theta[1]),
                                      h.noise_variance)
 
             def objective(theta):
-                val, g = self.log_marginal_likelihood(hyper_of(theta), terms)
+                val, g = self.log_marginal_likelihood(hyper_of(theta))
                 g0, g1 = g.tolist()
                 return -val, (-g0, -g1)
 
             theta = _projected_bfgs(
-                objective, (math.log(h.length_scale), math.log(h.signal_variance)),
-                lb, ub, FIT_EVALS)
+                objective, (math.log(h.length_scale), math.log(h.signal_variance)))
             if theta is None:
                 logger.warning("hyperparameter fit failed; keeping previous values")
             else:
@@ -363,17 +355,18 @@ class GpWindowModel:
         return self.hyper
 
 
-def _projected_bfgs(fun, x, lb, ub, max_evals, pgtol=1e-5, ftol=2.2e-9,
-                    line_trials=4):
-    """Minimize fun(x) -> (value, gradient) over pairs of floats x in the box
-    [lb, ub] from x projected into it, in at most max_evals evaluations:
-    damped BFGS on the coordinates no bound holds, backtracking projected
-    line search. Returns the best point (only a lower value moves it), or
-    None if fun is not finite at x. Stops on a projected gradient below
-    pgtol, line_trials failed trials in one search, or a relative decrease
-    below ftol by a step along -gradient. Points, gradients and steps are
-    tuples and the Hessian estimate M is (m00, m01, m11): at two
-    parameters, numpy's per-call cost would exceed the arithmetic."""
+def _projected_bfgs(fun, x):
+    """Minimize fun(x) -> (value, gradient) over pairs of floats x in the
+    fit's log box from x projected into it, in at most FIT_EVALS
+    evaluations: damped BFGS on the coordinates no bound holds, backtracking
+    projected line search. Returns the best point (only a lower value moves
+    it), or None if fun is not finite at x. Stops on a projected gradient
+    below FIT_PGTOL, FIT_LINE_TRIALS failed trials in one search, or a
+    relative decrease below FIT_FTOL by a step along -gradient. Points,
+    gradients and steps are tuples and the Hessian estimate M is (m00, m01,
+    m11): at two parameters, numpy's per-call cost would exceed the
+    arithmetic."""
+    lb, ub, max_evals = _LOG_LB, _LOG_UB, FIT_EVALS
 
     def clip(p):
         return min(max(p[0], lb[0]), ub[0]), min(max(p[1], lb[1]), ub[1])
@@ -385,7 +378,7 @@ def _projected_bfgs(fun, x, lb, ub, max_evals, pgtol=1e-5, ftol=2.2e-9,
     evals, M = 1, None
     while evals < max_evals:
         pg = clip((x[0] - g[0], x[1] - g[1]))
-        if max(abs(pg[0] - x[0]), abs(pg[1] - x[1])) <= pgtol:
+        if max(abs(pg[0] - x[0]), abs(pg[1] - x[1])) <= FIT_PGTOL:
             break
         free = [not ((xi <= lo and gi > 0) or (xi >= hi and gi < 0))
                 for xi, gi, lo, hi in zip(x, g, lb, ub)]
@@ -402,7 +395,7 @@ def _projected_bfgs(fun, x, lb, ub, max_evals, pgtol=1e-5, ftol=2.2e-9,
         t = min(1.0 / max(1.0, abs(d[0]), abs(d[1])),
                 max(((hi if di > 0 else lo) - xi) / di
                     for di, xi, lo, hi in zip(d, x, lb, ub) if di != 0))
-        for _ in range(line_trials):
+        for _ in range(FIT_LINE_TRIALS):
             xt = clip((x[0] + t * d[0], x[1] + t * d[1]))
             if evals == max_evals or xt == x:
                 return x
@@ -431,7 +424,7 @@ def _projected_bfgs(fun, x, lb, ub, max_evals, pgtol=1e-5, ftol=2.2e-9,
         M = (m00 + y[0] * y[0] / sy - Ms[0] * Ms[0] / sMs,
              m01 + y[0] * y[1] / sy - Ms[0] * Ms[1] / sMs,
              m11 + y[1] * y[1] / sy - Ms[1] * Ms[1] / sMs)
-        if f - ft <= ftol * max(abs(f), abs(ft), 1.0):
+        if f - ft <= FIT_FTOL * max(abs(f), abs(ft), 1.0):
             if steepest:
                 return xt
             M = None  # stalled: retry from the gradient, as M's scale may be stale

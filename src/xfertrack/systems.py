@@ -69,17 +69,16 @@ def _as_state_matrices(A, B, C):
     return A, b, c
 
 
-def _relative_degree_lti(A, b, c, eps=EPS_RELATIVE_DEGREE):
-    # smallest r >= 1 with |C A^(r-1) B| > eps; search is capped at n
+def _relative_degree_lti(A, b, c):
+    # smallest r in 1..n with |C A^(r-1) B| > EPS_RELATIVE_DEGREE
     n = A.shape[0]
     v = b.copy()
     for r in range(1, n + 1):
-        if abs(c @ v) > eps:
+        if abs(c @ v) > EPS_RELATIVE_DEGREE:
             return r
         v = A @ v
-    raise IllDefinedRelativeDegree(
-        f"no relative degree in 1..{n}: all Markov parameters below {eps}"
-    )
+    raise IllDefinedRelativeDegree(f"no relative degree in 1..{n}: all Markov "
+                                   f"parameters below {EPS_RELATIVE_DEGREE}")
 
 
 class LtiSystem:

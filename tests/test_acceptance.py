@@ -71,7 +71,7 @@ def test_criterion_2_offline_transfer(bench_report, analytic_offline_rms):
 
 @pytest.fixture(scope="module")
 def bundled_excitation(bench_config):
-    return build_training_dataset(bench_config, source_system())
+    return build_training_dataset(bench_config)
 
 
 @pytest.fixture(scope="module")

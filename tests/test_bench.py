@@ -78,7 +78,7 @@ def test_excitation_dataset_pinned():
     # per excitation sinusoid
     cfg = default_benchmark_config()
     cfg = replace(cfg, mlp=replace(cfg.mlp, train_duration_s=2.0))
-    ds = build_training_dataset(cfg, cfg.source.build())
+    ds = build_training_dataset(cfg)
     assert hashlib.sha256(ds.inputs.tobytes() + ds.labels.tobytes()).hexdigest() == (
         "9ea4aa6712dea614288d800e08ff490c0b02a9f6a85e4056cda4c1292d0fca21")
 
@@ -432,7 +432,7 @@ def test_alpha_sweep_contains_offline_at_zero(tmp_path):
     cfg = short_config()
     off = run_strategy(cfg, "offline",
                        inverse=AnalyticInverse(source_system()))
-    payload = alpha_sweep(cfg, [0.0, 1.0], out_dir=tmp_path)
+    payload = alpha_sweep(replace(cfg, sweep_alphas=[0.0, 1.0]), out_dir=tmp_path)
     assert payload["version"] == "1"
     assert [row["alpha"] for row in payload["sweep"]] == [0.0, 1.0]
     zero = payload["sweep"][0]

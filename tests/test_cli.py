@@ -9,7 +9,8 @@ import yaml
 
 from xfertrack import bench, inverse
 from xfertrack import gp as gp_module
-from xfertrack.bench import ConfigError, default_benchmark_config
+from xfertrack.bench import (SWEEP_ALPHAS, BenchConfig, ConfigError, alpha_sweep,
+                             default_benchmark_config)
 from xfertrack.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main)
 from xfertrack.inverse import MlpInverseModel, TrainingDiverged
 
@@ -223,6 +224,18 @@ def test_sweep_alpha_uses_configured_grid(tmp_path, capsys):
     assert [r["alpha"] for r in payload["sweep"]] == [0.0, 0.5]
     assert all(r["bounded"] for r in payload["sweep"])
     assert (out_dir / "alpha_sweep.json").exists()
+
+
+def test_sweep_alpha_defaults_to_the_bundled_grid(tmp_path, capsys):
+    # a config that lists no gains sweeps SWEEP_ALPHAS, row for row as
+    # alpha_sweep does (test_sweep_alpha_uses_configured_grid covers a
+    # listed grid)
+    path = write_config(tmp_path, duration=0.05)
+    code, out = run_cli(capsys, "sweep-alpha", "--config", str(path))
+    assert code == EXIT_OK
+    rows = json.loads(out)["sweep"]
+    assert [r["alpha"] for r in rows] == list(SWEEP_ALPHAS)
+    assert rows == alpha_sweep(BenchConfig.from_yaml(path))["sweep"]
 
 
 # -- similarity ----------------------------------------------------------------

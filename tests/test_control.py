@@ -52,7 +52,7 @@ class StubOnline:
 def test_fixed_gain_passthrough():
     ctrl = TransferController(AnalyticInverse(source_system()), r=1,
                               online=StubOnline(), gain=FixedGain(0.7))
-    assert ctrl.select_gain(np.zeros(4), u1_dim=2) == 0.7
+    assert ctrl.select_gain(np.zeros(4)) == 0.7
 
 
 def test_estimated_gain_inverts_derivative():
@@ -60,20 +60,20 @@ def test_estimated_gain_inverts_derivative():
     oracle = AffineErrorOracle(target_system())
     ctrl = TransferController(AnalyticInverse(source_system()), r=1,
                               online=oracle, gain=EstimatedGain())
-    assert ctrl.select_gain(np.zeros(4), u1_dim=2) == 1.0
+    assert ctrl.select_gain(np.zeros(4)) == 1.0
 
 
 def test_estimated_gain_cap_and_floor():
     inv = AnalyticInverse(source_system())
     near_flat = TransferController(inv, r=1, online=StubOnline(-1.0 / 50.0),
                                    gain=EstimatedGain(floor=0.05, cap=20.0))
-    assert near_flat.select_gain(np.zeros(4), 2) == 20.0
+    assert near_flat.select_gain(np.zeros(4)) == 20.0
     steep = TransferController(inv, r=1, online=StubOnline(-100.0),
                                gain=EstimatedGain(floor=0.05, cap=20.0))
-    assert steep.select_gain(np.zeros(4), 2) == 0.05
+    assert steep.select_gain(np.zeros(4)) == 0.05
     negative = TransferController(inv, r=1, online=StubOnline(2.0),
                                   gain=EstimatedGain())
-    assert negative.select_gain(np.zeros(4), 2) == -0.5
+    assert negative.select_gain(np.zeros(4)) == -0.5
 
 
 def test_degenerate_derivative_holds_last_gain():
@@ -81,12 +81,12 @@ def test_degenerate_derivative_holds_last_gain():
     online = StubOnline(derivative=0.0)
     ctrl = TransferController(inv, r=1, online=online, gain=EstimatedGain())
     # nothing valid yet: fall back to the floor
-    assert ctrl.select_gain(np.zeros(4), 2) == 0.05
+    assert ctrl.select_gain(np.zeros(4)) == 0.05
     online.derivative = -0.5
-    ctrl._last_alpha = ctrl.select_gain(np.zeros(4), 2)
+    ctrl._last_alpha = ctrl.select_gain(np.zeros(4))
     assert ctrl._last_alpha == 2.0
     online.derivative = 1e-12
-    assert ctrl.select_gain(np.zeros(4), 2) == 2.0
+    assert ctrl.select_gain(np.zeros(4)) == 2.0
 
 
 def test_smoothing_blends_consecutive_gains():
@@ -96,7 +96,7 @@ def test_smoothing_blends_consecutive_gains():
                               gain=EstimatedGain(smoothing=0.9))
     ctrl._last_alpha = 3.0
     # raw estimate 1.0; blended: 0.9 * 3 + 0.1 * 1 = 2.8
-    assert ctrl.select_gain(np.zeros(4), 2) == pytest.approx(2.8)
+    assert ctrl.select_gain(np.zeros(4)) == pytest.approx(2.8)
 
 
 # -- closed loop ---------------------------------------------------------------
@@ -302,18 +302,26 @@ def test_affine_oracle_values():
 
 def test_error_map_audits_a_nonlinear_target():
     # y(k+1) = x/2 + (1 + sin(x)/2) u: with the correction off, u = u1, so
-    # e*(k+1) = y_d(k+1) - F - G u1 is the next step's tracking error
+    # e*(k+1) = y_d(k+1) - F - G u1 is the next step's tracking error. The
+    # audit evaluates the plant's own map; without it e_p_star stays NaN
     target = NonlinearSystem(
         n=1, f=lambda x: 0.5 * x, g=lambda x: 1.0 + 0.5 * np.sin(x),
         h=lambda x: float(x[0]), r=1,
         F=lambda x: 0.5 * x[0], G=lambda x: 1.0 + 0.5 * math.sin(x[0]))
-    ctrl = TransferController(AnalyticInverse(LtiSystem([[0.5]], [1.0], [1.0])), r=1)
-    _, log = track_trajectory(target, ctrl, short_trajectory(),
-                              error_oracle_target=target)
+    inverse = AnalyticInverse(LtiSystem([[0.5]], [1.0], [1.0]))
+    traj = short_trajectory()
+    _, log = track_trajectory(target, TransferController(inverse, r=1), traj, audit=True)
     err_next = log.column("y_d")[1:] - log.column("y")[1:]
     np.testing.assert_allclose(log.column("e_p_star")[:-1], err_next,
                                rtol=0, atol=1e-12)
     assert np.abs(err_next).max() > 1e-3
+    yd_next = traj.values(len(log) + 1)[1:]
+    np.testing.assert_array_equal(log.e_p_star, [
+        yd - 0.5 * x - (1.0 + 0.5 * math.sin(x)) * u1
+        for yd, x, u1 in zip(yd_next, log.states[:, 0], log.u1)])
+    _, plain = track_trajectory(target, TransferController(inverse, r=1), traj)
+    assert np.isnan(plain.e_p_star).all()
+    np.testing.assert_array_equal(plain.y, log.y)
 
 
 def test_online_learns_the_drag_pair_mass_mismatch():
@@ -332,10 +340,10 @@ def test_online_learns_the_drag_pair_mass_mismatch():
 
     cfg = default_benchmark_config()
     _, offline = track_trajectory(target, TransferController(inverse, r=1), traj,
-                                  error_oracle_target=target)
+                                  audit=True)
     ctrl = TransferController(inverse, r=1, online=GpWindowModel(target.n + 2, cfg.gp),
                               gain=replace(cfg.gain, cap=2000.0))
-    _, online = track_trajectory(target, ctrl, traj, error_oracle_target=target)
+    _, online = track_trajectory(target, ctrl, traj, audit=True)
     k_fill = cfg.gp.capacity
     assert (metrics(online, target.r).rms_tracking
             <= metrics(offline, target.r).rms_tracking / 10.0)
@@ -353,8 +361,7 @@ def test_step_log_roundtrip_is_bitwise(tmp_path):
                               online=AffineErrorOracle(target),
                               gain=EstimatedGain())
     traj = short_trajectory()
-    _, log = track_trajectory(target, ctrl, traj,
-                              error_oracle_target=target)
+    _, log = track_trajectory(target, ctrl, traj, audit=True)
     path = tmp_path / "steps.csv"
     log.to_csv(path)
     header = path.read_text().splitlines()[0]

@@ -399,9 +399,8 @@ def _random_window(rng, n, noise, spread):
 def _explicit_inverse_gradient(gp):
     """The likelihood gradient with C^-1 formed as potrs(L, I), from the
     factor the model evaluates its likelihood with."""
-    terms = gp._window_terms()
-    sq = terms.dist / gp.hyper.length_scale ** 2
-    f = gp_module._factor(gp.hyper, terms)
+    sq = gp._D / gp.hyper.length_scale ** 2
+    f = gp_module._factor(gp.hyper, gp._D, gp._H, gp._y - gp._H @ gp._beta)
     QK = (np.outer(f.a, f.a) - dpotrs(f.L, np.eye(gp.size), lower=1)[0]) * f.K
     return 0.5 * np.array([(QK * sq).sum(), QK.sum()])
 
@@ -450,8 +449,8 @@ def test_fit_evaluates_the_window_it_is_called_on(monkeypatch):
     calls = []
     lml = GpWindowModel.log_marginal_likelihood
 
-    def recorded(self, hyper, terms=None):
-        out = lml(self, hyper, terms)
+    def recorded(self, hyper):
+        out = lml(self, hyper)
         calls.append((hyper, out))
         return out
 
@@ -533,9 +532,9 @@ def test_refit_evaluates_each_point_once(monkeypatch):
     points = []
     lml = GpWindowModel.log_marginal_likelihood
 
-    def recorded(self, hyper, terms=None):
+    def recorded(self, hyper):
         points.append((hyper.length_scale, hyper.signal_variance))
-        return lml(self, hyper, terms)
+        return lml(self, hyper)
 
     monkeypatch.setattr(GpWindowModel, "log_marginal_likelihood", recorded)
     rng = np.random.default_rng(31)

@@ -225,7 +225,7 @@ def test_mlp_closed_loop_comparable_to_linear_fit(bench_report, bench_config):
     from xfertrack.bench import build_training_dataset
 
     cfg = replace(bench_config, inverse_mode="analytic")
-    dataset = build_training_dataset(cfg, source_system())
+    dataset = build_training_dataset(cfg)
     affine = affine_lstsq_inverse(dataset)
     ref = run_strategy(cfg, "offline", inverse=affine)
     mlp_rms = bench_report.strategies["offline"]["rms_tracking"]
