@@ -35,8 +35,7 @@ print(f"resampled to {traj.samples.size} steps at dt={traj.dt} s "
       f"({traj.duration:.2f} s total)")
 
 cfg = default_benchmark_config(inverse_mode="analytic")
-cfg = replace(cfg, trajectory=TrajectoryCfg(kind="csv", csv_path=str(path),
-                                            dt=1.5e-3))
+cfg = replace(cfg, trajectory=TrajectoryCfg(csv_path=str(path), dt=1.5e-3))
 source = LtiSystem(cfg.source.a, cfg.source.b, cfg.source.c)
 
 res = run_strategy(cfg, "offline", inverse=AnalyticInverse(source))

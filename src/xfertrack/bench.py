@@ -45,11 +45,10 @@ class SystemCfg:
 
 @dataclass
 class TrajectoryCfg:
-    """The desired output. The defaults are the benchmark test signal
-    sin(2*pi/8 t) + cos(2*pi/16 t) - 1 over 48 s, the cosine phrased as a
-    quarter-phase sine."""
+    """The desired output: the t,yd CSV at csv_path, resampled to dt, or else
+    the sinusoid of the other fields, by default the benchmark test signal
+    sin(2*pi/8 t) + cos(2*pi/16 t) - 1 over 48 s (cosine as a quarter-phase sine)."""
 
-    kind: str = "sinusoid"            # "sinusoid" | "csv"
     amplitudes: list = field(default_factory=lambda: [1.0, 1.0])
     periods_s: list = field(default_factory=lambda: [8.0, 16.0])
     phases: list = field(default_factory=lambda: [0.0, math.pi / 2.0])
@@ -61,36 +60,36 @@ class TrajectoryCfg:
     def build(self):
         if not (finite_number(self.dt) and self.dt > 0):
             raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
-        if self.kind == "sinusoid":
-            if not (finite_number(self.duration_s) and self.duration_s > 0):
-                raise ConfigError("duration_s must be positive and finite, "
-                                  f"got {self.duration_s!r}")
-            for name in ("amplitudes", "periods_s", "phases"):
-                values = getattr(self, name)
-                if not (isinstance(values, (list, tuple))
-                        and all(map(finite_number, values))):
-                    raise ConfigError(f"{name} must be a list of finite numbers, "
-                                      f"got {values!r}")
-            if not finite_number(self.offset):
-                raise ConfigError(f"offset must be a finite number, got {self.offset!r}")
-            freqs = [2.0 * math.pi / p if p > 0 else math.nan for p in self.periods_s]
-            if not all(map(math.isfinite, freqs)):
-                raise ConfigError("periods_s must be positive, with finite "
-                                  f"frequencies, got {self.periods_s!r}")
-            try:
-                return SinusoidTrajectory(
-                    amplitudes=tuple(self.amplitudes),
-                    angular_freqs=tuple(freqs),
-                    phases=tuple(self.phases), offset=self.offset,
-                    dt=self.dt, duration=self.duration_s)
-            except ValueError as err:  # dt and duration_s are checked above
-                raise ConfigError(f"amplitudes, periods_s and phases must align: "
-                                  f"{err}") from err
-        if self.kind == "csv":
-            if not self.csv_path:
-                raise ConfigError("csv trajectory needs csv_path")
+        if self.csv_path is not None:
+            # an int would open as a file descriptor, so only a str is a path
+            if not (isinstance(self.csv_path, str) and self.csv_path):
+                raise ConfigError("csv_path must be null or a non-empty string, "
+                                  f"got {self.csv_path!r}")
             return ingest_csv_trajectory(self.csv_path, dt=self.dt)
-        raise ConfigError(f"unknown trajectory kind {self.kind!r}")
+        if not (finite_number(self.duration_s) and self.duration_s > 0):
+            raise ConfigError("duration_s must be positive and finite, "
+                              f"got {self.duration_s!r}")
+        for name in ("amplitudes", "periods_s", "phases"):
+            values = getattr(self, name)
+            if not (isinstance(values, (list, tuple))
+                    and all(map(finite_number, values))):
+                raise ConfigError(f"{name} must be a list of finite numbers, "
+                                  f"got {values!r}")
+        if not finite_number(self.offset):
+            raise ConfigError(f"offset must be a finite number, got {self.offset!r}")
+        freqs = [2.0 * math.pi / p if p > 0 else math.nan for p in self.periods_s]
+        if not all(map(math.isfinite, freqs)):
+            raise ConfigError("periods_s must be positive, with finite "
+                              f"frequencies, got {self.periods_s!r}")
+        try:
+            return SinusoidTrajectory(
+                amplitudes=tuple(self.amplitudes),
+                angular_freqs=tuple(freqs),
+                phases=tuple(self.phases), offset=self.offset,
+                dt=self.dt, duration=self.duration_s)
+        except ValueError as err:  # dt and duration_s are checked above
+            raise ConfigError(f"amplitudes, periods_s and phases must align: "
+                              f"{err}") from err
 
 
 @dataclass

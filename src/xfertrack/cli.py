@@ -114,7 +114,7 @@ def cmd_train_inverse(args) -> int:
 
 def cmd_ingest(args) -> int:
     cfg = _load_config(args)
-    traj = replace(cfg.trajectory, kind="csv", csv_path=args.path).build()
+    traj = replace(cfg.trajectory, csv_path=args.path).build()
     payload = {"version": REPORT_VERSION, "samples": int(traj.samples.size),
                "dt": traj.dt, "duration_s": traj.duration,
                "max_abs": float(np.max(np.abs(traj.samples)))}

@@ -294,10 +294,9 @@ class GpWindowModel:
         if self.size == 0:
             return 0.0
         dks = -((xi[dim] - self._X[:, dim]) / self.hyper.length_scale ** 2) * ks
-        dh = np.zeros(self._beta.size)  # d h(xi) / d xi_dim
-        dh[1 + dim] = 1.0
-        dh[1 + self.dim + dim] = 2.0 * xi[dim]
-        return float(dks @ self._cache.a) + float(dh @ self._beta)
+        # h(xi) = [1, xi, xi^2], so d h'beta / d xi_dim reads two coefficients
+        return float(dks @ self._cache.a) + float(
+            self._beta[1 + dim] + 2.0 * xi[dim] * self._beta[1 + self.dim + dim])
 
     # -- hyperparameter fitting ----------------------------------------------
 

@@ -22,13 +22,14 @@ TARGET_C = [-0.1, 1.0]
 # config keys that became module constants, each with the value it always
 # had: the mlp recipe (inverse.HIDDEN, BATCH_SIZE, LEARNING_RATE,
 # VAL_FRACTION, PATIENCE), the GP's starting GpHyperparams and the t,yd
-# header of a CSV trajectory; a config that sets one is a config error
+# header of a CSV trajectory; and the trajectory kind, which csv_path alone
+# now names; a config that sets one is a config error
 REMOVED_CONFIG_KEYS = [
     ("mlp", "hidden", [20, 20]), ("mlp", "batch_size", 64),
     ("mlp", "learning_rate", 1e-3), ("mlp", "val_fraction", 0.1),
     ("mlp", "patience", 50), ("gp", "length_scale0", 1.0),
     ("gp", "signal_variance0", 1.0), ("trajectory", "time_column", "t"),
-    ("trajectory", "value_column", "yd")]
+    ("trajectory", "value_column", "yd"), ("trajectory", "kind", "csv")]
 
 
 def source_system() -> LtiSystem:

@@ -60,9 +60,9 @@ def test_bundled_config_digests_pinned():
     # every report's config section hashes to these; a renamed, added or
     # dropped config field changes them
     assert config_digest(default_benchmark_config()) == (
-        "14b3c2a7c81b89a854e359dd296513ceec0f33f89900346af7b6464099b4f198")
+        "4ba2b409aab282ce8da799b4da4ca91f561803bdbe766ae241c53c357358a6b9")
     assert config_digest(default_benchmark_config(inverse_mode="analytic")) == (
-        "ebe768a83d56c54fe1f33061a8aa6a52045a973f2ac9c0809d98a69480345454")
+        "ca2a8ad662a6f7cdbc7d72f41e99cd5f9f775bfc0c71bea6de1df00db0ad0a9e")
 
 
 def test_all_defaults_config_digest_pinned():
@@ -70,7 +70,7 @@ def test_all_defaults_config_digest_pinned():
     # smoothing, ...) are pinned here
     b = default_benchmark_config()
     assert config_digest(BenchConfig(source=b.source, target=b.target)) == (
-        "558b72247d3fed1e800ebf7e199c4f2ebb601963030d539be041e9cdd2412caf")
+        "04aeb417c55535553a28e94c9c978b01f723c89610c28be7d59de625536f75cf")
 
 
 def test_excitation_dataset_pinned():
@@ -107,16 +107,6 @@ def test_period_with_infinite_frequency_rejected():
     # strategy would abort
     with pytest.raises(ConfigError, match="periods_s"):
         TrajectoryCfg(amplitudes=[1.0], periods_s=[1e-320], phases=[0.0]).build()
-
-
-def test_csv_kind_requires_path():
-    with pytest.raises(ConfigError, match="csv_path"):
-        TrajectoryCfg(kind="csv").build()
-
-
-def test_unknown_trajectory_kind():
-    with pytest.raises(ConfigError, match="kind"):
-        TrajectoryCfg(kind="triangle").build()
 
 
 def test_unknown_inverse_mode_and_strategy():
@@ -256,7 +246,7 @@ def test_bundled_report_digest_pinned(bench_report):
     # the full bundled comparison, MLP training included, is bit-identical
     # to the recorded run; a change that moves it must say so
     assert bench_report.digest() == (
-        "d5ce2c20477383238c523c2df3798adf0112fde1323f2c4274ccdb43f63e0026")
+        "fc4fc5eda48259d771f091768023e007dea09ef4fea0a02a1e4547206359cb64")
 
 
 def test_bundled_strategies_digest_pinned(bench_report):
@@ -308,6 +298,43 @@ def test_warm_metrics_need_a_step_past_the_window(duration, warm):
         assert s["rms_tracking"] is not None
 
 
+# -- hand-drawn strokes ---------------------------------------------------------
+
+
+def write_stroke(path, seed: int):
+    """A random piecewise-linear stroke as a t,yd file: knots every 0.5 s
+    over 4 s, the first at 0 and each later one a step of at most 0.6 from
+    the last, written as Python float reprs (a numpy 2 repr would write
+    np.float64(...), which the reader rejects)."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(9) * 0.5
+    yd = np.concatenate(([0.0], np.cumsum(rng.uniform(-0.6, 0.6, 8))))
+    path.write_text("t,yd\n" + "".join(f"{float(a)!r},{float(b)!r}\n"
+                                         for a, b in zip(t, yd)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_online_corrects_a_hand_drawn_stroke(tmp_path, seed):
+    # the paper's headline scenario: an arbitrary hand-drawn trajectory,
+    # named by csv_path alone, tracked by the analytic transfer from the
+    # first attempt. Measured: offline/online RMS 175-4,336, warm prediction
+    # RMS 3.4e-9 to 7.2e-6. Left unasserted (ROADMAP item 9): the warm
+    # tracking RMS, 3.1e-5 to 1.16e-3, is above criterion 3's 1e-3 on
+    # seeds 3 and 4, and the first corrected steps apply a wrong-sign gain
+    # (alpha -0.568, then -0.490); both come from the transient when the
+    # window fills
+    path = tmp_path / "stroke.csv"
+    write_stroke(path, seed)
+    cfg = default_benchmark_config(inverse_mode="analytic")
+    cfg = replace(cfg, trajectory=replace(cfg.trajectory, csv_path=str(path)))
+    assert cfg.trajectory.build().n_steps == 2666
+    off = run_strategy(cfg, "offline")
+    on = run_strategy(cfg, "online")
+    assert not off.aborted and not on.aborted
+    assert off.rms_tracking / on.rms_tracking >= 100.0
+    assert on.rms_prediction_warm <= 1e-5
+
+
 # -- comparison runs -----------------------------------------------------------
 
 
@@ -316,7 +343,7 @@ def test_analytic_comparison_digests_pinned(tmp_path):
     # that moves these values updates them and says so
     rep = run_comparison(short_config(duration=4.0), out_dir=tmp_path)
     assert rep.digest() == (
-        "74784b290197e1bb7ac4e2510f76f3bf5ee78ec8d673295ee337caef841379b5")
+        "4a0cdd85d2ebf8a407a99e5d67b64b8b019579a1341c33a85c0f2bca037e6e03")
     csv_sha256 = {
         "baseline": "ba6f3fb88c73f14d896e1ca35636585f6df7cb7fc8604f46031e39456f4a0cd5",
         "offline": "014effe75b410a3f99bf7df3d93ee7d647a84279fff9b9e02946087fa669208f",

@@ -9,8 +9,8 @@ import yaml
 
 from xfertrack import bench, inverse
 from xfertrack import gp as gp_module
-from xfertrack.bench import (SWEEP_ALPHAS, BenchConfig, ConfigError, alpha_sweep,
-                             default_benchmark_config)
+from xfertrack.bench import (SWEEP_ALPHAS, BenchConfig, ConfigError, TrajectoryCfg,
+                             alpha_sweep, default_benchmark_config)
 from xfertrack.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main)
 from xfertrack.inverse import MlpInverseModel, TrainingDiverged
 
@@ -491,6 +491,11 @@ def test_ingest_roundtrip(tmp_path, capsys):
     # the resampled signal still peaks at the original midpoint value
     vals = [float(line.split(",")[1]) for line in lines[1:]]
     assert max(vals) == pytest.approx(1.0, abs=2e-3)
+    # named by csv_path, the written file is the ingested trajectory, bit
+    # for bit
+    want = TrajectoryCfg(csv_path=str(src)).build().samples
+    back = TrajectoryCfg(csv_path=payload["resampled_path"]).build().samples
+    assert back.tobytes() == want.tobytes()
 
 
 def test_ingest_missing_file(capsys):
@@ -525,3 +530,18 @@ def test_ingest_missing_column(tmp_path, capsys):
     src.write_text("time,value\n0.0,1.0\n1.0,2.0\n")
     code, _ = run_cli(capsys, "ingest", str(src))
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("value", [2, True, 0, 7.5, "", ["a.csv"]])
+def test_csv_path_that_is_not_a_path_is_config_error(tmp_path, capsys, value):
+    # csv_path alone names a CSV trajectory; an integer once reached open()
+    # as a file descriptor (2 closed the process's stderr, true opened
+    # stdout, 0 would read stdin) and 7.5 escaped as a TypeError
+    cfg = default_benchmark_config(inverse_mode="analytic")
+    path = write_raw_config(tmp_path, cfg, "trajectory", csv_path=value)
+    assert main(["similarity", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert f"csv_path must be null or a non-empty string, got {value!r}" in err
+    with pytest.raises(ConfigError, match="csv_path"):
+        TrajectoryCfg(csv_path=value).build()

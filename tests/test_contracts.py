@@ -96,7 +96,7 @@ SETTABLE = [
     "seed", "source.a", "source.b", "source.c", "strategy", "sweep_alphas",
     "target.a", "target.b", "target.c",
     "trajectory.amplitudes", "trajectory.csv_path", "trajectory.dt",
-    "trajectory.duration_s", "trajectory.kind", "trajectory.offset",
+    "trajectory.duration_s", "trajectory.offset",
     "trajectory.periods_s", "trajectory.phases", "u_max", "x0"]
 
 
@@ -112,7 +112,7 @@ def test_settable_config_surface_is_pinned(tmp_path, capsys):
     bundled = default_benchmark_config(inverse_mode="analytic")
     cfg = BenchConfig(source=bundled.source, target=bundled.target)
     assert sorted(_flat_keys(cfg.to_dict())) == SETTABLE
-    assert len(SETTABLE) == 29
+    assert len(SETTABLE) == 28
     for section, key, value in REMOVED_CONFIG_KEYS:
         raw = bundled.to_dict()
         raw[section][key] = value
